@@ -301,31 +301,32 @@ func BenchmarkSimulatorAccessProfiled(b *testing.B) {
 	}
 }
 
-// BenchmarkMeasure is the profiling-off measurement path every
-// analysis request takes (balance.MeasureCtx).
+// BenchmarkMeasure is the plain measurement path: one hierarchy
+// straight on the engine.
 func BenchmarkMeasure(b *testing.B) {
 	p := kernels.Dmxpy(64)
-	spec := machine.Origin2000()
+	specs := []machine.Spec{machine.Origin2000()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := balance.MeasureCtx(context.Background(), p, spec, exec.Limits{}); err != nil {
+		if _, err := balance.Measure(context.Background(), p, specs, balance.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkMeasureAttributed measures the profiled path
-// (balance.MeasureProfiled): site assignment on a clone, per-site
-// bucketing during simulation, bounds analysis and attribution
-// assembly. Its ratio to BenchmarkMeasure is the recorded
+// BenchmarkMeasureAttributed measures the profiled path: site
+// assignment on a clone, per-site bucketing during simulation, the
+// footprint recorder teed onto the same run, and bounds and
+// attribution assembly. Its ratio to BenchmarkMeasure is the recorded
 // profiling-on cost (perfwatch stores the same ratio per kernel as
 // profile_overhead_ratio).
 func BenchmarkMeasureAttributed(b *testing.B) {
 	p := kernels.Dmxpy(64)
-	spec := machine.Origin2000()
+	specs := []machine.Spec{machine.Origin2000()}
+	opts := balance.Options{Bounds: balance.BoundsFull, Profile: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := balance.MeasureProfiled(context.Background(), p, spec, exec.Limits{}); err != nil {
+		if _, err := balance.Measure(context.Background(), p, specs, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

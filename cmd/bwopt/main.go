@@ -202,43 +202,24 @@ func main() {
 		fatal(err)
 	}
 
-	measureFn := balance.MeasureWithBounds
-	if *profile {
-		measureFn = balance.MeasureProfiled
-	}
-	if *mrcFlag {
-		// The reuse-distance pass is a separate simulation so -profile
-		// and -bounds reporting stay orthogonal to it; its result is
-		// grafted onto the main measurement's report.
-		base := measureFn
-		measureFn = func(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*balance.Report, error) {
-			rep, err := base(ctx, p, spec, lim)
-			if err != nil {
-				return nil, err
-			}
-			m, err := balance.MeasureMRC(ctx, p, spec, lim)
-			if err != nil {
-				return nil, err
-			}
-			rep.MRC = m.MRC
-			return rep, nil
+	// One run per program attaches the lower bound and whichever of
+	// attribution and the reuse-distance analysis was asked for.
+	opts := balance.Options{Bounds: balance.BoundsFull, Profile: *profile, MRC: *mrcFlag}
+	measure := func(p *ir.Program) *balance.Report {
+		reps, err := balance.Measure(ctx, p, []machine.Spec{spec}, opts)
+		if err != nil {
+			fatal(err)
 		}
+		return reps[0]
 	}
-	before, err := measureFn(ctx, p, spec, exec.Limits{})
-	if err != nil {
-		fatal(err)
-	}
-	after, err := measureFn(ctx, q, spec, exec.Limits{})
-	if err != nil {
-		fatal(err)
-	}
+	before, after := measure(p), measure(q)
 	var deltas []balance.PassDelta
 	if *profile && len(outcome.Snapshots) > 0 {
 		snaps := make([]balance.ProgramSnapshot, len(outcome.Snapshots))
 		for i, s := range outcome.Snapshots {
 			snaps[i] = balance.ProgramSnapshot{Pass: s.Pass, Program: s.Program}
 		}
-		if deltas, err = balance.PassDeltas(ctx, p, snaps, spec, exec.Limits{}); err != nil {
+		if deltas, err = balance.PassDeltas(ctx, before, after, snaps, spec, exec.Limits{}); err != nil {
 			fatal(err)
 		}
 	}

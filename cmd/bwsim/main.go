@@ -51,7 +51,6 @@ import (
 	"os"
 
 	"repro/internal/balance"
-	"repro/internal/exec"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/report"
@@ -141,24 +140,15 @@ func main() {
 	if *printIR {
 		fmt.Println(p)
 	}
-	// MeasureWithBounds attaches the data-movement lower bound and
-	// optimality gap, which Report.String prints as its last line;
-	// MeasureProfiled additionally attributes the traffic per site.
-	measureFn := balance.MeasureWithBounds
-	if *profile {
-		measureFn = balance.MeasureProfiled
-	}
-	rep, err := measureFn(ctx, p, spec, exec.Limits{})
+	// The report's last line is the data-movement lower bound and
+	// optimality gap; attribution and the reuse-distance analysis ride
+	// on the same run when asked for.
+	reps, err := balance.Measure(ctx, p, []machine.Spec{spec},
+		balance.Options{Bounds: balance.BoundsFull, Profile: *profile, MRC: *mrcFlag})
 	if err != nil {
 		fatal(err)
 	}
-	if *mrcFlag {
-		m, err := balance.MeasureMRC(ctx, p, spec, exec.Limits{})
-		if err != nil {
-			fatal(err)
-		}
-		rep.MRC = m.MRC
-	}
+	rep := reps[0]
 	if tr != nil {
 		root.End()
 		f, err := os.Create(*traceOut)

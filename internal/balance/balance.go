@@ -14,8 +14,10 @@ package balance
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/exec"
@@ -62,21 +64,23 @@ type Report struct {
 	// Bound, when non-nil, is the data-movement lower bound at this
 	// machine's fast-memory capacity and OptimalityGap the ratio
 	// MemoryBytes/Bound.Best.Bytes (0 when no bound information).
-	// Populated by MeasureWithBounds; plain Measure leaves it nil so
-	// timed measurement loops pay nothing for it.
+	// Populated when Options.Bounds asks for it.
 	Bound         *bounds.Analysis
 	OptimalityGap float64
 
 	// Attribution, when non-nil, breaks the traffic down by reference
-	// site, loop nest and array. Populated by MeasureProfiled; plain
-	// Measure leaves it nil and pays nothing for it.
+	// site, loop nest and array. Populated by Options.Profile.
 	Attribution *Attribution
 
 	// MRC, when non-nil, carries the one-pass reuse-distance analysis:
 	// exact miss-ratio curves per level, per-array curves, the phase
 	// timeline, and capacity knees against every registered machine.
-	// Populated by MeasureMRC; plain Measure leaves it nil.
+	// Populated by Options.MRC.
 	MRC *MRCResult
+
+	// Replay, when non-nil, contrasts LRU with Belady's optimal
+	// replacement on the last cache level. Populated by Options.Belady.
+	Replay *Replay
 
 	// Result carries the program's computed values for equivalence
 	// checking.
@@ -86,67 +90,169 @@ type Report struct {
 // Gap returns the optimality gap, or 0 when no bound was attached.
 func (r *Report) Gap() float64 { return r.OptimalityGap }
 
-// Measure runs the program on the machine model and computes its
-// balance report.
-func Measure(p *ir.Program, spec machine.Spec) (*Report, error) {
-	return MeasureCtx(context.Background(), p, spec, exec.Limits{})
+// BoundsMode selects how much of the data-movement lower bound
+// (internal/bounds) a measurement attaches. The modes are ordered: each
+// computes strictly more than the one before it.
+type BoundsMode int
+
+const (
+	// BoundsNone attaches no bound.
+	BoundsNone BoundsMode = iota
+	// BoundsNoPebble attaches the compulsory floor only, marked
+	// PebblingSkipped (the degraded service mode).
+	BoundsNoPebble
+	// BoundsFull attaches the tighter of the compulsory and pebbling
+	// bounds.
+	BoundsFull
+)
+
+// Options selects what one measurement observes beyond the balance
+// report. The zero value is the plain measurement.
+type Options struct {
+	// Limits bounds the run. With MRC set, a zero MaxSteps is defaulted
+	// to bounds.DefaultMaxSteps so a pathological kernel cannot wedge a
+	// service worker even when the caller forgot a budget.
+	Limits exec.Limits
+	// Bounds attaches the lower bound at every machine's fast-memory
+	// capacity, and the optimality gap against it.
+	Bounds BoundsMode
+	// Profile attaches the per-site, per-nest and per-array traffic
+	// Attribution; with Bounds set, every array carries its own
+	// compulsory floor and gap.
+	Profile bool
+	// MRC attaches the one-pass reuse-distance analysis.
+	MRC bool
+	// Belady attaches the LRU vs. optimal-replacement Replay.
+	Belady bool
 }
 
-// MeasureCtx is Measure with cancellation and a step budget threaded
-// into the simulated run: the measurement aborts with an error wrapping
-// exec.ErrCanceled when ctx is done, or exec.ErrStepBudget when the
-// program exceeds lim.MaxSteps loop iterations. Services use it to keep
-// a hostile or huge program from wedging a worker.
-func MeasureCtx(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	return measure(ctx, p, spec, lim, false, false)
-}
-
-// measure is the shared measurement core. With profile set it runs on a
-// clone with attribution sites assigned and a profiling hierarchy, and
-// attaches the per-site/per-array Attribution to the report; with mrc
-// set it attaches a one-pass reuse-distance recorder and builds the
-// miss-ratio curves and phase timeline. Without either, the run is
-// byte-for-byte the pre-profiler path (no clone, no site table,
-// recording off), so timed measurement loops pay nothing.
-func measure(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits, profile, mrc bool) (*Report, error) {
-	if err := spec.Validate(); err != nil {
+// Measure runs the program once and returns its balance report on every
+// machine in specs, in order. Profile, MRC and Belady apply to specs[0],
+// the primary machine; Bounds applies to all of them. The program is
+// compiled once and executed once. A run with a single plain hierarchy
+// hands it straight to the engine; otherwise a tee fans the access
+// stream out to every observer: each machine's hierarchy, the footprint
+// recorder behind the bounds, and the Belady trace recorder. Without
+// Profile or MRC the caller's program is run as is; with either, sites
+// are assigned on a private clone, so a shared program is never
+// mutated.
+//
+// Cancellation and the step budget are threaded into the run: it aborts
+// with an error wrapping exec.ErrCanceled when ctx is done, or
+// exec.ErrStepBudget when the program exceeds Limits.MaxSteps loop
+// iterations. Services use them to keep a hostile or huge program from
+// wedging a worker.
+func Measure(ctx context.Context, p *ir.Program, specs []machine.Spec, opts Options) ([]*Report, error) {
+	if len(specs) == 0 {
+		return nil, errors.New("balance: no machine to measure on")
+	}
+	names := make([]string, len(specs))
+	for i, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+		names[i] = spec.Name
+	}
+	start := time.Now()
+	ctx, span := trace.StartSpan(ctx, "balance.measure",
+		trace.String("program", p.Name), trace.String("machine", strings.Join(names, ",")))
+	reps, err := measure(ctx, span, p, specs, opts)
+	if err != nil {
+		span.End(trace.String("error", err.Error()))
 		return nil, err
 	}
-	ctx, span := trace.StartSpan(ctx, "balance.measure",
-		trace.String("program", p.Name), trace.String("machine", spec.Name))
+	if opts.MRC {
+		reps[0].MRC.MeasureNS = time.Since(start).Nanoseconds()
+	}
+	span.End(trace.String("bottleneck", reps[0].Bottleneck), trace.Int("memory_bytes", reps[0].MemoryBytes))
+	return reps, nil
+}
+
+// MeasureCtx, MeasureProfiled and MeasureMRC are single-machine forms of
+// Measure for callers that pass a measurement around as a
+// func(ctx, p, spec, lim) value: the plain measurement, attribution
+// with the full bound, and the reuse-distance analysis.
+func MeasureCtx(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
+	return primary(Measure(ctx, p, []machine.Spec{spec}, Options{Limits: lim}))
+}
+
+func MeasureProfiled(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
+	return primary(Measure(ctx, p, []machine.Spec{spec}, Options{Limits: lim, Bounds: BoundsFull, Profile: true}))
+}
+
+func MeasureMRC(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
+	return primary(Measure(ctx, p, []machine.Spec{spec}, Options{Limits: lim, MRC: true}))
+}
+
+func primary(reps []*Report, err error) (*Report, error) {
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
+}
+
+// measure is Measure's body: set up the observers, run, assemble the
+// reports.
+func measure(ctx context.Context, span *trace.Span, p *ir.Program, specs []machine.Spec, opts Options) ([]*Report, error) {
+	lim := opts.Limits
+	if opts.MRC && lim.MaxSteps == 0 {
+		lim.MaxSteps = bounds.DefaultMaxSteps
+	}
 	var table *ir.SiteTable
-	if profile || mrc {
-		// Sites are assigned on a clone so concurrent measurements of a
-		// shared program never observe mutation.
+	if opts.Profile || opts.MRC {
 		p = p.Clone()
 		table = ir.AssignSites(p)
 	}
-	h := spec.NewHierarchy()
-	if profile {
-		h.EnableProfiling()
+	hs := make([]*sim.Hierarchy, len(specs))
+	obs := make(tee, 0, len(specs)+2)
+	for i, spec := range specs {
+		hs[i] = spec.NewHierarchy()
+		obs = append(obs, hs[i])
 	}
-	if mrc {
-		if err := h.EnableMRC(); err != nil {
-			span.End(trace.String("error", err.Error()))
+	if opts.Profile {
+		hs[0].EnableProfiling()
+	}
+	if opts.MRC {
+		if err := hs[0].EnableMRC(); err != nil {
 			return nil, err
 		}
 	}
+	var fp *bounds.FootprintRecorder
+	if opts.Bounds != BoundsNone {
+		var err error
+		if fp, err = bounds.NewFootprintRecorder(p); err != nil {
+			return nil, fmt.Errorf("balance: lower bound for %s: %w", p.Name, err)
+		}
+		obs = append(obs, fp)
+	}
+	var rec *sim.Recorder
+	if opts.Belady {
+		var err error
+		if rec, err = sim.NewRecorder(replayConfig(specs[0])); err != nil {
+			return nil, err
+		}
+		obs = append(obs, rec)
+	}
+	var m exec.Machine = hs[0]
+	if len(obs) > 1 {
+		m = obs
+	}
+
 	// The closure-compiled engine is several times faster than the tree
 	// walker and differentially tested against it (internal/exec).
 	cp, err := exec.Compile(p)
 	if err != nil {
-		span.End(trace.String("error", err.Error()))
 		return nil, err
 	}
-	res, err := cp.RunCtx(ctx, h, lim)
+	res, err := cp.RunCtx(ctx, m, lim)
 	if err != nil {
-		span.End(trace.String("error", err.Error()))
 		return nil, err
 	}
 	// Attribute the simulated cost per hierarchy level: the misses at
 	// each level are exactly the traffic the balance model charges to
 	// the channel below it.
 	if span != nil {
+		h := hs[0]
 		attrs := []trace.Attr{trace.Int("flops", h.Flops)}
 		for i := 0; i < h.Levels(); i++ {
 			st := h.LevelStats(i)
@@ -157,6 +263,46 @@ func measure(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Lim
 		}
 		span.SetAttrs(attrs...)
 	}
+
+	reps := make([]*Report, len(specs))
+	for i, spec := range specs {
+		if reps[i], err = newReport(p, spec, hs[i], res); err != nil {
+			return nil, err
+		}
+	}
+	if fp != nil {
+		// One footprint and one pebbling structure serve every
+		// machine's capacity.
+		foot := fp.Footprint()
+		var pb *bounds.Pebble
+		if opts.Bounds == BoundsFull {
+			pb = bounds.ComputePebble(p)
+		}
+		for i, r := range reps {
+			r.Bound = bounds.Assemble(p.Name, bounds.FastCapacity(specs[i]), foot, pb)
+			r.OptimalityGap = bounds.Gap(r.MemoryBytes, r.Bound.Best)
+		}
+	}
+	if opts.Profile {
+		reps[0].Attribution = buildAttribution(p, table, hs[0])
+		if fp != nil {
+			reps[0].Attribution.attachBounds(reps[0].Bound.Footprint)
+		}
+	}
+	if opts.MRC {
+		reps[0].MRC = buildMRC(specs[0], table, hs[0])
+	}
+	if rec != nil {
+		if reps[0].Replay, err = replay(ctx, replayConfig(specs[0]).Name, rec); err != nil {
+			return nil, err
+		}
+	}
+	return reps, nil
+}
+
+// newReport computes one machine's balance report from its hierarchy
+// after the run.
+func newReport(p *ir.Program, spec machine.Spec, h *sim.Hierarchy, res *exec.Result) (*Report, error) {
 	channels := h.ChannelBytes()
 	memLines := h.LevelStats(h.Levels() - 1).Misses()
 	t, err := spec.Predict(channels, h.Flops, memLines)
@@ -197,33 +343,71 @@ func measure(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Lim
 	if r.MaxRatio > 1 {
 		r.CPUUtilizationBound = 1 / r.MaxRatio
 	}
-	if profile {
-		r.Attribution = buildAttribution(p, table, h)
-	}
-	if mrc {
-		r.MRC = buildMRC(spec, table, h)
-	}
-	span.End(trace.String("bottleneck", r.Bottleneck), trace.Int("memory_bytes", r.MemoryBytes))
 	return r, nil
 }
 
-// MeasureWithBounds is MeasureCtx followed by the data-movement
-// lower-bound analysis (internal/bounds) at the machine's fast-memory
-// capacity, attaching Bound and OptimalityGap to the report. It is a
-// separate entry point — not a MeasureCtx flag — so the perfwatch
-// benchmark records, which time MeasureCtx wall-clock, are unaffected.
-func MeasureWithBounds(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	rep, err := MeasureCtx(ctx, p, spec, lim)
+// tee fans one access stream out to several observers, so one execution
+// feeds every consumer of a measurement.
+type tee []exec.SiteMachine
+
+func (t tee) Load(addr int64, size int)  { t.LoadSite(addr, size, 0) }
+func (t tee) Store(addr int64, size int) { t.StoreSite(addr, size, 0) }
+
+func (t tee) LoadSite(addr int64, size int, site uint32) {
+	for _, m := range t {
+		m.LoadSite(addr, size, site)
+	}
+}
+
+func (t tee) StoreSite(addr int64, size int, site uint32) {
+	for _, m := range t {
+		m.StoreSite(addr, size, site)
+	}
+}
+
+func (t tee) AddFlops(n int64) {
+	for _, m := range t {
+		m.AddFlops(n)
+	}
+}
+
+func (t tee) Flush() {
+	for _, m := range t {
+		m.Flush()
+	}
+}
+
+// Replay contrasts LRU with Belady's optimal replacement on the
+// identical last-level access trace (Section 4.1's comparison).
+type Replay struct {
+	Level    string
+	Accesses int
+	LRU      sim.Stats
+	Belady   sim.Stats
+}
+
+// replayConfig is spec's last cache level as the replay models it:
+// write-back, write-allocate.
+func replayConfig(spec machine.Spec) sim.CacheConfig {
+	cfg := spec.Caches[len(spec.Caches)-1]
+	cfg.Policy = sim.WriteBack
+	cfg.NoWriteAllocate = false
+	return cfg
+}
+
+// replay runs the recorded trace of the named level under both
+// policies.
+func replay(ctx context.Context, level string, rec *sim.Recorder) (*Replay, error) {
+	t := rec.Trace()
+	lru, err := sim.ReplayLRUCtx(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	b, err := bounds.Analyze(ctx, p, bounds.FastCapacity(spec), lim)
+	opt, err := sim.ReplayBeladyCtx(ctx, t)
 	if err != nil {
-		return nil, fmt.Errorf("balance: lower bound for %s: %w", p.Name, err)
+		return nil, err
 	}
-	rep.Bound = b
-	rep.OptimalityGap = bounds.Gap(rep.MemoryBytes, b.Best)
-	return rep, nil
+	return &Replay{Level: level, Accesses: t.Len(), LRU: lru, Belady: opt}, nil
 }
 
 // Speedup returns how much faster the "after" run is predicted to be.

@@ -1,13 +1,20 @@
 package balance
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/machine"
 )
+
+// measureOn measures p on one machine.
+func measureOn(p *ir.Program, spec machine.Spec, opts Options) (*Report, error) {
+	return primary(Measure(context.Background(), p, []machine.Spec{spec}, opts))
+}
 
 const streamy = `
 program streamy
@@ -22,7 +29,7 @@ loop L1 {
 
 func TestMeasureStreamKernel(t *testing.T) {
 	p := lang.MustParse(streamy)
-	r, err := Measure(p, machine.Origin2000())
+	r, err := measureOn(p, machine.Origin2000(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +70,7 @@ loop L1 {
   }
 }
 `)
-	r, err := Measure(p, machine.Origin2000())
+	r, err := measureOn(p, machine.Origin2000(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +100,11 @@ scalar sum
 loop L1 { for i = 0, N-1 { sum = sum + a[i] } }
 `)
 	for _, spec := range []machine.Spec{machine.Origin2000(), machine.Exemplar()} {
-		rw, err := Measure(writeLoop, spec)
+		rw, err := measureOn(writeLoop, spec, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := Measure(readLoop, spec)
+		rr, err := measureOn(readLoop, spec, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +128,7 @@ func TestSpeedup(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	p := lang.MustParse(streamy)
-	r, err := Measure(p, machine.Origin2000())
+	r, err := measureOn(p, machine.Origin2000(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +144,7 @@ func TestMeasureValidatesSpec(t *testing.T) {
 	p := lang.MustParse(streamy)
 	bad := machine.Origin2000()
 	bad.FlopRate = 0
-	if _, err := Measure(p, bad); err == nil {
+	if _, err := measureOn(p, bad, Options{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }
@@ -152,7 +159,7 @@ array a[N]
 array b[N]
 loop L1 { for i = 0, N-1 { a[i] = b[i] } }
 `)
-	r, err := Measure(p, machine.Origin2000())
+	r, err := measureOn(p, machine.Origin2000(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

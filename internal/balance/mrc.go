@@ -1,18 +1,14 @@
-// Miss-ratio-curve measurement: balance.MeasureMRC runs one
-// reuse-distance-instrumented simulation (internal/sim MRCRecorder)
-// and reports exact miss/traffic curves per cache level, per-array
-// curves, a phase timeline, and the capacity knee — the smallest fast
-// memory at which the kernel's memory-channel demand meets a
-// machine's balance — against every registered machine.
+// Miss-ratio-curve measurement: Options.MRC attaches a one-pass
+// reuse-distance recorder (internal/sim MRCRecorder) to the primary
+// machine's simulation and reports exact miss/traffic curves per cache
+// level, per-array curves, a phase timeline, and the capacity knee —
+// the smallest fast memory at which the kernel's memory-channel demand
+// meets a machine's balance — against every registered machine.
 package balance
 
 import (
-	"context"
 	"sort"
-	"time"
 
-	"repro/internal/bounds"
-	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -115,24 +111,6 @@ type MRCResult struct {
 
 // mrcTimelineEpochs is the wire aggregation of the phase timeline.
 const mrcTimelineEpochs = 32
-
-// MeasureMRC is MeasureCtx with one-pass reuse-distance recording: the
-// report additionally carries MRC (curves, timeline, knees). The run
-// is context-cancelable, and a zero lim.MaxSteps is defaulted to
-// bounds.DefaultMaxSteps so a pathological kernel cannot wedge a
-// service worker even when the caller forgot a budget.
-func MeasureMRC(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	if lim.MaxSteps == 0 {
-		lim.MaxSteps = bounds.DefaultMaxSteps
-	}
-	start := time.Now()
-	rep, err := measure(ctx, p, spec, lim, false, true)
-	if err != nil {
-		return nil, err
-	}
-	rep.MRC.MeasureNS = time.Since(start).Nanoseconds()
-	return rep, nil
-}
 
 // buildMRC converts the recorder's histograms into the wire result.
 func buildMRC(spec machine.Spec, table *ir.SiteTable, h *sim.Hierarchy) *MRCResult {

@@ -56,11 +56,11 @@ func TestMRCOracle(t *testing.T) {
 				e, v := e, v
 				t.Run(fmt.Sprintf("%s/%s/%s", k.name, e.Spec.Name, v.name), func(t *testing.T) {
 					t.Parallel()
-					rep, err := MeasureMRC(context.Background(), v.p, e.Spec, exec.Limits{})
+					rep, err := measureOn(v.p, e.Spec, Options{MRC: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					plain, err := MeasureCtx(context.Background(), v.p, e.Spec, exec.Limits{})
+					plain, err := measureOn(v.p, e.Spec, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -121,19 +121,19 @@ func TestMRCOracle(t *testing.T) {
 }
 
 // TestMRCOffPathInert pins the recording-off contract (PR 9
-// discipline): plain MeasureCtx attaches no MRC result, and
-// MeasureMRC does its site assignment on a private clone so the
+// discipline): a plain Measure attaches no MRC result, and an MRC
+// measurement does its site assignment on a private clone so the
 // caller's program is never mutated.
 func TestMRCOffPathInert(t *testing.T) {
 	p := kernels.Dmxpy(24)
-	r, err := MeasureCtx(context.Background(), p, machine.Origin2000(), exec.Limits{})
+	r, err := measureOn(p, machine.Origin2000(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.MRC != nil {
 		t.Fatal("MeasureCtx attached an MRC result without being asked")
 	}
-	rm, err := MeasureMRC(context.Background(), p, machine.Origin2000(), exec.Limits{})
+	rm, err := measureOn(p, machine.Origin2000(), Options{MRC: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,18 +154,18 @@ func TestMRCOffPathInert(t *testing.T) {
 }
 
 // TestMRCBudgetAndCancel: the recorder runs under the engine's step
-// budget and context polling, and MeasureMRC defaults a zero budget
-// to bounds.DefaultMaxSteps, so a pathological kernel cannot wedge a
+// budget and context polling, and an MRC measurement defaults a zero
+// budget to bounds.DefaultMaxSteps, so a pathological kernel cannot wedge a
 // worker.
 func TestMRCBudgetAndCancel(t *testing.T) {
 	p := kernels.MatmulJKI(48)
-	_, err := MeasureMRC(context.Background(), p, machine.Origin2000(), exec.Limits{MaxSteps: 10})
+	_, err := measureOn(p, machine.Origin2000(), Options{Limits: exec.Limits{MaxSteps: 10}, MRC: true})
 	if !errors.Is(err, exec.ErrStepBudget) {
 		t.Fatalf("tiny step budget: got %v, want ErrStepBudget", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = MeasureMRC(ctx, p, machine.Origin2000(), exec.Limits{})
+	_, err = primary(Measure(ctx, p, []machine.Spec{machine.Origin2000()}, Options{MRC: true}))
 	if !errors.Is(err, exec.ErrCanceled) {
 		t.Fatalf("canceled ctx: got %v, want ErrCanceled", err)
 	}
@@ -196,11 +196,11 @@ func TestMRCOnOverheadGuard(t *testing.T) {
 		return samples[len(samples)/2]
 	}
 	plain := median(func() error {
-		_, err := MeasureCtx(context.Background(), p, spec, exec.Limits{})
+		_, err := measureOn(p, spec, Options{})
 		return err
 	})
 	mrc := median(func() error {
-		_, err := MeasureMRC(context.Background(), p, spec, exec.Limits{})
+		_, err := measureOn(p, spec, Options{MRC: true})
 		return err
 	})
 	if plain <= 0 {
@@ -219,7 +219,7 @@ func BenchmarkMeasure(b *testing.B) {
 	spec := machine.Origin2000()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MeasureCtx(context.Background(), p, spec, exec.Limits{}); err != nil {
+		if _, err := measureOn(p, spec, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func BenchmarkMeasureMRC(b *testing.B) {
 	spec := machine.Origin2000()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MeasureMRC(context.Background(), p, spec, exec.Limits{}); err != nil {
+		if _, err := measureOn(p, spec, Options{MRC: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

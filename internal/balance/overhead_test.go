@@ -1,35 +1,33 @@
 package balance
 
 import (
-	"context"
 	"sort"
 	"testing"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 )
 
-// TestProfilingOffPathInert pins the profiling-off contract: MeasureCtx
-// must neither build an attribution nor leave site IDs behind on the
-// caller's program, and MeasureProfiled must do its site assignment on
-// a private clone so a program shared with unprofiled callers never
-// observes mutation. The off path being byte-for-byte the
+// TestProfilingOffPathInert pins the profiling-off contract: a plain
+// Measure must neither build an attribution nor leave site IDs behind
+// on the caller's program, and a profiled one must do its site
+// assignment on a private clone so a program shared with unprofiled
+// callers never observes mutation. The off path being byte-for-byte the
 // pre-profiler measurement code is what makes its overhead bound a
 // perfwatch (measure_ns regression) concern rather than something a
 // single binary can compare against itself.
 func TestProfilingOffPathInert(t *testing.T) {
 	p := kernels.Dmxpy(24)
-	r, err := MeasureCtx(context.Background(), p, machine.Origin2000(), exec.Limits{})
+	r, err := measureOn(p, machine.Origin2000(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Attribution != nil {
 		t.Fatal("MeasureCtx produced an attribution without profiling")
 	}
-	rp, err := MeasureProfiled(context.Background(), p, machine.Origin2000(), exec.Limits{})
+	rp, err := measureOn(p, machine.Origin2000(), Options{Bounds: BoundsFull, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +73,11 @@ func TestProfilingOnOverheadGuard(t *testing.T) {
 		return samples[len(samples)/2]
 	}
 	plain := median(func() error {
-		_, err := MeasureCtx(context.Background(), p, spec, exec.Limits{})
+		_, err := measureOn(p, spec, Options{})
 		return err
 	})
 	profiled := median(func() error {
-		_, err := MeasureProfiled(context.Background(), p, spec, exec.Limits{})
+		_, err := measureOn(p, spec, Options{Bounds: BoundsFull, Profile: true})
 		return err
 	})
 	if plain <= 0 {

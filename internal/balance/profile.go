@@ -2,6 +2,7 @@ package balance
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,12 +15,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Traffic attribution: the profiled flavor of measurement. Where
-// Measure says "this kernel moved N bytes", MeasureProfiled also says
-// which reference site, loop nest and array moved them — the feedback
-// signal layout and fusion decisions need. The decomposition is exact:
-// per-site counters sum to the level totals at every level (the
-// simulator charges every byte to exactly one site; see sim.Profile).
+// Traffic attribution: the profiled flavor of measurement. Where a
+// plain Measure says "this kernel moved N bytes", Options.Profile also
+// says which reference site, loop nest and array moved them — the
+// feedback signal layout and fusion decisions need. The decomposition
+// is exact: per-site counters sum to the level totals at every level
+// (the simulator charges every byte to exactly one site; see
+// sim.Profile).
 
 // UnattributedName labels traffic from accesses that carried no site ID
 // (site 0) in attribution breakdowns. A profiled measurement assigns
@@ -70,30 +72,6 @@ type Attribution struct {
 
 	prog   *ir.Program
 	bySite map[ir.SiteID]*SiteTraffic
-}
-
-// MeasureProfiled is MeasureCtx with traffic attribution and bounds: it
-// runs the program (a site-assigned clone — the argument is never
-// mutated) on a profiling hierarchy, attaches the per-site/per-array
-// Attribution, and folds in the lower-bound analysis so each array
-// carries its own compulsory floor and optimality gap. It is a separate
-// entry point — not a MeasureCtx flag — for the same reason as
-// MeasureWithBounds: the timed benchmark paths must not pay for it.
-func MeasureProfiled(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	rep, err := measure(ctx, p, spec, lim, true, false)
-	if err != nil {
-		return nil, err
-	}
-	b, err := bounds.Analyze(ctx, p, bounds.FastCapacity(spec), lim)
-	if err != nil {
-		return nil, fmt.Errorf("balance: lower bound for %s: %w", p.Name, err)
-	}
-	rep.Bound = b
-	rep.OptimalityGap = bounds.Gap(rep.MemoryBytes, b.Best)
-	if b.Footprint != nil {
-		rep.Attribution.attachBounds(b.Footprint)
-	}
-	return rep, nil
 }
 
 // buildAttribution assembles the decomposition from the site table and
@@ -340,20 +318,26 @@ func DeltaRows(ds []PassDelta) []report.PassDeltaRow {
 	return rows
 }
 
-// PassDeltas profiles the base program and every committed-pass
-// snapshot, diffing per-array memory traffic step to step. The result
-// reads as "fusion saved 1.9 MB on array b" — the pass-delta view of
-// attribution.
-func PassDeltas(ctx context.Context, base *ir.Program, snaps []ProgramSnapshot, spec machine.Spec, lim exec.Limits) ([]PassDelta, error) {
-	prev, err := measure(ctx, base, spec, lim, true, false)
-	if err != nil {
-		return nil, fmt.Errorf("balance: pass-delta base: %w", err)
+// PassDeltas diffs per-array memory traffic step to step across the
+// committed-pass snapshots. The result reads as "fusion saved 1.9 MB on
+// array b" — the pass-delta view of attribution. before and after are
+// the caller's profiled reports of the base program and of the
+// optimized program, which is the last snapshot; only the snapshots in
+// between are measured here.
+func PassDeltas(ctx context.Context, before, after *Report, snaps []ProgramSnapshot, spec machine.Spec, lim exec.Limits) ([]PassDelta, error) {
+	if before.Attribution == nil || after.Attribution == nil {
+		return nil, errors.New("balance: pass deltas need profiled before and after reports")
 	}
+	prev := before
 	var out []PassDelta
-	for _, snap := range snaps {
-		cur, err := measure(ctx, snap.Program, spec, lim, true, false)
-		if err != nil {
-			return nil, fmt.Errorf("balance: pass-delta after %s: %w", snap.Pass, err)
+	for i, snap := range snaps {
+		cur := after
+		if i < len(snaps)-1 {
+			reps, err := Measure(ctx, snap.Program, []machine.Spec{spec}, Options{Limits: lim, Profile: true})
+			if err != nil {
+				return nil, fmt.Errorf("balance: pass-delta after %s: %w", snap.Pass, err)
+			}
+			cur = reps[0]
 		}
 		out = append(out, diffAttribution(snap.Pass, prev, cur))
 		prev = cur

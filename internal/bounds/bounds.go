@@ -42,9 +42,7 @@ package bounds
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -121,74 +119,29 @@ func FastCapacity(spec machine.Spec) int64 {
 	return s
 }
 
-// Opts controls Analyze.
-type Opts struct {
-	// NoPebble skips the pebbling bound (degraded mode): only the
-	// compulsory floor is computed. The footprint run is cheap relative
-	// to measurement; pebbling detection is static but is the part the
-	// degradation ladder sheds first for symmetry with the differential
-	// checks it sheds elsewhere.
-	NoPebble bool
-	// Limits bounds the footprint run. Zero MaxSteps uses
-	// DefaultMaxSteps.
-	Limits exec.Limits
-}
-
 // Analyze computes the lower-bound analysis for p at fast-memory
-// capacity fastBytes.
+// capacity fastBytes: one footprint run, then Assemble with the
+// pebbling structure. Measurements that already execute the program
+// attach a FootprintRecorder to that run and call Assemble instead.
 func Analyze(ctx context.Context, p *ir.Program, fastBytes int64, lim exec.Limits) (*Analysis, error) {
-	return AnalyzeOpts(ctx, p, fastBytes, Opts{Limits: lim})
-}
-
-// AnalyzeOpts is Analyze with full options.
-func AnalyzeOpts(ctx context.Context, p *ir.Program, fastBytes int64, opts Opts) (*Analysis, error) {
-	fp, err := ComputeFootprint(ctx, p, opts.Limits)
+	fp, err := ComputeFootprint(ctx, p, lim)
 	if err != nil {
 		return nil, err
 	}
-	var pb *Pebble
-	if !opts.NoPebble {
-		pb = ComputePebble(p)
-	}
-	return assemble(p.Name, fastBytes, fp, pb, opts.NoPebble), nil
+	return Assemble(p.Name, fastBytes, fp, ComputePebble(p)), nil
 }
 
-// FromManager computes the analysis from memoized per-program-version
-// results under an analysis.Manager: the footprint run and the static
-// pebbling structure are cached per program generation, so repeated
-// requests for the same program version pay for neither. withPebble
-// false skips the pebbling bound (degraded mode) without touching the
-// footprint cache.
-func FromManager(m *analysis.Manager, fastBytes int64, withPebble bool) (*Analysis, error) {
-	v, err := m.Get(FootprintName)
-	if err != nil {
-		return nil, err
-	}
-	fp, ok := v.(*Footprint)
-	if !ok {
-		return nil, fmt.Errorf("bounds: analysis %q returned %T", FootprintName, v)
-	}
-	var pb *Pebble
-	if withPebble {
-		v, err := m.Get(PebbleName)
-		if err != nil {
-			return nil, err
-		}
-		if pb, ok = v.(*Pebble); !ok {
-			return nil, fmt.Errorf("bounds: analysis %q returned %T", PebbleName, v)
-		}
-	}
-	return assemble(m.Program().Name, fastBytes, fp, pb, !withPebble), nil
-}
-
-// assemble combines the footprint and pebbling results into an
-// Analysis at the given capacity.
-func assemble(prog string, fastBytes int64, fp *Footprint, pb *Pebble, skipped bool) *Analysis {
+// Assemble combines a program's footprint and pebbling structure into
+// its Analysis at one capacity. Both inputs are per-program facts, so
+// one footprint and one pebbling structure serve every capacity. A nil
+// pb skips the pebbling bound (degraded mode): only the compulsory
+// floor is reported, and the result is marked PebblingSkipped.
+func Assemble(prog string, fastBytes int64, fp *Footprint, pb *Pebble) *Analysis {
 	a := &Analysis{
 		Program:         prog,
 		FastBytes:       fastBytes,
 		Compulsory:      fp.Bound(),
-		PebblingSkipped: skipped,
+		PebblingSkipped: pb == nil,
 		Footprint:       fp,
 	}
 	a.Best = a.Compulsory
@@ -201,37 +154,4 @@ func assemble(prog string, fastBytes int64, fp *Footprint, pb *Pebble, skipped b
 		}
 	}
 	return a
-}
-
-// Analysis-manager registration: both halves of the bound are
-// per-program-version facts, so services memoize them alongside deps
-// and liveness.
-const (
-	// FootprintName is the registered name of the dynamic
-	// live-in/live-out footprint analysis (returns *Footprint).
-	FootprintName = "bounds-footprint"
-	// PebbleName is the registered name of the static pebbling
-	// structure analysis (returns *Pebble).
-	PebbleName = "bounds-pebble"
-)
-
-func init() {
-	analysis.Register(analysis.Analysis{
-		Name: FootprintName,
-		Help: "compulsory-traffic footprint: distinct live-in/live-out elements per array (dynamic, compiled engine)",
-		Compute: func(m *analysis.Manager, p *ir.Program) (any, error) {
-			// The manager's trace context doubles as the cancellation
-			// context: a service that installs its request context gets
-			// deadline propagation into the footprint run (the step
-			// budget still bounds it regardless).
-			return ComputeFootprint(m.TraceContext(), p, exec.Limits{})
-		},
-	})
-	analysis.Register(analysis.Analysis{
-		Name: PebbleName,
-		Help: "red-blue pebbling structure: mm-like nests eligible for the S-partition bound (static, affine)",
-		Compute: func(_ *analysis.Manager, p *ir.Program) (any, error) {
-			return ComputePebble(p), nil
-		},
-	})
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/balance"
 	"repro/internal/bounds"
 	"repro/internal/exec"
@@ -213,10 +212,11 @@ func TestBoundSoundVsMeasured(t *testing.T) {
 	}
 	for name, p := range progs {
 		for _, spec := range specs {
-			rep, err := balance.Measure(p, spec)
+			reps, err := balance.Measure(context.Background(), p, []machine.Spec{spec}, balance.Options{})
 			if err != nil {
 				t.Fatalf("%s on %s: measure: %v", name, spec.Name, err)
 			}
+			rep := reps[0]
 			a, err := bounds.Analyze(context.Background(), p, bounds.FastCapacity(spec), exec.Limits{})
 			if err != nil {
 				t.Fatalf("%s on %s: bounds: %v", name, spec.Name, err)
@@ -235,18 +235,19 @@ func TestBoundSoundVsMeasured(t *testing.T) {
 	}
 }
 
-// TestFromManager: the manager route memoizes both halves and the
-// degraded (no-pebble) path skips pebbling without losing the floor.
-func TestFromManager(t *testing.T) {
+// TestAssemble: one footprint and one pebbling structure assemble the
+// full analysis, the degraded (no-pebble) form skips pebbling without
+// losing the floor, and both agree with the one-call Analyze.
+func TestAssemble(t *testing.T) {
 	p := kernels.MatmulJKI(64)
-	m := analysis.NewManager(p)
 	spec := machine.Scaled(machine.Origin2000(), 1024)
 	s := bounds.FastCapacity(spec)
-
-	full, err := bounds.FromManager(m, s, true)
+	fp, err := bounds.ComputeFootprint(context.Background(), p, exec.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	full := bounds.Assemble(p.Name, s, fp, bounds.ComputePebble(p))
 	if full.Pebbling == nil {
 		t.Fatalf("scaled matmul should carry a pebbling bound: %+v", full)
 	}
@@ -258,18 +259,7 @@ func TestFromManager(t *testing.T) {
 		t.Fatal("full analysis marked skipped")
 	}
 
-	again, err := bounds.FromManager(m, s, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Pebbling == nil || again.Pebbling.Bytes != full.Pebbling.Bytes || again.Best.Bytes != full.Best.Bytes {
-		t.Fatalf("memoized result differs: %+v vs %+v", again, full)
-	}
-
-	degraded, err := bounds.FromManager(m, s, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	degraded := bounds.Assemble(p.Name, s, fp, nil)
 	if degraded.Pebbling != nil || !degraded.PebblingSkipped {
 		t.Fatalf("degraded analysis still has pebbling: %+v", degraded)
 	}
@@ -282,7 +272,7 @@ func TestFromManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	if direct.Best.Bytes != full.Best.Bytes || direct.Compulsory.Bytes != full.Compulsory.Bytes {
-		t.Fatalf("manager route %+v differs from direct %+v", full, direct)
+		t.Fatalf("assembled %+v differs from direct %+v", full, direct)
 	}
 }
 

@@ -60,11 +60,14 @@ func (f *Footprint) Bound() Bound {
 	}
 }
 
-// footprintMachine implements exec.Machine, recording per-element
+// FootprintRecorder implements exec.SiteMachine, recording per-element
 // first-access direction instead of simulating caches. Element state is
 // a dense byte array over the compiled engine's address space (arrays
 // laid out back to back with alignment padding), indexed by addr/8.
-type footprintMachine struct {
+// It observes any compiled run of its program — alone, or next to the
+// cache hierarchies of a balance measurement — and Footprint reads the
+// census once the run has finished.
+type FootprintRecorder struct {
 	state  []uint8 // per element: seen/written bits
 	bounds []arrayRange
 	fp     Footprint
@@ -85,14 +88,14 @@ const (
 // element, so 2 GiB of simulated arrays -> 256 MiB of state).
 const maxFootprintBytes = int64(2) << 30
 
-// newFootprintMachine lays out the arrays exactly as the compiled
+// NewFootprintRecorder lays out the arrays exactly as the compiled
 // engine does (exec.Compiled.RunCtx): consecutive, each rounded up to
 // the 128-byte alignment plus one guard line. The layouts must agree so
 // per-array attribution of the addresses the engine emits is exact; the
 // totals are layout-independent.
-func newFootprintMachine(p *ir.Program) (*footprintMachine, error) {
+func NewFootprintRecorder(p *ir.Program) (*FootprintRecorder, error) {
 	const align = 128
-	m := &footprintMachine{}
+	m := &FootprintRecorder{}
 	var next int64
 	for i, a := range p.Arrays {
 		lo := next
@@ -109,7 +112,7 @@ func newFootprintMachine(p *ir.Program) (*footprintMachine, error) {
 	return m, nil
 }
 
-func (m *footprintMachine) access(addr int64, size int, write bool) {
+func (m *FootprintRecorder) access(addr int64, size int, write bool) {
 	for off := int64(0); off < int64(size); off += ElemSize {
 		i := (addr + off) / ElemSize
 		if i < 0 || i >= int64(len(m.state)) {
@@ -145,7 +148,7 @@ func (m *footprintMachine) access(addr int64, size int, write bool) {
 }
 
 // arrayAt maps a byte address to its array's index, or -1 for padding.
-func (m *footprintMachine) arrayAt(addr int64) int {
+func (m *FootprintRecorder) arrayAt(addr int64) int {
 	n := sort.Search(len(m.bounds), func(i int) bool { return m.bounds[i].hi > addr })
 	if n < len(m.bounds) && addr >= m.bounds[n].lo {
 		return m.bounds[n].idx
@@ -153,33 +156,21 @@ func (m *footprintMachine) arrayAt(addr int64) int {
 	return -1
 }
 
-func (m *footprintMachine) Load(addr int64, size int)  { m.access(addr, size, false) }
-func (m *footprintMachine) Store(addr int64, size int) { m.access(addr, size, true) }
-func (m *footprintMachine) AddFlops(n int64)           {}
-func (m *footprintMachine) Flush()                     {}
+func (m *FootprintRecorder) Load(addr int64, size int)  { m.access(addr, size, false) }
+func (m *FootprintRecorder) Store(addr int64, size int) { m.access(addr, size, true) }
+func (m *FootprintRecorder) AddFlops(n int64)           {}
+func (m *FootprintRecorder) Flush()                     {}
 
-// ComputeFootprint runs p once on the footprint recorder under the
-// compiled engine. A zero lim.MaxSteps applies DefaultMaxSteps so a
-// hostile program cannot wedge the caller.
-func ComputeFootprint(ctx context.Context, p *ir.Program, lim exec.Limits) (*Footprint, error) {
-	cp, err := exec.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	return computeFootprintCompiled(ctx, p, cp, lim)
-}
+var _ exec.SiteMachine = (*FootprintRecorder)(nil)
 
-func computeFootprintCompiled(ctx context.Context, p *ir.Program, cp *exec.Compiled, lim exec.Limits) (*Footprint, error) {
-	if lim.MaxSteps == 0 {
-		lim.MaxSteps = DefaultMaxSteps
-	}
-	m, err := newFootprintMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cp.RunCtx(ctx, m, lim); err != nil {
-		return nil, fmt.Errorf("bounds: footprint run: %w", err)
-	}
+// LoadSite and StoreSite accept attribution-tagged accesses; the census
+// is per element, so the site is ignored.
+func (m *FootprintRecorder) LoadSite(addr int64, size int, _ uint32)  { m.access(addr, size, false) }
+func (m *FootprintRecorder) StoreSite(addr int64, size int, _ uint32) { m.access(addr, size, true) }
+
+// Footprint returns the census of the accesses recorded so far, arrays
+// that were never touched omitted.
+func (m *FootprintRecorder) Footprint() *Footprint {
 	fp := m.fp
 	for _, a := range m.per {
 		if a.Touched > 0 {
@@ -187,5 +178,26 @@ func computeFootprintCompiled(ctx context.Context, p *ir.Program, cp *exec.Compi
 		}
 	}
 	sort.Slice(fp.Arrays, func(i, j int) bool { return fp.Arrays[i].Array < fp.Arrays[j].Array })
-	return &fp, nil
+	return &fp
+}
+
+// ComputeFootprint runs p once on the footprint recorder under the
+// compiled engine. A zero lim.MaxSteps applies DefaultMaxSteps so a
+// hostile program cannot wedge the caller.
+func ComputeFootprint(ctx context.Context, p *ir.Program, lim exec.Limits) (*Footprint, error) {
+	if lim.MaxSteps == 0 {
+		lim.MaxSteps = DefaultMaxSteps
+	}
+	m, err := NewFootprintRecorder(p)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := exec.Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := cp.RunCtx(ctx, m, lim); err != nil {
+		return nil, fmt.Errorf("bounds: footprint run: %w", err)
+	}
+	return m.Footprint(), nil
 }

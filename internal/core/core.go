@@ -29,7 +29,16 @@ import (
 // demand/supply ratios, CPU-utilization bound, predicted time and
 // effective memory bandwidth.
 func Analyze(p *ir.Program, spec machine.Spec) (*balance.Report, error) {
-	return balance.Measure(p, spec)
+	return measureOn(p, spec, balance.Options{})
+}
+
+// measureOn measures p on one machine.
+func measureOn(p *ir.Program, spec machine.Spec, opts balance.Options) (*balance.Report, error) {
+	reps, err := balance.Measure(context.Background(), p, []machine.Spec{spec}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
 }
 
 // Optimize applies the paper's full bandwidth-reduction strategy —

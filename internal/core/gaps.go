@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/balance"
-	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/report"
@@ -35,22 +34,31 @@ func OptimalityGap(cfg Config) (*report.Table, error) {
 		{"fig6", kernels.Fig6Original(cfg.Fig6N)},
 		{"fig7", kernels.Fig7Original(cfg.Fig8N)},
 	}
-	for _, spec := range cfg.machines() {
-		for _, k := range rows {
-			before, err := balance.MeasureWithBounds(context.Background(), k.p, spec, exec.Limits{})
-			if err != nil {
-				return nil, fmt.Errorf("%s on %s: %w", k.name, spec.Name, err)
-			}
-			opt, _, err := Optimize(k.p)
-			if err != nil {
-				return nil, fmt.Errorf("optimize %s: %w", k.name, err)
-			}
-			after, err := balance.MeasureWithBounds(context.Background(), opt, spec, exec.Limits{})
-			if err != nil {
-				return nil, fmt.Errorf("%s (optimized) on %s: %w", k.name, spec.Name, err)
-			}
-			addGapRow(t, spec.Name, k.name, "original", before)
-			addGapRow(t, spec.Name, k.name, "optimized", after)
+	// One run per program serves every machine's measurement and bound;
+	// the rows are then emitted machine by machine.
+	machines := cfg.machines()
+	measure := func(p *ir.Program) ([]*balance.Report, error) {
+		return balance.Measure(context.Background(), p, machines, balance.Options{Bounds: balance.BoundsFull})
+	}
+	before := make([][]*balance.Report, len(rows))
+	after := make([][]*balance.Report, len(rows))
+	for i, k := range rows {
+		var err error
+		if before[i], err = measure(k.p); err != nil {
+			return nil, fmt.Errorf("%s: %w", k.name, err)
+		}
+		opt, _, err := Optimize(k.p)
+		if err != nil {
+			return nil, fmt.Errorf("optimize %s: %w", k.name, err)
+		}
+		if after[i], err = measure(opt); err != nil {
+			return nil, fmt.Errorf("%s (optimized): %w", k.name, err)
+		}
+	}
+	for mi, spec := range machines {
+		for i, k := range rows {
+			addGapRow(t, spec.Name, k.name, "original", before[i][mi])
+			addGapRow(t, spec.Name, k.name, "optimized", after[i][mi])
 		}
 	}
 	t.AddNote("bound: max of compulsory live-in/live-out traffic and the red-blue pebbling S-partition bound")

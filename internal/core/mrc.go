@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/balance"
-	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/report"
@@ -36,7 +34,7 @@ func MRCStudy(cfg Config) (*report.Table, error) {
 	}
 	for _, spec := range cfg.machines() {
 		for _, k := range rows {
-			before, err := balance.MeasureMRC(context.Background(), k.p, spec, exec.Limits{})
+			before, err := measureOn(k.p, spec, balance.Options{MRC: true})
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", k.name, spec.Name, err)
 			}
@@ -44,7 +42,7 @@ func MRCStudy(cfg Config) (*report.Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("optimize %s: %w", k.name, err)
 			}
-			after, err := balance.MeasureMRC(context.Background(), opt, spec, exec.Limits{})
+			after, err := measureOn(opt, spec, balance.Options{MRC: true})
 			if err != nil {
 				return nil, fmt.Errorf("%s (optimized) on %s: %w", k.name, spec.Name, err)
 			}

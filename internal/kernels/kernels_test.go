@@ -1,13 +1,24 @@
 package kernels
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/balance"
 	"repro/internal/exec"
+	"repro/internal/ir"
 	"repro/internal/machine"
 )
+
+// measure is the plain balance measurement of p on one machine.
+func measure(p *ir.Program, spec machine.Spec) (*balance.Report, error) {
+	reps, err := balance.Measure(context.Background(), p, []machine.Spec{spec}, balance.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return reps[0], nil
+}
 
 func TestSec21PairMatchesComponents(t *testing.T) {
 	w, r, pair := Sec21Write(64), Sec21Read(64), Sec21Pair(64)
@@ -29,11 +40,11 @@ func TestSec21PairMatchesComponents(t *testing.T) {
 
 func TestSec21WriteIsTwiceRead(t *testing.T) {
 	spec := machine.Origin2000()
-	rw, err := balance.Measure(Sec21Write(200000), spec)
+	rw, err := measure(Sec21Write(200000), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := balance.Measure(Sec21Read(200000), spec)
+	rr, err := measure(Sec21Read(200000), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +95,7 @@ func TestStrideKernelReadWriteCounts(t *testing.T) {
 }
 
 func TestConvolutionBalanceShape(t *testing.T) {
-	r, err := balance.Measure(Convolution(200000), machine.Origin2000())
+	r, err := measure(Convolution(200000), machine.Origin2000())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +114,7 @@ func TestConvolutionBalanceShape(t *testing.T) {
 }
 
 func TestDmxpyMemoryBound(t *testing.T) {
-	r, err := balance.Measure(Dmxpy(400), machine.Origin2000())
+	r, err := measure(Dmxpy(400), machine.Origin2000())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +135,11 @@ func TestMatmulBlockingCollapsesMemoryBalance(t *testing.T) {
 	spec := machine.Origin2000()
 	spec.Caches[0].Size = 4 << 10
 	spec.Caches[1].Size = 64 << 10
-	jki, err := balance.Measure(MatmulJKI(128), spec)
+	jki, err := measure(MatmulJKI(128), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := balance.Measure(MustMatmulBlocked(128, 16), spec)
+	blk, err := measure(MustMatmulBlocked(128, 16), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +181,7 @@ func TestMatmulBlockedEquivalentToJKI(t *testing.T) {
 
 func TestFFTRunsAndIsMemoryModerate(t *testing.T) {
 	p := MustFFT(1 << 12)
-	r, err := balance.Measure(p, machine.Origin2000())
+	r, err := measure(p, machine.Origin2000())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +255,7 @@ func TestSPRoutinesRunAndCombine(t *testing.T) {
 }
 
 func TestSPMemoryBound(t *testing.T) {
-	r, err := balance.Measure(FillArrays(SP(96)), machine.Origin2000())
+	r, err := measure(FillArrays(SP(96)), machine.Origin2000())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +278,7 @@ func TestSweep3DRunsAndIsMemoryBound(t *testing.T) {
 	if len(res.Prints) != 1 {
 		t.Fatal("checksum missing")
 	}
-	r, err := balance.Measure(FillArrays(Sweep3D(96, 4)), machine.Origin2000())
+	r, err := measure(FillArrays(Sweep3D(96, 4)), machine.Origin2000())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,15 +324,15 @@ func TestFig6TrafficDropsAcrossVariants(t *testing.T) {
 	// the paper's out-of-cache regime).
 	spec.Caches[0].Size = 2048
 	spec.Caches[1].Size = 16384
-	ra, err := balance.Measure(Fig6Original(n), spec)
+	ra, err := measure(Fig6Original(n), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := balance.Measure(Fig6Fused(n), spec)
+	rb, err := measure(Fig6Fused(n), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := balance.Measure(Fig6ShrunkPeeled(n), spec)
+	rc, err := measure(Fig6ShrunkPeeled(n), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,16 +141,16 @@ type KernelResult struct {
 	BoundBytes    int64   `json:"bound_bytes,omitempty"`
 	OptimalityGap float64 `json:"optimality_gap,omitempty"`
 	// ProfileMeasureNS is the wall time of one attributed measurement
-	// (balance.MeasureProfiled, which also runs the bounds analysis) of
-	// the optimized program, and ProfileOverheadRatio its ratio to the
-	// median plain measurement — the recorded price of turning the
-	// profiler on. Computed outside the timed loops, so the compared
-	// wall-time families are unaffected; additive to the schema (absent
-	// in older baselines).
+	// (profile and full bounds on one run) of the optimized program,
+	// and ProfileOverheadRatio its ratio to the median plain
+	// measurement — the recorded price of turning the profiler on.
+	// Computed outside the timed loops, so the compared wall-time
+	// families are unaffected; additive to the schema (absent in older
+	// baselines).
 	ProfileMeasureNS     int64   `json:"profile_measure_ns,omitempty"`
 	ProfileOverheadRatio float64 `json:"profile_overhead_ratio,omitempty"`
 	// MRCMeasureNS is the wall time of one reuse-distance sweep
-	// (balance.MeasureMRC) of the optimized program, MRCOverheadRatio
+	// (an MRC measurement) of the optimized program, MRCOverheadRatio
 	// its ratio to the median plain measurement, and WSKneeBytes the
 	// capacity knee against the record's machine balance (-1 = the
 	// kernel's demand never meets it). The knee is a deterministic
@@ -242,37 +242,39 @@ func Collect(ctx context.Context, cfgName string, cfg core.Config, repeats int) 
 		kr.Passes = runs[mi].passes
 		kr.Analysis = runs[mi].analysis
 
+		prog, specs := runs[mi].prog, []machine.Spec{spec}
 		var rep *balance.Report
 		for i := 0; i < repeats; i++ {
 			begin := time.Now()
-			r, err := balance.MeasureCtx(ctx, runs[mi].prog, spec, exec.Limits{})
+			reps, err := balance.Measure(ctx, prog, specs, balance.Options{})
 			kr.MeasureSamplesNS = append(kr.MeasureSamplesNS, time.Since(begin).Nanoseconds())
 			if err != nil {
 				return nil, fmt.Errorf("perfwatch: measure %s: %w", cp.name, err)
 			}
-			rep = r
+			rep = reps[0]
 		}
 		kr.MeasureNS = kr.MeasureSamplesNS[medianIndex(kr.MeasureSamplesNS)]
 		// Lower bound and optimality gap, computed after (never inside)
 		// the timed measurement loop so the wall-time families the
 		// regression check compares are unaffected.
 		kr.MemoryBytes = rep.MemoryBytes
-		if a, err := bounds.Analyze(ctx, runs[mi].prog, bounds.FastCapacity(spec), exec.Limits{}); err == nil {
+		if a, err := bounds.Analyze(ctx, prog, bounds.FastCapacity(spec), exec.Limits{}); err == nil {
 			kr.BoundBytes = a.Best.Bytes
 			kr.OptimalityGap = bounds.Gap(rep.MemoryBytes, a.Best)
 		}
 		// Profiled-measurement cost, also outside the timed loops: one
 		// attributed run, recorded next to the plain median it multiplies.
 		pbegin := time.Now()
-		if _, err := balance.MeasureProfiled(ctx, runs[mi].prog, spec, exec.Limits{}); err == nil {
+		if _, err := balance.Measure(ctx, prog, specs, balance.Options{Bounds: balance.BoundsFull, Profile: true}); err == nil {
 			kr.ProfileMeasureNS = time.Since(pbegin).Nanoseconds()
 			if kr.MeasureNS > 0 {
 				kr.ProfileOverheadRatio = float64(kr.ProfileMeasureNS) / float64(kr.MeasureNS)
 			}
 		}
 		// Reuse-distance sweep cost and the capacity knee, likewise
-		// outside the timed loops. MeasureMRC stamps its own wall time.
-		if m, err := balance.MeasureMRC(ctx, runs[mi].prog, spec, exec.Limits{}); err == nil && m.MRC != nil {
+		// outside the timed loops. The MRC result stamps its own wall time.
+		if reps, err := balance.Measure(ctx, prog, specs, balance.Options{MRC: true}); err == nil {
+			m := reps[0]
 			kr.MRCMeasureNS = m.MRC.MeasureNS
 			if kr.MeasureNS > 0 {
 				kr.MRCOverheadRatio = float64(kr.MRCMeasureNS) / float64(kr.MeasureNS)

@@ -1,12 +1,7 @@
 package service
 
 import (
-	"context"
-
-	"repro/internal/analysis"
-	"repro/internal/bounds"
-	"repro/internal/ir"
-	"repro/internal/machine"
+	"repro/internal/balance"
 )
 
 // BoundsSummary is the "bounds" block of analyze and optimize
@@ -38,59 +33,10 @@ type BoundsSummary struct {
 	PebblingSkipped bool `json:"pebbling_skipped,omitempty"`
 }
 
-// Bounds-mode names, the lower-bound analogue of the verification
-// clamp: what part of the analysis a degradation rung affords. The
-// mode is part of the result-cache address, so a response with
-// weakened (or absent) bounds is never served to a full-service
-// request — the same discipline the effective verify mode follows.
-const (
-	boundsFull     = "full"     // compulsory + pebbling
-	boundsNoPebble = "nopebble" // compulsory only (rung 1+)
-	boundsNone     = "none"     // no bounds: the footprint run is a program execution (rung 2+)
-)
-
-// boundsModeFor maps a degradation rung to the bounds mode it affords.
-func boundsModeFor(level degradeLevel) string {
-	switch {
-	case !level.measureAllowed():
-		return boundsNone
-	case level >= degradeNoDiff:
-		return boundsNoPebble
-	default:
-		return boundsFull
-	}
-}
-
-// boundsSummary computes the response's bounds block for a measured
-// program, honoring the degradation rung via mode. The two underlying
-// analyses run under a per-request analysis manager, so they are
-// memoized per program version and traced/canceled with the request.
-// The bound is supplementary: a program the footprint engine cannot
-// run (step budget, footprint cap) still gets its balance answer, just
-// without a bounds block — the failure is logged, not returned.
-func (s *Server) boundsSummary(ctx context.Context, p *ir.Program, spec machine.Spec, measured int64, mode string) *BoundsSummary {
-	if mode == boundsNone {
-		return nil
-	}
-	m := analysis.NewManager(p)
-	m.SetTraceContext(ctx)
-	a, err := bounds.FromManager(m, bounds.FastCapacity(spec), mode == boundsFull)
-	if err != nil {
-		s.log.Log(map[string]any{
-			"event":   "bounds_failed",
-			"program": p.Name,
-			"error":   err.Error(),
-		})
-		return nil
-	}
-	return boundsFromAnalysis(a, measured)
-}
-
-// boundsFromAnalysis projects a computed lower-bound analysis onto the
-// response block. Profiled requests use it directly: MeasureProfiled
-// already ran the analysis (it needs the per-array floors), so running
-// boundsSummary again would compute everything twice.
-func boundsFromAnalysis(a *bounds.Analysis, measured int64) *BoundsSummary {
+// boundsOf projects a measurement's lower bound onto the response
+// block; nil when the measurement attached none (the rung shed it).
+func boundsOf(rep *balance.Report) *BoundsSummary {
+	a := rep.Bound
 	if a == nil {
 		return nil
 	}
@@ -99,8 +45,8 @@ func boundsFromAnalysis(a *bounds.Analysis, measured int64) *BoundsSummary {
 		BoundBytes:      a.Best.Bytes,
 		Kind:            a.Best.Kind,
 		Assumptions:     a.Best.Assumptions,
-		MeasuredBytes:   measured,
-		Gap:             bounds.Gap(measured, a.Best),
+		MeasuredBytes:   rep.MemoryBytes,
+		Gap:             rep.OptimalityGap,
 		PebblingSkipped: a.PebblingSkipped,
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/bounds"
-	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/transform"
@@ -53,18 +52,19 @@ func TestBoundSoundnessProperty(t *testing.T) {
 			} else {
 				t.Logf("optimize failed (original-only property): %v", err)
 			}
-			for _, spec := range machines {
-				for variant, prog := range progs {
-					rep, err := balance.MeasureCtx(ctx, prog, spec, exec.Limits{})
-					if err != nil {
-						t.Fatalf("%s/%s: measure: %v", spec.Name, variant, err)
+			for variant, prog := range progs {
+				for _, nopebble := range []bool{false, true} {
+					mode := balance.BoundsFull
+					if nopebble {
+						mode = balance.BoundsNoPebble
 					}
-					for _, nopebble := range []bool{false, true} {
+					reps, err := balance.Measure(ctx, prog, machines, balance.Options{Bounds: mode})
+					if err != nil {
+						t.Fatalf("%s/nopebble=%v: measure: %v", variant, nopebble, err)
+					}
+					for i, spec := range machines {
+						rep, a := reps[i], reps[i].Bound
 						label := fmt.Sprintf("%s/%s/nopebble=%v", spec.Name, variant, nopebble)
-						a, err := bounds.AnalyzeOpts(ctx, prog, bounds.FastCapacity(spec), bounds.Opts{NoPebble: nopebble})
-						if err != nil {
-							t.Fatalf("%s: analyze: %v", label, err)
-						}
 						if a.Best.Bytes <= 0 {
 							t.Fatalf("%s: bound %d bytes, want positive", label, a.Best.Bytes)
 						}

@@ -48,17 +48,19 @@ type ProgramRequest struct {
 	Trace bool `json:"trace,omitempty"`
 	// Profile, when true, attributes the measured traffic per array and
 	// cache level (the "profile" response block; optimize additionally
-	// returns "pass_deltas"). Profiling roughly doubles the measurement
-	// cost, so the overload ladder sheds it first — a degraded response
-	// reports the shed in "degraded" and omits the block.
+	// returns "pass_deltas", which measure each intermediate pass
+	// snapshot). Attribution rides on the measurement's own run but
+	// makes every simulated access dearer, so the overload ladder sheds
+	// it first — a degraded response reports the shed in "degraded" and
+	// omits the block.
 	Profile bool `json:"profile,omitempty"`
-	// MRC, when true, additionally runs the one-pass reuse-distance
+	// MRC, when true, additionally records the one-pass reuse-distance
 	// sweep: exact LRU miss-ratio curves for every cache level, the
 	// capacity knee against every registered machine's balance, and the
 	// phase timeline of the access stream (the "mrc" response block;
-	// optimize returns "mrc_before"/"mrc_after"). Like profiling it
-	// costs roughly one extra measurement, so the overload ladder sheds
-	// it at the same rung.
+	// optimize returns "mrc_before"/"mrc_after"). The recorder observes
+	// the measurement's own run; its per-access bookkeeping is what the
+	// overload ladder sheds, at the same rung as profiling.
 	MRC bool `json:"mrc,omitempty"`
 }
 
@@ -365,7 +367,9 @@ func (s *Server) resolveProgram(req *ProgramRequest) (*ir.Program, string, error
 			return nil, "", &httpError{code: http.StatusBadRequest,
 				msg: "program does not parse", diags: []string{err.Error()}}
 		}
-		return p, "src:" + req.Program, nil
+		// Keyed on the printed form, so sources differing only in
+		// layout or comments share one cache entry and one flight.
+		return p, "src:" + p.String(), nil
 	case req.Kernel != "":
 		p, n, err := buildKernel(req.Kernel, req.N)
 		if err != nil {
@@ -389,8 +393,9 @@ func resolveMachine(name string, scale int) (machine.Spec, error) {
 }
 
 // maxMachineFanout caps the "machines" list of one analyze request:
-// each entry costs a full measurement, so the cap bounds a single
-// request's work the same way MaxSteps bounds one program run.
+// each entry adds a simulated hierarchy to the measurement's run, so
+// the cap bounds a single request's work the same way MaxSteps bounds
+// the run's length.
 const maxMachineFanout = 16
 
 // resolveMachines resolves an analyze request's machine target(s): the
@@ -431,6 +436,12 @@ func resolveMachines(req *AnalyzeRequest) ([]machine.Spec, string, error) {
 }
 
 func summarize(rep *balance.Report) *BalanceSummary {
+	// The text's lower-bound line belongs to profiled measurements; the
+	// bounds block carries the bound for every other one.
+	text := *rep
+	if rep.Attribution == nil {
+		text.Bound = nil
+	}
 	b := &BalanceSummary{
 		Program:             rep.Program,
 		Machine:             rep.Machine,
@@ -440,7 +451,7 @@ func summarize(rep *balance.Report) *BalanceSummary {
 		CPUUtilizationBound: rep.CPUUtilizationBound,
 		PredictedSeconds:    rep.Time.Total,
 		EffectiveBWMBs:      rep.EffectiveBW / machine.MB,
-		Text:                rep.String(),
+		Text:                text.String(),
 	}
 	for i, name := range rep.ChannelNames {
 		b.Channels = append(b.Channels, ChannelBalance{
@@ -471,32 +482,29 @@ func summarize(rep *balance.Report) *BalanceSummary {
 	return b
 }
 
-// analyzeKey is the content address of an analyze result: every input
-// that can change the answer, nothing that cannot.
-type analyzeKey struct {
+// resultKey is the content address of an analyze or optimize result:
+// every input that can change the answer, nothing that cannot. The
+// optimize-only fields stay zero on analyze keys.
+type resultKey struct {
 	Endpoint string
 	Source   string
 	Machine  string
-	Belady   bool
-	// Bounds is the bounds mode actually computed (see bounds.go):
-	// degraded-bounds responses live at their own address, so they are
-	// never served to full-service requests.
-	Bounds string
-	// Profile is the profile flag actually honored: a profile-shed
-	// response lives at the unprofiled address.
-	Profile bool
-	// MRC is the reuse-distance flag actually honored (see Profile).
-	MRC      bool
-	MaxSteps int64
+	Passes   *transform.Options `json:",omitempty"`
+	Pipeline string             `json:",omitempty"`
+	Tol      float64            `json:",omitempty"`
+	// Features is what was actually computed: a degraded response lives
+	// at its own address (see features).
+	Features features
 }
 
-// analyzeCacheKey is the content address of an analyze result for the
-// given effective options.
-func (s *Server) analyzeCacheKey(sourceID, machineName string, belady bool, boundsMode string, profile, mrc bool) (string, error) {
-	return cache.Key(analyzeKey{
-		Endpoint: "analyze", Source: sourceID, Machine: machineName,
-		Belady: belady, Bounds: boundsMode, Profile: profile, MRC: mrc, MaxSteps: s.cfg.MaxSteps,
-	})
+// measure is the service's one measurement call: one balance.Measure,
+// one program run, counted and timed.
+func (s *Server) measure(ctx context.Context, p *ir.Program, specs []machine.Spec, opts balance.Options) ([]*balance.Report, error) {
+	s.programRuns.Inc()
+	begin := time.Now()
+	reps, err := balance.Measure(ctx, p, specs, opts)
+	s.stageSeconds.With("measure").Observe(time.Since(begin).Seconds())
+	return reps, err
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -526,7 +534,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stageSeconds.With("parse").Observe(time.Since(begin).Seconds())
 
-	key, err := s.analyzeCacheKey(sourceID, machineKey, req.Belady, boundsFull, req.Profile, req.MRC)
+	want := features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
+		Profile: req.Profile, MRC: req.MRC, Belady: req.Belady}}
+	keyOf := func(f features) (string, error) {
+		return cache.Key(resultKey{Endpoint: "analyze", Source: sourceID, Machine: machineKey, Features: f})
+	}
+	key, err := keyOf(want)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -549,7 +562,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// Coalesce identical concurrent misses onto one pipeline run; the
 	// leader passes admission control and may be degraded or shed.
 	v, shared, err := s.flight.do(ctx, key, func() (any, error) {
-		return s.runAnalyze(ctx, &req, p, sourceID, specs, machineKey)
+		return s.runAnalyze(ctx, &req, p, specs, want, keyOf)
 	})
 	if err != nil {
 		s.failOverload(w, err)
@@ -579,65 +592,23 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // runAnalyze is the leader's pipeline body for one analyze miss:
-// admission, degradation, worker acquisition, measurement (one per
-// target machine). The returned response is trace-free (the handler
-// attaches trees). machineKey is the canonical machine component of
-// the cache address — specs[0].Name for single-machine requests, the
-// joined name list for fan-outs.
-func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, sourceID string, specs []machine.Spec, machineKey string) (*AnalyzeResponse, error) {
+// admission, degradation, worker acquisition, and one measurement run
+// that serves every target machine and every requested feature. The
+// returned response is trace-free (the handler attaches trees).
+func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, specs []machine.Spec, want features, keyOf func(features) (string, error)) (*AnalyzeResponse, error) {
 	level, reason, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// Analyze's product is a measurement, so the ladder bites later
-	// than on optimize: rung 1 sheds traffic attribution and the
-	// pebbling half of the lower bound, rung 2 additionally sheds the
-	// Belady double-replay and the footprint run; rung 3 serves cached
-	// results alone.
-	effBelady := req.Belady && level.measureAllowed()
-	effProfile := req.Profile && level.profileAllowed()
-	effMRC := req.MRC && level.mrcAllowed()
-	bm := boundsModeFor(level)
-	var info *DegradeInfo
-	if effBelady != req.Belady || effProfile != req.Profile || effMRC != req.MRC || bm != boundsFull {
-		info = level.info(reason)
+	eff, info, cached, err := s.degrade(ctx, level, reason, want, keyOf)
+	if err != nil {
+		return nil, err
 	}
-	if level >= degradeCacheOnly {
-		if effBelady != req.Belady || effProfile != req.Profile || effMRC != req.MRC {
-			// A Belady-, profile- and mrc-free full-service result is
-			// still an acceptable degraded answer if one is already cached.
-			if ek, err := s.analyzeCacheKey(sourceID, machineKey, false, boundsFull, false, false); err == nil {
-				if v, ok := s.cacheGet(ctx, ek); ok {
-					cp := *v.(*AnalyzeResponse)
-					cp.Cached = true
-					cp.Degraded = level.info(reason)
-					return &cp, nil
-				}
-			}
-		}
-		return nil, &shedError{
-			retryAfter: s.retryAfterEstimate(s.queueDepth.Value()),
-			reason:     "degraded to cache-only and result not cached: " + reason,
-		}
-	}
-	if info != nil {
-		// An acceptable answer may already be cached: the full-bounds
-		// variant of the effective request (strictly better than this
-		// rung affords), or the exact degraded variant under its own
-		// address. A degraded rung never has bm == full, so the probes
-		// are distinct.
-		for _, ebm := range []string{boundsFull, bm} {
-			ek, err := s.analyzeCacheKey(sourceID, machineKey, effBelady, ebm, effProfile, effMRC)
-			if err != nil {
-				continue
-			}
-			if v, ok := s.cacheGet(ctx, ek); ok {
-				cp := *v.(*AnalyzeResponse)
-				cp.Cached = true
-				cp.Degraded = info
-				return &cp, nil
-			}
-		}
+	if cached != nil {
+		cp := *cached.(*AnalyzeResponse)
+		cp.Cached = true
+		cp.Degraded = info
+		return &cp, nil
 	}
 
 	release, err := s.acquire(ctx)
@@ -647,74 +618,37 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	defer release()
 
 	pbegin := time.Now()
-	primary := specs[0]
-	mbegin := time.Now()
-	var rep *balance.Report
-	if effProfile {
-		// MeasureProfiled runs the lower-bound analysis itself (the
-		// per-array floors need the footprint), so the bounds block is
-		// projected from its result rather than recomputed.
-		rep, err = balance.MeasureProfiled(ctx, p, primary, s.limits())
-	} else {
-		rep, err = balance.MeasureCtx(ctx, p, primary, s.limits())
-	}
-	s.stageSeconds.With("measure").Observe(time.Since(mbegin).Seconds())
+	reps, err := s.measure(ctx, p, specs, eff.Options)
 	if err != nil {
 		return nil, err
 	}
-	resp := &AnalyzeResponse{Balance: summarize(rep)}
-
-	if effProfile {
-		resp.Bounds = boundsFromAnalysis(rep.Bound, rep.MemoryBytes)
+	rep := reps[0]
+	resp := &AnalyzeResponse{Balance: summarize(rep), Bounds: boundsOf(rep)}
+	s.observeGap(req.Kernel, rep.Machine, resp.Bounds)
+	if eff.Profile {
 		resp.Profile = rep.Attribution.Summary()
 		s.observeProfile(req.Kernel, resp.Profile)
-	} else {
-		bbegin := time.Now()
-		resp.Bounds = s.boundsSummary(ctx, p, primary, rep.MemoryBytes, bm)
-		s.stageSeconds.With("bounds").Observe(time.Since(bbegin).Seconds())
 	}
-	s.observeGap(req.Kernel, primary.Name, resp.Bounds)
-
-	if effMRC {
-		mrcBegin := time.Now()
-		m, err := balance.MeasureMRC(ctx, p, primary, s.limits())
-		s.stageSeconds.With("mrc").Observe(time.Since(mrcBegin).Seconds())
-		if err != nil {
-			return nil, err
-		}
-		resp.MRC = m.MRC
+	if eff.MRC {
+		resp.MRC = rep.MRC
 		s.observeMRC(req.Kernel, resp.MRC)
 	}
-
 	if len(req.Machines) > 0 {
 		// Fan-out: one entry per machine, the first sharing the primary
-		// measurement above.
+		// blocks above.
 		resp.Machines = append(resp.Machines, &MachineAnalysis{
-			Machine: primary.Name, Balance: resp.Balance, Bounds: resp.Bounds,
+			Machine: rep.Machine, Balance: resp.Balance, Bounds: resp.Bounds,
 		})
-		for _, spec := range specs[1:] {
-			mbegin := time.Now()
-			mrep, err := balance.MeasureCtx(ctx, p, spec, s.limits())
-			s.stageSeconds.With("measure").Observe(time.Since(mbegin).Seconds())
-			if err != nil {
-				return nil, err
-			}
-			mb := s.boundsSummary(ctx, p, spec, mrep.MemoryBytes, bm)
-			s.observeGap(req.Kernel, spec.Name, mb)
+		for _, mrep := range reps[1:] {
+			mb := boundsOf(mrep)
+			s.observeGap(req.Kernel, mrep.Machine, mb)
 			resp.Machines = append(resp.Machines, &MachineAnalysis{
-				Machine: spec.Name, Balance: summarize(mrep), Bounds: mb,
+				Machine: mrep.Machine, Balance: summarize(mrep), Bounds: mb,
 			})
 		}
 	}
-
-	if effBelady {
-		rbegin := time.Now()
-		cmp, err := s.beladyCompare(ctx, p, primary)
-		s.stageSeconds.With("replay").Observe(time.Since(rbegin).Seconds())
-		if err != nil {
-			return nil, err
-		}
-		resp.Belady = cmp
+	if rep.Replay != nil {
+		resp.Belady = beladyComparison(rep.Replay)
 	}
 	if level == degradeNone {
 		// Only full-service runs feed the cost estimate: degraded runs
@@ -723,10 +657,10 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	}
 
 	// Cache the trace-free, degradation-free response under the key of
-	// what was actually computed: a Belady-free, profile-free, mrc-free
-	// or bounds-degraded run is exactly that variant's full answer, so
-	// it must never be stored under the requested address.
-	if key, err := s.analyzeCacheKey(sourceID, machineKey, effBelady, bm, effProfile, effMRC); err == nil {
+	// what was actually computed: a degraded run is exactly that
+	// variant's full answer, so it must never be stored under the
+	// requested address.
+	if key, err := keyOf(eff); err == nil {
 		s.cachePut(ctx, key, resp)
 	}
 	if info != nil {
@@ -737,33 +671,9 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	return resp, nil
 }
 
-// beladyCompare records the program's access stream at the machine's
-// last cache level and replays it under LRU and Belady's optimal
-// replacement.
-func (s *Server) beladyCompare(ctx context.Context, p *ir.Program, spec machine.Spec) (*BeladyComparison, error) {
-	cfg := spec.Caches[len(spec.Caches)-1]
-	cfg.Policy = sim.WriteBack // replay requires write-back, write-allocate
-	cfg.NoWriteAllocate = false
-	rec, err := sim.NewRecorder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := exec.Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cp.RunCtx(ctx, rec, s.limits()); err != nil {
-		return nil, err
-	}
-	t := rec.Trace()
-	lru, err := sim.ReplayLRUCtx(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := sim.ReplayBeladyCtx(ctx, t)
-	if err != nil {
-		return nil, err
-	}
+// beladyComparison projects a measurement's LRU-vs-optimal replay onto
+// the response block.
+func beladyComparison(r *balance.Replay) *BeladyComparison {
 	stats := func(st sim.Stats) ReplayStats {
 		rs := ReplayStats{Misses: st.Misses(), Writebacks: st.Writebacks}
 		if acc := st.Reads + st.Writes; acc > 0 {
@@ -772,43 +682,15 @@ func (s *Server) beladyCompare(ctx context.Context, p *ir.Program, spec machine.
 		return rs
 	}
 	cmp := &BeladyComparison{
-		Level:    cfg.Name,
-		Accesses: t.Len(),
-		LRU:      stats(lru),
-		Belady:   stats(opt),
+		Level:    r.Level,
+		Accesses: r.Accesses,
+		LRU:      stats(r.LRU),
+		Belady:   stats(r.Belady),
 	}
-	if lru.Misses() > 0 {
-		cmp.MissReduction = 1 - float64(opt.Misses())/float64(lru.Misses())
+	if r.LRU.Misses() > 0 {
+		cmp.MissReduction = 1 - float64(r.Belady.Misses())/float64(r.LRU.Misses())
 	}
-	return cmp, nil
-}
-
-// optimizeKey is the content address of an optimize result.
-type optimizeKey struct {
-	Endpoint string
-	Source   string
-	Machine  string
-	Passes   transform.Options
-	Pipeline string
-	Verify   string
-	// Bounds is the bounds mode actually computed (see analyzeKey).
-	Bounds string
-	// Profile is the profile flag actually honored (see analyzeKey).
-	Profile bool
-	// MRC is the reuse-distance flag actually honored (see analyzeKey).
-	MRC      bool
-	Tol      float64
-	MaxSteps int64
-}
-
-// optimizeCacheKey is the content address of an optimize result for
-// the given effective options.
-func (s *Server) optimizeCacheKey(sourceID, machineName string, opts transform.Options, pipeline string, mode verify.Mode, tol float64, boundsMode string, profile, mrc bool) (string, error) {
-	return cache.Key(optimizeKey{
-		Endpoint: "optimize", Source: sourceID, Machine: machineName,
-		Passes: opts, Pipeline: pipeline, Verify: mode.String(), Bounds: boundsMode,
-		Profile: profile, MRC: mrc, Tol: tol, MaxSteps: s.cfg.MaxSteps,
-	})
+	return cmp
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
@@ -862,7 +744,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stageSeconds.With("parse").Observe(time.Since(begin).Seconds())
 
-	key, err := s.optimizeCacheKey(sourceID, spec.Name, opts, req.Pipeline, mode, req.Tol, boundsFull, req.Profile, req.MRC)
+	want := features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
+		Profile: req.Profile, MRC: req.MRC}, Verify: mode}
+	keyOf := func(f features) (string, error) {
+		return cache.Key(resultKey{Endpoint: "optimize", Source: sourceID, Machine: spec.Name,
+			Passes: &opts, Pipeline: req.Pipeline, Tol: req.Tol, Features: f})
+	}
+	key, err := keyOf(want)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -886,7 +774,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// identical in-flight requests cost one optimization); the leader
 	// passes admission control and may be degraded or shed.
 	v, shared, err := s.flight.do(ctx, key, func() (any, error) {
-		return s.runOptimize(ctx, &req, p, sourceID, spec, opts, mode)
+		return s.runOptimize(ctx, &req, p, spec, opts, want, keyOf)
 	})
 	if err != nil {
 		s.failOverload(w, err)
@@ -919,49 +807,20 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // admission, degradation (verification clamp, measurement skip),
 // worker acquisition, transform, measurement. The returned response is
 // trace-free (the handler attaches trees).
-func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Program, sourceID string, spec machine.Spec, opts transform.Options, mode verify.Mode) (*OptimizeResponse, error) {
+func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Program, spec machine.Spec, opts transform.Options, want features, keyOf func(features) (string, error)) (*OptimizeResponse, error) {
 	level, reason, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	effMode := level.clampVerify(mode)
-	measure := level.measureAllowed()
-	effProfile := req.Profile && level.profileAllowed()
-	effMRC := req.MRC && level.mrcAllowed()
-	bm := boundsModeFor(level)
-	var info *DegradeInfo
-	if effMode != mode || !measure || effProfile != req.Profile || effMRC != req.MRC || bm != boundsFull {
-		info = level.info(reason)
+	eff, info, cached, err := s.degrade(ctx, level, reason, want, keyOf)
+	if err != nil {
+		return nil, err
 	}
-	if info != nil {
-		// An acceptable answer may already be cached: the full-bounds
-		// variant at the clamped verify mode (strictly better than this
-		// rung affords), or the exact degraded variant under its own
-		// address. bm "none" marks a measurement-free run, which is
-		// never cached, so it has no address worth probing — for
-		// cache-only, a cached measured result at the clamped mode is
-		// the only acceptable answer.
-		for _, ebm := range []string{boundsFull, bm} {
-			if ebm == boundsNone {
-				continue
-			}
-			ek, kerr := s.optimizeCacheKey(sourceID, spec.Name, opts, req.Pipeline, effMode, req.Tol, ebm, effProfile, effMRC)
-			if kerr != nil {
-				continue
-			}
-			if v, ok := s.cacheGet(ctx, ek); ok {
-				cp := *v.(*OptimizeResponse)
-				cp.Cached = true
-				cp.Degraded = info
-				return &cp, nil
-			}
-		}
-	}
-	if level >= degradeCacheOnly {
-		return nil, &shedError{
-			retryAfter: s.retryAfterEstimate(s.queueDepth.Value()),
-			reason:     "degraded to cache-only and result not cached: " + reason,
-		}
+	if cached != nil {
+		cp := *cached.(*OptimizeResponse)
+		cp.Cached = true
+		cp.Degraded = info
+		return &cp, nil
 	}
 
 	release, err := s.acquire(ctx)
@@ -973,8 +832,8 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 	pbegin := time.Now()
 	obegin := time.Now()
 	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, transform.Config{
-		Options: opts, Pipeline: req.Pipeline, Verify: effMode, Tol: req.Tol, ExecLimits: s.limits(),
-		SnapshotPasses: effProfile && measure,
+		Options: opts, Pipeline: req.Pipeline, Verify: eff.Verify, Tol: req.Tol, ExecLimits: s.limits(),
+		SnapshotPasses: eff.Profile,
 	})
 	s.stageSeconds.With("optimize").Observe(time.Since(obegin).Seconds())
 	s.recordOutcome(outcome)
@@ -1000,67 +859,49 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 		resp.Actions = append(resp.Actions, a.String())
 	}
 
-	if measure {
-		mbegin := time.Now()
-		var before, after *balance.Report
-		if effProfile {
-			before, err = balance.MeasureProfiled(ctx, p, spec, s.limits())
-		} else {
-			before, err = balance.MeasureCtx(ctx, p, spec, s.limits())
+	measured := rungs[level].execs
+	if measured {
+		// The bounds block describes the optimized program, so the
+		// before run computes a bound only for a profiled report.
+		bo := eff.Options
+		if !bo.Profile {
+			bo.Bounds = balance.BoundsNone
 		}
+		reps, err := s.measure(ctx, p, []machine.Spec{spec}, bo)
 		if err != nil {
 			return nil, err
 		}
-		if effProfile {
-			after, err = balance.MeasureProfiled(ctx, q, spec, s.limits())
-		} else {
-			after, err = balance.MeasureCtx(ctx, q, spec, s.limits())
-		}
-		s.stageSeconds.With("measure").Observe(time.Since(mbegin).Seconds())
-		if err != nil {
+		before := reps[0]
+		if reps, err = s.measure(ctx, q, []machine.Spec{spec}, eff.Options); err != nil {
 			return nil, err
 		}
+		after := reps[0]
 		resp.Before = summarize(before)
 		resp.After = summarize(after)
 		resp.Speedup = balance.Speedup(before, after)
-		if effProfile {
-			// The profiled measurement already carries the lower bound
-			// (see runAnalyze); attribute the pipeline's savings pass by
-			// pass from the committed snapshots.
-			resp.Bounds = boundsFromAnalysis(after.Bound, after.MemoryBytes)
+		resp.Bounds = boundsOf(after)
+		s.observeGap(req.Kernel, spec.Name, resp.Bounds)
+		if eff.Profile {
+			// Attribute the pipeline's savings pass by pass from the
+			// committed snapshots; before and after are the two ends.
 			resp.Profile = after.Attribution.Summary()
 			s.observeProfile(req.Kernel, resp.Profile)
-			if len(outcome.Snapshots) > 0 {
-				snaps := make([]balance.ProgramSnapshot, len(outcome.Snapshots))
+			if n := len(outcome.Snapshots); n > 0 {
+				snaps := make([]balance.ProgramSnapshot, n)
 				for i, sn := range outcome.Snapshots {
 					snaps[i] = balance.ProgramSnapshot{Pass: sn.Pass, Program: sn.Program}
 				}
-				deltas, derr := balance.PassDeltas(ctx, p, snaps, spec, s.limits())
-				if derr != nil {
-					return nil, derr
+				s.programRuns.Add(float64(n - 1))
+				deltas, err := balance.PassDeltas(ctx, before, after, snaps, spec, s.limits())
+				if err != nil {
+					return nil, err
 				}
 				resp.PassDeltas = deltas
 			}
-		} else {
-			bbegin := time.Now()
-			resp.Bounds = s.boundsSummary(ctx, q, spec, after.MemoryBytes, bm)
-			s.stageSeconds.With("bounds").Observe(time.Since(bbegin).Seconds())
 		}
-		s.observeGap(req.Kernel, spec.Name, resp.Bounds)
-
-		if effMRC {
-			mrcBegin := time.Now()
-			mb, err := balance.MeasureMRC(ctx, p, spec, s.limits())
-			if err != nil {
-				return nil, err
-			}
-			ma, err := balance.MeasureMRC(ctx, q, spec, s.limits())
-			s.stageSeconds.With("mrc").Observe(time.Since(mrcBegin).Seconds())
-			if err != nil {
-				return nil, err
-			}
-			resp.MRCBefore = mb.MRC
-			resp.MRCAfter = ma.MRC
+		if eff.MRC {
+			resp.MRCBefore = before.MRC
+			resp.MRCAfter = after.MRC
 			s.observeMRC(req.Kernel, resp.MRCAfter)
 		}
 	}
@@ -1074,9 +915,9 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 	// effective bounds mode is exactly that degraded request's full
 	// answer. A structural-only run skipped measurement, so it is
 	// incomplete for any key and is not cached.
-	if measure {
-		if ek, err := s.optimizeCacheKey(sourceID, spec.Name, opts, req.Pipeline, effMode, req.Tol, bm, effProfile, effMRC); err == nil {
-			s.cachePut(ctx, ek, resp)
+	if measured {
+		if key, err := keyOf(eff); err == nil {
+			s.cachePut(ctx, key, resp)
 		}
 	}
 	if info != nil {

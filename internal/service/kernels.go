@@ -1,12 +1,13 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
 
-	"repro/internal/analysis"
 	"repro/internal/bounds"
+	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -52,11 +53,9 @@ type KernelBound struct {
 // its default size on every registered machine, once per process. The
 // footprint pass executes each kernel, so this is deliberately not
 // done at init; the first GET /v1/kernels pays for it and later calls
-// reuse the table. One analysis manager per kernel memoizes the
-// expensive parts (footprint run, pebbling structure), so extra
-// machines only cost a cheap per-capacity bound query — machines
-// sharing a fast-memory capacity even share that. Kernels the engine
-// cannot analyze are simply absent.
+// reuse the table. Each kernel's footprint and pebbling structure are
+// computed once, so extra machines only cost a cheap per-capacity
+// bound query. Kernels the engine cannot analyze are simply absent.
 var kernelBounds = sync.OnceValue(func() map[string][]KernelBound {
 	entries := machine.Entries()
 	out := make(map[string][]KernelBound, len(kernelTable))
@@ -65,20 +64,15 @@ var kernelBounds = sync.OnceValue(func() map[string][]KernelBound {
 		if err != nil {
 			continue
 		}
-		m := analysis.NewManager(p)
-		byCap := map[int64]*bounds.Analysis{}
+		fp, err := bounds.ComputeFootprint(context.Background(), p, exec.Limits{})
+		if err != nil {
+			continue
+		}
+		pb := bounds.ComputePebble(p)
 		var rows []KernelBound
 		for _, e := range entries {
-			fast := bounds.FastCapacity(e.Spec)
-			a, seen := byCap[fast]
-			if !seen {
-				a, err = bounds.FromManager(m, fast, true)
-				if err != nil {
-					a = nil
-				}
-				byCap[fast] = a
-			}
-			if a == nil || a.Best.Bytes <= 0 {
+			a := bounds.Assemble(p.Name, bounds.FastCapacity(e.Spec), fp, pb)
+			if a.Best.Bytes <= 0 {
 				continue
 			}
 			rows = append(rows, KernelBound{

@@ -7,20 +7,15 @@ import (
 )
 
 // Reuse-distance requests: the "mrc": true flag on analyze and
-// optimize asks for the one-pass Mattson sweep (balance.MeasureMRC) —
+// optimize asks for the one-pass Mattson sweep (balance.Options.MRC) —
 // miss-ratio curves per cache level, the capacity knee against every
 // registered machine's balance, and the phase timeline of the access
-// stream. Like profiling, the sweep re-runs the program on a
-// site-tagged clone (roughly one extra measurement plus the per-access
-// order-statistic bookkeeping), so the degradation ladder sheds it at
-// the same rung. The effective flag is part of the cache address: an
+// stream. The recorder rides on the request's one measurement run, but
+// its per-access order-statistic bookkeeping is the dearest observer,
+// so the degradation ladder sheds it at the same rung as profiling
+// (see rungs). The effective flag is part of the cache address: an
 // mrc-shed response is never served to a full-service mrc request, and
 // vice versa.
-
-// mrcAllowed reports whether a degradation rung affords the
-// reuse-distance sweep. Shed from rung 1 (degradeNoDiff) up, alongside
-// traffic attribution and differential verification.
-func (l degradeLevel) mrcAllowed() bool { return l < degradeNoDiff }
 
 // observeMRC feeds one reuse-distance result into telemetry and the
 // dashboard: the per-kernel bwserved_ws_knee_bytes gauges (only

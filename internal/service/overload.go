@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/balance"
 	"repro/internal/faults"
 	"repro/internal/verify"
 )
@@ -19,10 +20,13 @@ import (
 // degradation ladder. The ladder's rungs, from healthy to desperate:
 //
 //	0 full            the request runs exactly as asked
-//	1 no-differential differential verification clamped to structural
-//	2 structural-only every program execution is skipped: verification
-//	                  drops to the IR-validate floor, optimize omits
-//	                  before/after measurement, analyze omits Belady
+//	1 no-differential differential verification clamped to structural;
+//	                  profiling, the MRC sweep and the pebbling half of
+//	                  the lower bound shed
+//	2 structural-only every program execution beyond analyze's own
+//	                  measurement is skipped: verification drops to the
+//	                  IR-validate floor, optimize omits before/after
+//	                  measurement, analyze omits Belady and the bounds
 //	3 cache-only      only cached results are served; misses are shed
 //
 // A rung is chosen per request at admission time by comparing the
@@ -52,37 +56,50 @@ const (
 	degradeCacheOnly
 )
 
+// rungs is the ladder: per rung, the most of each request feature it
+// affords. ir.Program.Validate still guards each checkpoint when
+// verification is off — that floor is unconditional in the pass
+// manager.
+var rungs = [...]struct {
+	name   string
+	verify verify.Mode        // strongest verification
+	bounds balance.BoundsMode // most of the lower bound
+	extras bool               // traffic attribution and the MRC sweep
+	execs  bool               // executions beyond analyze's measurement
+}{
+	degradeNone:       {"full", verify.ModeDifferential, balance.BoundsFull, true, true},
+	degradeNoDiff:     {"no-differential", verify.ModeStructural, balance.BoundsNoPebble, false, true},
+	degradeStructural: {"structural-only", verify.ModeOff, balance.BoundsNone, false, false},
+	degradeCacheOnly:  {"cache-only", verify.ModeOff, balance.BoundsNone, false, false},
+}
+
 func (l degradeLevel) String() string {
-	switch l {
-	case degradeNone:
-		return "full"
-	case degradeNoDiff:
-		return "no-differential"
-	case degradeStructural:
-		return "structural-only"
-	case degradeCacheOnly:
-		return "cache-only"
+	if l < 0 || int(l) >= len(rungs) {
+		return fmt.Sprintf("degradeLevel(%d)", int(l))
 	}
-	return fmt.Sprintf("degradeLevel(%d)", int(l))
+	return rungs[l].name
 }
 
-// clampVerify returns the verification mode the rung allows: rung 1
-// forbids differential execution, rung 2 forbids every verification
-// execution (ir.Program.Validate still guards each checkpoint — that
-// floor is unconditional in the pass manager).
-func (l degradeLevel) clampVerify(m verify.Mode) verify.Mode {
-	switch {
-	case l >= degradeStructural:
-		return verify.ModeOff
-	case l >= degradeNoDiff && m > verify.ModeStructural:
-		return verify.ModeStructural
-	}
-	return m
+// features is what a request computes beyond its core product: the
+// measurement options and, for optimize, the verification mode. The
+// ladder maps the requested features to the effective ones, and the
+// effective value is the cache-key field, so a degraded answer lives at
+// its own address and is never served to a full-service request.
+type features struct {
+	balance.Options
+	Verify verify.Mode
 }
 
-// measureAllowed reports whether the rung permits program executions
-// (balance measurement, Belady replay).
-func (l degradeLevel) measureAllowed() bool { return l < degradeStructural }
+// apply returns the features the rung affords.
+func (l degradeLevel) apply(f features) features {
+	r := rungs[l]
+	f.Verify = min(f.Verify, r.verify)
+	f.Bounds = min(f.Bounds, r.bounds)
+	f.Profile = f.Profile && r.extras
+	f.MRC = f.MRC && r.extras
+	f.Belady = f.Belady && r.execs
+	return f
+}
 
 // info builds the response marker for a non-full rung.
 func (l degradeLevel) info(reason string) *DegradeInfo {
@@ -90,6 +107,44 @@ func (l degradeLevel) info(reason string) *DegradeInfo {
 		return nil
 	}
 	return &DegradeInfo{Level: int(l), Mode: l.String(), Reason: reason}
+}
+
+// degrade applies the admitted rung to a request's features. On a
+// degraded rung an acceptable answer may already be cached: the
+// full-bounds variant of the effective features (strictly better than
+// the rung affords), or — below cache-only — the exact degraded
+// variant under its own address. The requested address itself already
+// missed, so it is not probed again. degrade returns the effective
+// features, the response marker, and the cached answer when one was
+// found; a cache-only rung with nothing cached is shed.
+func (s *Server) degrade(ctx context.Context, level degradeLevel, reason string, req features, key func(features) (string, error)) (features, *DegradeInfo, any, error) {
+	eff := level.apply(req)
+	info := level.info(reason)
+	if info == nil {
+		return eff, nil, nil, nil
+	}
+	probes := []features{eff}
+	probes[0].Bounds = balance.BoundsFull
+	if level < degradeCacheOnly {
+		probes = append(probes, eff)
+	}
+	reqKey, _ := key(req) // the handler already built this key without error
+	for _, f := range probes {
+		k, err := key(f)
+		if err != nil || k == reqKey {
+			continue
+		}
+		if v, ok := s.cacheGet(ctx, k); ok {
+			return eff, info, v, nil
+		}
+	}
+	if level >= degradeCacheOnly {
+		return eff, info, nil, &shedError{
+			retryAfter: s.retryAfterEstimate(s.queueDepth.Value()),
+			reason:     "degraded to cache-only and result not cached: " + reason,
+		}
+	}
+	return eff, info, nil, nil
 }
 
 // levelFor picks the ladder rung from the remaining deadline budget

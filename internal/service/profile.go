@@ -7,19 +7,15 @@ import (
 )
 
 // Profiled requests: the "profile": true flag on analyze and optimize
-// asks for per-array traffic attribution (balance.MeasureProfiled).
-// Profiling roughly doubles a request's measurement cost (the profiled
-// run re-measures on a site-tagged clone, and optimize additionally
-// replays every committed-pass snapshot), so the degradation ladder
-// sheds it first — at the same rung that sheds differential
-// verification and the pebbling bound. The effective profile flag is
-// part of the cache address: a profile-shed response is never served
-// to a full-service profiled request, and vice versa.
-
-// profileAllowed reports whether a degradation rung affords traffic
-// attribution. Shed from rung 1 (degradeNoDiff) up, alongside
-// differential verification and the pebbling bound.
-func (l degradeLevel) profileAllowed() bool { return l < degradeNoDiff }
+// asks for per-array traffic attribution (balance.Options.Profile).
+// Attribution rides on the request's one measurement run — a
+// site-tagged clone with per-site bucketing on every simulated access —
+// and optimize additionally measures each intermediate pass snapshot
+// for the pass deltas, so the degradation ladder sheds it first, at the
+// same rung that sheds differential verification and the pebbling
+// bound (see rungs). The effective profile flag is part of the cache
+// address: a profile-shed response is never served to a full-service
+// profiled request, and vice versa.
 
 // observeProfile feeds one attribution result into telemetry and the
 // dashboard: the per-kernel bwserved_array_traffic_bytes gauges (only

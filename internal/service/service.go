@@ -147,6 +147,7 @@ type Server struct {
 	requests       *telemetry.CounterVec // {endpoint, code}
 	cacheHits      *telemetry.Counter
 	cacheMisses    *telemetry.Counter
+	programRuns    *telemetry.Counter
 	passFailures   *telemetry.CounterVec   // {pass}
 	stageSeconds   *telemetry.HistogramVec // {stage}
 	requestSeconds *telemetry.HistogramVec // {endpoint}
@@ -249,6 +250,8 @@ func New(cfg Config) *Server {
 			"Requests answered from the content-addressed result cache."),
 		cacheMisses: reg.NewCounter("bwserved_cache_misses_total",
 			"Requests that had to run the analysis pipeline."),
+		programRuns: reg.NewCounter("bwserved_program_runs_total",
+			"Program executions launched for measurement (one per balance.Measure call, whatever it observes)."),
 		passFailures: reg.NewCounterVec("bwserved_pass_failures_total",
 			"Optimizer passes skipped by the verified pipeline, by pass name.", "pass"),
 		stageSeconds: reg.NewHistogramVec("bwserved_stage_seconds",
