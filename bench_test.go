@@ -287,8 +287,7 @@ func BenchmarkSimulatorAccess(b *testing.B) {
 // BenchmarkSimulatorAccess: the same access stream, site-tagged, with
 // per-site bucketing live. benchstat against the plain benchmark gives
 // the marginal cost of attribution in the simulator's hot loop; the
-// profiling-off path is BenchmarkSimulatorAccess itself, whose
-// regression over time is what perfwatch's measure_ns gate watches.
+// profiling-off path is BenchmarkSimulatorAccess itself.
 func BenchmarkSimulatorAccessProfiled(b *testing.B) {
 	h := sim.MustHierarchy(
 		sim.CacheConfig{Name: "L1", Size: 32 << 10, LineSize: 32, Assoc: 2},
@@ -317,9 +316,8 @@ func BenchmarkMeasure(b *testing.B) {
 // BenchmarkMeasureAttributed measures the profiled path: site
 // assignment on a clone, per-site bucketing during simulation, the
 // footprint recorder teed onto the same run, and bounds and
-// attribution assembly. Its ratio to BenchmarkMeasure is the recorded
-// profiling-on cost (perfwatch stores the same ratio per kernel as
-// profile_overhead_ratio).
+// attribution assembly. Its ratio to BenchmarkMeasure is the
+// profiling-on cost.
 func BenchmarkMeasureAttributed(b *testing.B) {
 	p := kernels.Dmxpy(64)
 	specs := []machine.Spec{machine.Origin2000()}

@@ -4,9 +4,6 @@
 // Usage:
 //
 //	bwbench [-quick] [-json] [-experiment all|<name>] [-trace out.json]
-//	bwbench [-quick] -record [-record-dir .] [-repeats 3]
-//	bwbench [-quick] -baseline BENCH_1.json -check \
-//	        [-threshold-time 0.20] [-threshold-balance 0.01]
 //	bwbench [-quick] -load [-url http://localhost:8080] \
 //	        [-load-duration 30s] [-load-workers 8] [-load-rate 0] \
 //	        [-load-timeout 10s] [-load-chaos spec] [-load-out report.json]
@@ -14,39 +11,21 @@
 // Run bwbench -h for the full experiment list (it is derived from the
 // experiments table below, so the two cannot drift apart).
 //
-// The second and third forms are the perfwatch trajectory (see
-// internal/perfwatch): -record collects a schema-versioned benchmark
-// record — per-kernel optimize/measure wall times (median of -repeats),
-// measured vs model-predicted balance per memory level, per-pass
-// attribution, environment metadata — and writes it to the next free
-// BENCH_<n>.json. -check collects the same record in memory and
-// compares it against -baseline with noise-aware per-family thresholds,
-// printing a regression table and exiting with status 2 when any
-// metric regressed beyond threshold. The two compose: -record -check
-// writes the record and checks it in one collection. Baseline and
-// current must use the same -quick setting.
-//
 // Each experiment prints the same rows/series the paper reports,
 // with a footnote quoting the paper's measured values for comparison.
 // With -json, the same results are emitted as one machine-readable
 // JSON document instead: per experiment its name, wall time in
 // nanoseconds, and every table's headers, rows and notes (the rows
-// carry the traffic/balance/bandwidth numbers the text tables show).
-// That is the format the BENCH_*.json trajectory artifacts use.
-//
-// The -json document also carries an "attribution" section: the
-// verified default pipeline is run on three representative kernels
-// (convolution, dmxpy, mm-jki at the active config's sizes) and each
-// run's per-pass wall times and analysis-cache counters are reported,
-// answering "where does optimization time go?" alongside the paper's
-// "what does optimization buy?".
+// carry the traffic/balance/bandwidth numbers the text tables show),
+// plus the environment the numbers were collected in.
 //
 // With -trace, the whole bench run is written as Chrome trace-event
-// JSON: one span per experiment, and — because the attribution runs
-// are context-traced — one span per pass attempt, analysis request
-// and verification inside them.
+// JSON: one span per experiment.
 //
-// The fourth form is a load generator against a running bwserved: a
+// The performance of the pipeline itself is measured by the repo
+// benchmark (BENCHMARK.json, perfbench/), not by bwbench.
+//
+// The second form is a load generator against a running bwserved: a
 // closed loop of -load-workers concurrent callers (or, with
 // -load-rate, an open loop of fixed-rate arrivals) driving a mixed
 // analyze/optimize stream through internal/client — retries,
@@ -65,18 +44,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	osexec "os/exec"
+	"runtime"
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/ir"
-	"repro/internal/kernels"
 	"repro/internal/machine"
-	"repro/internal/perfwatch"
 	"repro/internal/report"
 	"repro/internal/trace"
-	"repro/internal/transform"
 )
 
 var experiments = []string{
@@ -103,14 +79,17 @@ type jsonResult struct {
 	Text string `json:"text,omitempty"`
 }
 
-// jsonAttribution is one kernel's verified-pipeline cost breakdown in
-// the -json "attribution" section: per-pass wall times plus the
-// analysis manager's cache counters for that run.
-type jsonAttribution struct {
-	Program   string               `json:"program"`
-	ElapsedNS int64                `json:"elapsed_ns"`
-	Passes    []transform.PassStat `json:"passes"`
-	Analysis  analysis.Stats       `json:"analysis"`
+// jsonEnv is the environment a -json document was collected in.
+type jsonEnv struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	Hostname   string `json:"hostname,omitempty"`
+	// GitRef is the short commit hash at collection time, when the
+	// working directory is a git checkout with git on PATH.
+	GitRef string `json:"git_ref,omitempty"`
 }
 
 // jsonOutput is the top-level -json document.
@@ -119,9 +98,8 @@ type jsonOutput struct {
 	// Env records where the numbers were collected (Go version,
 	// GOMAXPROCS, CPU count, git ref), so documents from different
 	// machines are comparable — or visibly not.
-	Env         perfwatch.Env     `json:"env"`
-	Results     []jsonResult      `json:"results"`
-	Attribution []jsonAttribution `json:"attribution,omitempty"`
+	Env     jsonEnv      `json:"env"`
+	Results []jsonResult `json:"results"`
 }
 
 func main() {
@@ -133,13 +111,6 @@ func main() {
 		"restrict the machine-model experiments (stream, cachebench, characterize) to one machine (default: all registered)")
 	listMachines := flag.Bool("list-machines", false, "list registered machine models and exit")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the bench run to this path")
-	record := flag.Bool("record", false, "collect a benchmark record and write it to the next free BENCH_<n>.json")
-	recordDir := flag.String("record-dir", ".", "directory BENCH_<n>.json records are written to")
-	baseline := flag.String("baseline", "", "baseline BENCH_<n>.json for -check")
-	check := flag.Bool("check", false, "collect a benchmark record and fail (exit 2) if it regressed vs -baseline")
-	repeats := flag.Int("repeats", 3, "optimizer repeats per kernel for -record/-check (median is compared)")
-	thTime := flag.Float64("threshold-time", 0.20, "tolerated relative wall-time increase for -check")
-	thBalance := flag.Float64("threshold-balance", 0.01, "tolerated relative balance increase for -check")
 	load := flag.Bool("load", false, "load-generator mode: drive a running bwserved and report latency/shed/coalesce/degradation")
 	loadURL := flag.String("url", "http://localhost:8080", "bwserved base URL for -load")
 	loadDuration := flag.Duration("load-duration", 30*time.Second, "how long -load drives traffic (-quick caps it at 5s)")
@@ -168,17 +139,6 @@ func main() {
 	if *quick {
 		cfg = core.Quick()
 		cfgName = "quick"
-	}
-
-	if *record || *check {
-		os.Exit(recordAndCheck(cfgName, cfg, recordOpts{
-			record: *record, recordDir: *recordDir,
-			baseline: *baseline, check: *check,
-			repeats: *repeats,
-			thresholds: perfwatch.Thresholds{
-				Time: *thTime, Balance: *thBalance,
-			},
-		}))
 	}
 
 	// Each experiment returns its tables (or prose) instead of printing,
@@ -266,7 +226,7 @@ func main() {
 
 	var out jsonOutput
 	out.Config = cfgName
-	out.Env = perfwatch.CaptureEnv()
+	out.Env = captureEnv()
 	for _, name := range names {
 		var span *trace.Span
 		if tr != nil {
@@ -299,9 +259,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if *jsonOut {
-		out.Attribution = attribution(tr, cfg)
-	}
 	if tr != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -325,105 +282,24 @@ func main() {
 	}
 }
 
-// recordOpts carries the -record/-check flag set.
-type recordOpts struct {
-	record     bool
-	recordDir  string
-	baseline   string
-	check      bool
-	repeats    int
-	thresholds perfwatch.Thresholds
-}
-
-// recordAndCheck implements the perfwatch modes: one collection feeds
-// both -record (persist the trajectory point) and -check (compare it
-// against the baseline). Returns the process exit code: 0 clean, 1 on
-// operational errors, 2 on a detected regression.
-func recordAndCheck(cfgName string, cfg core.Config, opts recordOpts) int {
-	if opts.check && opts.baseline == "" {
-		fmt.Fprintln(os.Stderr, "bwbench: -check needs -baseline BENCH_<n>.json")
-		return 1
+// captureEnv snapshots the current process's environment metadata.
+func captureEnv() jsonEnv {
+	e := jsonEnv{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
-	rec, err := perfwatch.Collect(context.Background(), cfgName, cfg, opts.repeats)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bwbench:", err)
-		return 1
+	if h, err := os.Hostname(); err == nil {
+		e.Hostname = h
 	}
-	if opts.record {
-		path, err := perfwatch.NextRecordPath(opts.recordDir)
-		if err == nil {
-			err = perfwatch.Write(path, rec)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bwbench:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "bwbench: recorded %d kernels to %s\n", len(rec.Kernels), path)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if ref, err := osexec.CommandContext(ctx, "git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		e.GitRef = strings.TrimSpace(string(ref))
 	}
-	if !opts.check {
-		return 0
-	}
-	base, err := perfwatch.Read(opts.baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bwbench:", err)
-		return 1
-	}
-	findings, notes, err := perfwatch.Detect(base, rec, opts.thresholds)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bwbench:", err)
-		return 1
-	}
-	rows := make([]report.RegressionRow, 0, len(findings))
-	for _, f := range findings {
-		rows = append(rows, f.Row())
-	}
-	fmt.Print(report.Regression(rows, notes))
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "bwbench: %d metric(s) regressed beyond threshold vs %s\n",
-			len(findings), opts.baseline)
-		return 2
-	}
-	return 0
-}
-
-// attribution runs the verified default pipeline on three
-// representative kernels at the active config's sizes and reports
-// where the optimization time went: per-pass wall times and the
-// analysis manager's cache counters. With tracing enabled each run is
-// a root span whose children are the pipeline's pass/analysis/verify
-// spans.
-func attribution(tr *trace.Tracer, cfg core.Config) []jsonAttribution {
-	progs := []struct {
-		name string
-		p    *ir.Program
-	}{
-		{"convolution", kernels.Convolution(cfg.ConvN)},
-		{"dmxpy", kernels.Dmxpy(cfg.DmxpyN)},
-		{"mm-jki", kernels.MatmulJKI(cfg.MMN)},
-	}
-	var attrs []jsonAttribution
-	for _, pr := range progs {
-		ctx := context.Background()
-		var span *trace.Span
-		if tr != nil {
-			span = tr.Start(nil, "attribution."+pr.name, trace.String("program", pr.p.Name))
-			ctx = trace.NewContext(ctx, span)
-		}
-		begin := time.Now()
-		_, outcome, err := core.OptimizeOutcome(ctx, pr.p)
-		elapsed := time.Since(begin)
-		span.End()
-		if err != nil {
-			fatal(err)
-		}
-		attrs = append(attrs, jsonAttribution{
-			Program:   pr.name,
-			ElapsedNS: elapsed.Nanoseconds(),
-			Passes:    outcome.Passes,
-			Analysis:  outcome.Analysis,
-		})
-	}
-	return attrs
+	return e
 }
 
 // tables adapts the core experiment signature (one table + error).

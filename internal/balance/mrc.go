@@ -327,16 +327,6 @@ func (m *MRCResult) Knee(name string) *MRCKnee {
 	return nil
 }
 
-// Level returns the curve of the named level, or nil.
-func (m *MRCResult) Level(name string) *MRCLevel {
-	for i := range m.Levels {
-		if m.Levels[i].Name == name {
-			return &m.Levels[i]
-		}
-	}
-	return nil
-}
-
 // MemLevel returns the memory-facing level's curve.
 func (m *MRCResult) MemLevel() *MRCLevel {
 	if len(m.Levels) == 0 {

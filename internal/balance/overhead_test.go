@@ -15,8 +15,8 @@ import (
 // on the caller's program, and a profiled one must do its site
 // assignment on a private clone so a program shared with unprofiled
 // callers never observes mutation. The off path being byte-for-byte the
-// pre-profiler measurement code is what makes its overhead bound a
-// perfwatch (measure_ns regression) concern rather than something a
+// pre-profiler measurement code is what makes its overhead a concern of
+// the repo benchmark's measure-sweep workload rather than something a
 // single binary can compare against itself.
 func TestProfilingOffPathInert(t *testing.T) {
 	p := kernels.Dmxpy(24)

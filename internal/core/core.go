@@ -21,7 +21,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/transform"
-	"repro/internal/verify"
 )
 
 // Analyze runs the program on the machine model and returns its
@@ -52,20 +51,6 @@ func Optimize(p *ir.Program) (*ir.Program, []transform.Action, error) {
 // OptimizeWith applies a selected subset of the passes.
 func OptimizeWith(p *ir.Program, opt transform.Options) (*ir.Program, []transform.Action, error) {
 	return transform.Optimize(p, opt)
-}
-
-// OptimizeOutcome runs the paper's full strategy under the verified
-// checkpointed pass manager with differential verification and returns
-// the optimized program together with the run's complete Outcome:
-// per-pass wall times, analysis-cache counters and the degradation
-// report. When ctx carries a trace span (internal/trace), every pass
-// attempt, analysis run and verification executes under a child span —
-// the entry point bwbench uses for its attribution section.
-func OptimizeOutcome(ctx context.Context, p *ir.Program) (*ir.Program, *transform.Outcome, error) {
-	return transform.OptimizeVerifiedCtx(ctx, p, transform.Config{
-		Options: transform.All(),
-		Verify:  verify.ModeDifferential,
-	})
 }
 
 // Speedup compares two balance reports (before/after).

@@ -10,17 +10,17 @@ import (
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"pass.panic",                   // no policy
-		"nope.point:once",              // unknown point
-		"pass.panic:rate=0",            // rate out of range
-		"pass.panic:rate=1.5",          // rate out of range
-		"pass.panic:nth=0",             // nth must be positive
-		"pass.panic:wat=1",             // unknown policy element
-		"pass.panic:delay=10ms",        // delay without a policy
-		"seed=abc;pass.panic:once",     // bad seed
+		"pass.panic",                      // no policy
+		"nope.point:once",                 // unknown point
+		"pass.panic:rate=0",               // rate out of range
+		"pass.panic:rate=1.5",             // rate out of range
+		"pass.panic:nth=0",                // nth must be positive
+		"pass.panic:wat=1",                // unknown policy element
+		"pass.panic:delay=10ms",           // delay without a policy
+		"seed=abc;pass.panic:once",        // bad seed
 		"pass.panic:once;pass.panic:once", // duplicate point
-		"seed=1",                       // no points at all
-		"analysis.slow:once,delay=-1s", // negative delay
+		"seed=1",                          // no points at all
+		"analysis.slow:once,delay=-1s",    // negative delay
 	}
 	for _, spec := range cases {
 		if s, err := Parse(spec); err == nil {

@@ -165,11 +165,3 @@ func AssignSites(p *Program) *SiteTable {
 	}
 	return t
 }
-
-// ClearSites zeroes every reference's site ID, returning the program to
-// the unattributed state.
-func ClearSites(p *Program) {
-	for _, n := range p.Nests {
-		WalkRefs(n.Body, p, func(r *Ref, _ bool) { r.Site = 0 })
-	}
-}

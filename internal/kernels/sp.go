@@ -167,15 +167,6 @@ func SPRoutine(name string, n int) (*ir.Program, error) {
 	return lang.Parse("program sp_" + name + "\n" + spDecls(n) + body)
 }
 
-// MustSPRoutine panics on unknown routine names.
-func MustSPRoutine(name string, n int) *ir.Program {
-	p, err := SPRoutine(name, n)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // SP builds the whole SP-like application: all seven routines in ADI
 // order, as one program.
 func SP(n int) *ir.Program {

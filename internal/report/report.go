@@ -115,38 +115,6 @@ func Degradation(mode string, checkpoints int, skipped []SkippedPass, notes []st
 	return t
 }
 
-// RegressionRow is one regressed metric in a Regression table. The
-// value columns are pre-formatted by the caller (times and balance
-// figures carry different units).
-type RegressionRow struct {
-	Kernel    string
-	Metric    string
-	Baseline  string
-	Current   string
-	Change    string // e.g. "+23.4%"
-	Threshold string // e.g. "20%"
-}
-
-// Regression renders the benchmark regression table bwbench prints
-// when a -check run violates its baseline: one row per metric over
-// threshold, or a single all-clear row when rows is empty.
-func Regression(rows []RegressionRow, notes []string) *Table {
-	t := &Table{
-		Title:   "benchmark regression report",
-		Headers: []string{"kernel", "metric", "baseline", "current", "change", "threshold"},
-	}
-	if len(rows) == 0 {
-		t.AddRow("(all kernels)", "-", "-", "-", "-", "within threshold")
-	}
-	for _, r := range rows {
-		t.AddRow(r.Kernel, r.Metric, r.Baseline, r.Current, r.Change, r.Threshold)
-	}
-	for _, n := range notes {
-		t.AddNote("%s", n)
-	}
-	return t
-}
-
 // F formats a float with the given precision, trimming to compact form.
 func F(v float64, prec int) string {
 	return fmt.Sprintf("%.*f", prec, v)
@@ -167,11 +135,6 @@ func Seconds(s float64) string {
 	default:
 		return fmt.Sprintf("%.2f us", s*1e6)
 	}
-}
-
-// Percent formats a ratio in [0,1] as a percentage.
-func Percent(ratio float64) string {
-	return fmt.Sprintf("%.1f%%", 100*ratio)
 }
 
 // Gap formats an optimality gap (measured traffic / lower bound);

@@ -99,22 +99,3 @@ func TestRowWiderThanHeaders(t *testing.T) {
 		t.Fatal("extra cells dropped")
 	}
 }
-
-func TestRegressionTable(t *testing.T) {
-	empty := Regression(nil, []string{"environments differ"})
-	s := empty.String()
-	if !strings.Contains(s, "within threshold") || !strings.Contains(s, "environments differ") {
-		t.Fatalf("empty regression table wrong:\n%s", s)
-	}
-	tab := Regression([]RegressionRow{{
-		Kernel: "convolution", Metric: "optimize_ns",
-		Baseline: "100.00 ms", Current: "130.00 ms",
-		Change: "+30.0%", Threshold: "20%",
-	}}, nil)
-	s = tab.String()
-	for _, want := range []string{"convolution", "optimize_ns", "+30.0%", "20%"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("missing %q in:\n%s", want, s)
-		}
-	}
-}

@@ -437,10 +437,6 @@ func (s *Server) registerHistorySeries() {
 		windowedMean(s.gapSum.Value, s.gapCount.Value, 1))
 }
 
-// Registry exposes the metrics registry (for embedding the service
-// into a larger process).
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
 // CacheStats returns a snapshot of the result cache's counters.
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 

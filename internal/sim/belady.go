@@ -29,7 +29,7 @@ const replayPollMask = 0x3FFF
 // configuration.
 type Trace struct {
 	cfg    CacheConfig
-	lines  []int64  // line-aligned addresses
+	lines  []int64 // line-aligned addresses
 	writes []bool
 	sites  []uint32 // attribution site per access (0 = unattributed)
 }
@@ -41,9 +41,6 @@ func (t *Trace) Len() int { return len(t.lines) }
 // whether it was a write. Differential tests use it to compare the
 // access streams of the two execution engines element-wise.
 func (t *Trace) At(i int) (line int64, write bool) { return t.lines[i], t.writes[i] }
-
-// SiteAt returns the attribution site of the i'th recorded access.
-func (t *Trace) SiteAt(i int) uint32 { return t.sites[i] }
 
 // Recorder captures a processor-level access stream. It implements the
 // executor's Machine interface, so a program can be run "onto" a

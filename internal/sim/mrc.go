@@ -445,9 +445,6 @@ type Epoch struct {
 	MemBySite map[uint32]int64
 }
 
-// WSBytes is the window's working set in bytes.
-func (e Epoch) WSBytes(lineSize int64) int64 { return e.WSLines * lineSize }
-
 // epochs aggregates the fine buckets into at most n windows, exactly.
 func (t *mrcEpochs) epochs(n int) []Epoch {
 	if t.n == 0 || n <= 0 {

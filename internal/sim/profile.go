@@ -78,21 +78,3 @@ func (p *Profile) RegBytes() []int64 {
 	}
 	return append([]int64(nil), p.reg...)
 }
-
-// MaxSite returns the highest site ID that appears anywhere in the
-// profile.
-func (p *Profile) MaxSite() uint32 {
-	if p == nil {
-		return 0
-	}
-	max := len(p.reg)
-	for _, ss := range p.levels {
-		if len(ss) > max {
-			max = len(ss)
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	return uint32(max - 1)
-}

@@ -209,12 +209,6 @@ func (h *Hierarchy) StoreSite(addr int64, size int, site uint32) {
 	h.forEachLine(0, addr, size, true, site)
 }
 
-// Touch simulates a cache access without register traffic (used by
-// calibration probes). Touches are unattributed (site 0).
-func (h *Hierarchy) Touch(addr int64, size int, write bool) {
-	h.TouchSite(addr, size, write, 0)
-}
-
 // TouchSite is Touch tagged with the attribution site causing the access.
 func (h *Hierarchy) TouchSite(addr int64, size int, write bool, site uint32) {
 	h.forEachLine(0, addr, size, write, site)

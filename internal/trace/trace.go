@@ -40,10 +40,9 @@ type Attr struct {
 
 // Value is the tagged union of attribute values.
 type Value struct {
-	kind byte // 's', 'i', 'f', 'b'
+	kind byte // 's', 'i', 'b'
 	s    string
 	i    int64
-	f    float64
 	b    bool
 }
 
@@ -52,9 +51,6 @@ func String(key, v string) Attr { return Attr{Key: key, val: Value{kind: 's', s:
 
 // Int builds an integer attribute.
 func Int(key string, v int64) Attr { return Attr{Key: key, val: Value{kind: 'i', i: v}} }
-
-// Float builds a float attribute.
-func Float(key string, v float64) Attr { return Attr{Key: key, val: Value{kind: 'f', f: v}} }
 
 // Bool builds a boolean attribute.
 func Bool(key string, v bool) Attr { return Attr{Key: key, val: Value{kind: 'b', b: v}} }
@@ -66,8 +62,6 @@ func (v Value) Any() any {
 		return v.s
 	case 'i':
 		return v.i
-	case 'f':
-		return v.f
 	case 'b':
 		return v.b
 	default:

@@ -55,9 +55,6 @@ type Config struct {
 	// MaxFixpointIters bounds the scans of each fixpoint loop;
 	// non-positive means DefaultMaxFixpointIters.
 	MaxFixpointIters int
-	// MaxPassSteps bounds the committed transformations per pass;
-	// non-positive means DefaultMaxPassSteps.
-	MaxPassSteps int
 	// ExecLimits bounds every program execution the pipeline performs
 	// (the differential baseline run and each checkpoint's verification
 	// run). The zero value imposes no limit.
@@ -82,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFixpointIters <= 0 {
 		c.MaxFixpointIters = DefaultMaxFixpointIters
-	}
-	if c.MaxPassSteps <= 0 {
-		c.MaxPassSteps = DefaultMaxPassSteps
 	}
 	return c
 }
@@ -532,8 +526,8 @@ func (m *manager) storagePass() {
 			m.skip(pass, "", "", fmt.Errorf("fixpoint iteration budget (%d scans) exhausted before convergence", m.cfg.MaxFixpointIters))
 			return
 		}
-		if m.steps >= m.cfg.MaxPassSteps {
-			m.skip(pass, "", "", fmt.Errorf("per-pass step limit (%d) reached", m.cfg.MaxPassSteps))
+		if m.steps >= DefaultMaxPassSteps {
+			m.skip(pass, "", "", fmt.Errorf("per-pass step limit (%d) reached", DefaultMaxPassSteps))
 			return
 		}
 		changed = false
@@ -599,8 +593,8 @@ func (m *manager) storeElimPass() {
 			m.skip(pass, "", "", fmt.Errorf("fixpoint iteration budget (%d scans) exhausted before convergence", m.cfg.MaxFixpointIters))
 			return
 		}
-		if m.steps >= m.cfg.MaxPassSteps {
-			m.skip(pass, "", "", fmt.Errorf("per-pass step limit (%d) reached", m.cfg.MaxPassSteps))
+		if m.steps >= DefaultMaxPassSteps {
+			m.skip(pass, "", "", fmt.Errorf("per-pass step limit (%d) reached", DefaultMaxPassSteps))
 			return
 		}
 		changed = false

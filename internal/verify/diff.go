@@ -103,15 +103,10 @@ func DifferentialCtx(ctx context.Context, orig, xform *ir.Program, tol float64, 
 	return DifferentialAgainstCtx(ctx, ref, xform, tol, lim)
 }
 
-// DifferentialAgainst compares a transformed program against an
+// DifferentialAgainstCtx compares a transformed program against an
 // already-computed reference result, so a pipeline verifying many
-// checkpoints runs the original only once.
-func DifferentialAgainst(ref *exec.Result, xform *ir.Program, tol float64) error {
-	return DifferentialAgainstCtx(context.Background(), ref, xform, tol, exec.Limits{})
-}
-
-// DifferentialAgainstCtx is DifferentialAgainst with cancellation and a
-// step budget threaded into the transformed run.
+// checkpoints runs the original only once. Cancellation and a step
+// budget are threaded into the transformed run.
 func DifferentialAgainstCtx(ctx context.Context, ref *exec.Result, xform *ir.Program, tol float64, lim exec.Limits) error {
 	ctx, span := trace.StartSpan(ctx, "verify.differential")
 	got, err := exec.RunCtx(ctx, xform, nil, lim)
