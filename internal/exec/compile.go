@@ -10,15 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Closure compiler: an alternative execution engine that compiles a
+// Closure compiler: the production execution engine. It compiles a
 // program to a tree of Go closures with all name resolution done once,
 // ahead of time — array bases and strides, scalar slots and loop
 // variable slots become direct pointers. It runs several times faster
 // than the tree-walking interpreter (which re-resolves names per
-// access), making paper-scale simulations cheap, and it doubles as an
-// independent implementation of the executor semantics: the test suite
-// runs both engines on the same programs and requires identical
-// results and identical traffic.
+// access), making paper-scale simulations and differential verification
+// cheap. The interpreter stays as an independent implementation of the
+// executor semantics: the test suite runs both engines on the same
+// programs and requires identical results, identical traffic and
+// identical error text.
 
 // Compiled is a program prepared for repeated execution.
 type Compiled struct {
@@ -132,19 +133,7 @@ func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result,
 		lim:   lim,
 		res:   &Result{Scalars: map[string]float64{}, arrays: map[string][]float64{}},
 	}
-	var next int64
-	for _, a := range cp.arrayOrder {
-		ca := carr{base: next, data: make([]float64, a.Size()), dims: a.Dims}
-		s := int64(1)
-		for _, d := range a.Dims {
-			ca.stride = append(ca.stride, s)
-			s *= int64(d)
-		}
-		env.arrays = append(env.arrays, ca)
-		next += a.Bytes()
-		next = (next + align - 1) &^ (align - 1)
-		next += align
-	}
+	env.arrays = cp.layout()
 	env.scalars = make([]float64, len(cp.prog.Scalars))
 	for i, s := range cp.prog.Scalars {
 		env.scalars[i] = s.Init
@@ -166,6 +155,105 @@ func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result,
 	env.res.Flops = env.flops
 	span.End(trace.Int("steps", env.steps), trace.Int("flops", env.flops))
 	return env.res, nil
+}
+
+// layout assigns every array its base address, strides and zero-filled
+// storage.
+func (cp *Compiled) layout() []carr {
+	arrays := make([]carr, 0, len(cp.arrayOrder))
+	var next int64
+	for _, a := range cp.arrayOrder {
+		ca := carr{base: next, data: make([]float64, a.Size()), dims: a.Dims}
+		s := int64(1)
+		for _, d := range a.Dims {
+			ca.stride = append(ca.stride, s)
+			s *= int64(d)
+		}
+		arrays = append(arrays, ca)
+		next += a.Bytes()
+		next = (next + align - 1) &^ (align - 1)
+		next += align
+	}
+	return arrays
+}
+
+// RunVectors runs the program functionally — no machine — once per
+// input vector 0, 1, ..., n-1, each under its own exec.run span and its
+// own lim.MaxSteps budget. Vector 0 is the plain run: zero-filled
+// arrays and the seeded input stream. Every later vector v starts each
+// array element at a value seeded from the array's name and the
+// element's column-major offset, and reads the input stream from a
+// position shifted by v. Names, not memory layout, pick the values, so
+// two programs that declare the same array see the same initial
+// contents.
+//
+// The runs share one set of array buffers, refilled between vectors, so
+// each Result carries prints, scalars and flops but no arrays. The
+// first failing vector ends the call: RunVectors returns the results of
+// the vectors before it and an error naming it.
+func (cp *Compiled) RunVectors(ctx context.Context, n int, lim Limits) ([]*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if faults.Should(ctx, faults.ExecCancel) {
+		return nil, fmt.Errorf("%w: injected %s", ErrCanceled, faults.ExecCancel)
+	}
+	arrays := cp.layout()
+	scalars := make([]float64, len(cp.prog.Scalars))
+	ivars := make([]int64, maxIvars(cp.prog))
+	out := make([]*Result, 0, n)
+	for v := 0; v < n; v++ {
+		for i, a := range cp.arrayOrder {
+			fillVector(arrays[i].data, a.Name, v)
+		}
+		for i, s := range cp.prog.Scalars {
+			scalars[i] = s.Init
+		}
+		vctx, span := trace.StartSpan(ctx, "exec.run", trace.String("program", cp.prog.Name),
+			trace.String("engine", "compiled"), trace.Int("vector", int64(v)))
+		env := &cenv{
+			ctx:      vctx,
+			lim:      lim,
+			arrays:   arrays,
+			scalars:  scalars,
+			ivars:    ivars,
+			res:      &Result{Scalars: make(map[string]float64, len(scalars))},
+			inputSeq: int64(v) << vectorShift,
+		}
+		if err := cp.run(env); err != nil {
+			span.End(trace.Int("steps", env.steps), trace.String("error", err.Error()))
+			return out, fmt.Errorf("input vector %d: %w", v, err)
+		}
+		for i, s := range cp.prog.Scalars {
+			env.res.Scalars[s.Name] = scalars[i]
+		}
+		env.res.Flops = env.flops
+		span.End(trace.Int("steps", env.steps), trace.Int("flops", env.flops))
+		out = append(out, env.res)
+	}
+	return out, nil
+}
+
+// vectorShift spaces the input vectors' streams 2^32 reads apart, far
+// beyond any run's read count.
+const vectorShift = 32
+
+// fillVector sets an array's initial contents for input vector v: zero
+// for vector 0, otherwise a value in [-0.5, 0.5) hashed from the array
+// name, the vector and the element offset.
+func fillVector(data []float64, name string, v int) {
+	if v == 0 {
+		clear(data)
+		return
+	}
+	h := uint64(14695981039346656037) // FNV-1a over the name
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	h += uint64(v) << vectorShift
+	for off := range data {
+		data[off] = inputValue(int64(h + uint64(off)))
+	}
 }
 
 // maxIvars counts the deepest loop-variable usage; slots are assigned
@@ -364,7 +452,7 @@ func (c *compiler) addr(r *ir.Ref) (func(env *cenv) (int64, error), int, error) 
 		idx = append(idx, f)
 	}
 	dims := decl.Dims
-	name := r.Name
+	where := ir.ExprString(r) // the interpreter's spelling, rendered once
 	return func(env *cenv) (int64, error) {
 		a := &env.arrays[ai]
 		var off int64
@@ -374,7 +462,7 @@ func (c *compiler) addr(r *ir.Ref) (func(env *cenv) (int64, error), int, error) 
 				return 0, err
 			}
 			if v < 0 || v >= int64(dims[k]) {
-				return 0, fmt.Errorf("index %d out of bounds [0,%d) in %s", v, dims[k], name)
+				return 0, fmt.Errorf("index %d out of bounds [0,%d) in %s", v, dims[k], where)
 			}
 			off += v * a.stride[k]
 		}
@@ -418,7 +506,7 @@ func (c *compiler) intExpr(x ir.Expr) (iExpr, error) {
 	case *ir.Num:
 		i := int64(x.Val)
 		if float64(i) != x.Val {
-			return nil, fmt.Errorf("non-integer literal %v in integer context", x.Val)
+			return intFail(fmt.Errorf("non-integer literal %v in integer context", x.Val)), nil
 		}
 		return func(*cenv) (int64, error) { return i, nil }, nil
 	case *ir.Var:
@@ -502,7 +590,18 @@ func (c *compiler) intExpr(x ir.Expr) (iExpr, error) {
 				return a / b, nil
 			}, nil
 		default:
-			return nil, fmt.Errorf("operator %s not allowed in integer context", x.Op)
+			// The interpreter evaluates both operands before rejecting
+			// the operator, so their errors take precedence.
+			opErr := fmt.Errorf("operator %s not allowed in integer context", x.Op)
+			return func(env *cenv) (int64, error) {
+				if _, err := l(env); err != nil {
+					return 0, err
+				}
+				if _, err := r(env); err != nil {
+					return 0, err
+				}
+				return 0, opErr
+			}, nil
 		}
 	case *ir.Call:
 		if x.Fn == "mod" && len(x.Args) == 2 {
@@ -529,10 +628,17 @@ func (c *compiler) intExpr(x ir.Expr) (iExpr, error) {
 				return a % b, nil
 			}, nil
 		}
-		return nil, fmt.Errorf("call %s not allowed in integer context", x.Fn)
+		return intFail(fmt.Errorf("call %s not allowed in integer context", x.Fn)), nil
 	default:
-		return nil, fmt.Errorf("expression %s not allowed in integer context", ir.ExprString(x))
+		return intFail(fmt.Errorf("expression %s not allowed in integer context", ir.ExprString(x))), nil
 	}
+}
+
+// intFail defers an integer-context error to run time, where the
+// interpreter reports it: code that never executes, such as a branch
+// under "if 0", must not make a valid program fail to compile.
+func intFail(err error) iExpr {
+	return func(*cenv) (int64, error) { return 0, err }
 }
 
 func (c *compiler) expr(x ir.Expr) (fExpr, error) {
@@ -689,12 +795,8 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 		}
 		args = append(args, f)
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("intrinsic %s expects %d args, got %d", x.Fn, n, len(args))
-		}
-		return nil
-	}
+	// Compile has validated the program, so each call's argument count
+	// matches the intrinsic's.
 	evalArgs := func(env *cenv, buf []float64) error {
 		for i, f := range args {
 			v, err := f(env)
@@ -707,9 +809,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 	}
 	switch x.Fn {
 	case "f":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [2]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -719,9 +818,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return 0.5*b[0] + 0.25*b[1], nil
 		}, nil
 	case "g":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [2]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -731,9 +827,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return b[0]*0.75 + b[1], nil
 		}, nil
 	case "sqrt":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [1]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -743,9 +836,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return math.Sqrt(math.Abs(b[0])), nil
 		}, nil
 	case "sin":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [1]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -755,9 +845,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return math.Sin(b[0]), nil
 		}, nil
 	case "cos":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [1]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -767,9 +854,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return math.Cos(b[0]), nil
 		}, nil
 	case "abs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [1]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -778,9 +862,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return math.Abs(b[0]), nil
 		}, nil
 	case "min":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [2]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -789,9 +870,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return math.Min(b[0], b[1]), nil
 		}, nil
 	case "max":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [2]float64
 			if err := evalArgs(env, b[:]); err != nil {
@@ -800,9 +878,6 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			return math.Max(b[0], b[1]), nil
 		}, nil
 	case "mod":
-		if err := need(2); err != nil {
-			return nil, err
-		}
 		return func(env *cenv) (float64, error) {
 			var b [2]float64
 			if err := evalArgs(env, b[:]); err != nil {

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -128,28 +130,52 @@ loop L3 { print a[0] + a[15] }
 }
 
 func TestCompiledErrorsMatchInterpreter(t *testing.T) {
-	cases := []string{
-		"program t\narray a[4]\nloop L1 { a[9] = 1 }",
-		"program t\narray a[4]\nscalar z\nloop L1 { z = 0\n a[1/z] = 1 }",
-		"program t\nscalar s\nloop L1 { s = zap(1) }",
-		"program t\nscalar s\nloop L1 { s = f(1) }",
+	progs := []*ir.Program{
+		lang.MustParse("program t\narray a[4]\nloop L1 { a[9] = 1 }"),
+		lang.MustParse("program t\narray a[4]\nloop L1 { for i = 0, 3 { a[i + 1] = 1 } }"),
+		lang.MustParse("program t\narray a[4]\nscalar z\nloop L1 { z = 0\n a[1/z] = 1 }"),
+		lang.MustParse("program t\narray a[4]\nscalar z = 0.5\nloop L1 { a[z] = 1 }"),
+		lang.MustParse("program t\narray a[4]\nloop L1 { a[1.5] = 1 }"),
+		lang.MustParse("program t\narray a[4]\nloop L1 { a[a[0]] = 1 }"),
+		lang.MustParse("program t\narray a[4]\nloop L1 { a[1 < 2] = 1 }"),
+		lang.MustParse("program t\narray a[4]\nloop L1 { a[abs(1)] = 1 }"),
+		callProgram("zap", ir.N(1)),
+		callProgram("f", ir.N(1)),
 	}
-	for _, src := range cases {
-		p := lang.MustParse(src)
+	for _, p := range progs {
 		_, err1 := Run(p, nil)
-		cp, cerr := Compile(p)
-		var err2 error
-		if cerr == nil {
+		cp, err2 := Compile(p)
+		if err2 == nil {
 			_, err2 = cp.Run(nil)
-		} else {
-			err2 = cerr
 		}
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("error divergence on %q: interp=%v compiled=%v", src, err1, err2)
+		if err1 == nil || err2 == nil {
+			t.Fatalf("case should fail on both engines:\n%s\ninterp=%v compiled=%v", p, err1, err2)
 		}
-		if err1 == nil {
-			t.Fatalf("case should fail: %q", src)
+		if err1.Error() != err2.Error() {
+			t.Errorf("error text diverged:\n%s\ninterp:   %v\ncompiled: %v", p, err1, err2)
 		}
+	}
+}
+
+// TestCompiledDefersIntegerContextErrors: a subscript the interpreter
+// would reject at run time must not stop a program from compiling when
+// the code holding it never executes.
+func TestCompiledDefersIntegerContextErrors(t *testing.T) {
+	p := lang.MustParse("program t\narray a[4]\nloop L1 { if 0 { a[1.5] = 1\n a[a[0]] = 2\n a[1 < 2] = 3 }\n print 7 }")
+	want, err := Run(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Compile(p)
+	if err != nil {
+		t.Fatalf("dead integer-context error stopped compilation: %v", err)
+	}
+	got, err := cp.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Prints) != 1 || got.Prints[0] != want.Prints[0] {
+		t.Fatalf("prints = %v, want %v", got.Prints, want.Prints)
 	}
 }
 
@@ -303,5 +329,88 @@ loop L1 {
 	r1, r2, _, _ := runBoth(t, src)
 	if math.IsNaN(r1.Prints[0]) || r1.Prints[0] != r2.Prints[0] {
 		t.Fatalf("NaN divergence: %v vs %v", r1.Prints, r2.Prints)
+	}
+}
+
+// TestRunVectors pins the input vectors of differential verification:
+// vector 0 is the plain run, vector 1 seeds arrays by name and offset
+// and shifts the input stream, and a failing vector ends the call with
+// the earlier vectors' results.
+func TestRunVectors(t *testing.T) {
+	const src = `
+program t
+array a[3]
+array b[2]
+scalar s = 1
+loop L1 {
+  for i = 0, 2 {
+    read b[0]
+    s = s + a[i] * b[0]
+    a[i] = i
+  }
+  print s
+  print a[1]
+}
+`
+	p := lang.MustParse(src)
+	want, err := Run(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := cp.RunVectors(context.Background(), 2, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rs[0].Prints, want.Prints) || !reflect.DeepEqual(rs[0].Scalars, want.Scalars) || rs[0].Flops != want.Flops {
+		t.Fatalf("vector 0 = %+v, want the interpreter's %+v", rs[0], want)
+	}
+	if rs[1].Prints[0] == want.Prints[0] {
+		t.Fatal("vector 1 printed vector 0's value: arrays or input not seeded")
+	}
+	if rs[1].Prints[1] != 1 {
+		t.Fatalf("vector 1 print 1 = %v, want the stored 1", rs[1].Prints[1])
+	}
+	if rs[0].Array("a") != nil {
+		t.Fatal("vector results carry arrays from the shared buffers")
+	}
+
+	// Seeds follow names, not layout: another array declared first
+	// moves a in memory but not its vector-1 contents.
+	q := lang.MustParse(strings.Replace(src, "array a[3]", "array z[5]\narray a[3]", 1))
+	cq, err := Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rq, err := cq.RunVectors(context.Background(), 2, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rq[1].Prints, rs[1].Prints) {
+		t.Fatalf("vector 1 depends on layout: %v vs %v", rq[1].Prints, rs[1].Prints)
+	}
+	// Buffers are shared within a call, never across calls.
+	again, err := cp.RunVectors(context.Background(), 2, Limits{})
+	if err != nil || !reflect.DeepEqual(again[1].Prints, rs[1].Prints) {
+		t.Fatalf("rerun = %v (%v), want %v", again[1].Prints, err, rs[1].Prints)
+	}
+}
+
+func TestRunVectorsStopsAtFailingVector(t *testing.T) {
+	// a[0] is 0 on vector 0 and a non-integer on vector 1.
+	p := lang.MustParse("program t\narray a[2]\nscalar s\nloop L1 { s = a[0]\n a[s] = 1\n print s }")
+	cp, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := cp.RunVectors(context.Background(), 2, Limits{})
+	if err == nil || !strings.Contains(err.Error(), "input vector 1") {
+		t.Fatalf("err = %v, want a failure naming input vector 1", err)
+	}
+	if len(rs) != 1 || len(rs[0].Prints) != 1 {
+		t.Fatalf("results = %v, want vector 0's alone", rs)
 	}
 }

@@ -253,16 +253,26 @@ loop L1 {
 	}
 }
 
+// callProgram builds "s = fn(args...)" directly in IR: the parser
+// validates, so it would reject the bad calls these tests need.
+func callProgram(fn string, args ...ir.Expr) *ir.Program {
+	p := ir.NewProgram("t")
+	p.DeclareScalar("s")
+	p.AddNest("L1", ir.Let(ir.S("s"), ir.CallE(fn, args...)))
+	return p
+}
+
 func TestUnknownIntrinsic(t *testing.T) {
-	p := lang.MustParse("program t\nscalar s\nloop L1 { s = zap(1) }")
-	if _, err := Run(p, nil); err == nil || !strings.Contains(err.Error(), "zap") {
+	if _, err := Run(callProgram("zap", ir.N(1)), nil); err == nil || !strings.Contains(err.Error(), "zap") {
 		t.Fatalf("err = %v", err)
+	}
+	if _, err := lang.Parse("program t\nscalar s\nloop L1 { if 0 { s = zap(1) } }"); err == nil {
+		t.Fatal("parser accepted an unknown intrinsic in dead code")
 	}
 }
 
 func TestIntrinsicArity(t *testing.T) {
-	p := lang.MustParse("program t\nscalar s\nloop L1 { s = f(1) }")
-	if _, err := Run(p, nil); err == nil {
+	if _, err := Run(callProgram("f", ir.N(1)), nil); err == nil {
 		t.Fatal("arity error not caught")
 	}
 }

@@ -200,11 +200,19 @@ type Bin struct {
 // Neg is unary negation (free: sign flip).
 type Neg struct{ X Expr }
 
-// Call invokes a named intrinsic. Available intrinsics and their flop
-// costs are defined by the executor (f, g, sqrt, abs, min, max, mod).
+// Call invokes a named intrinsic: f, g, sqrt, sin, cos, abs, min, max
+// or mod (see intrinsicArity). The executors define their values and
+// flop costs.
 type Call struct {
 	Fn   string
 	Args []Expr
+}
+
+// intrinsicArity is the argument count of every intrinsic the
+// executors implement; Validate rejects any other call, even in code
+// that never runs.
+var intrinsicArity = map[string]int{
+	"f": 2, "g": 2, "sqrt": 1, "sin": 1, "cos": 1, "abs": 1, "min": 2, "max": 2, "mod": 2,
 }
 
 func (*Num) isExpr()  {}
@@ -598,6 +606,13 @@ func (p *Program) validateExpr(e Expr, loopVars map[string]bool, where string) e
 	case *Neg:
 		return p.validateExpr(e.X, loopVars, where)
 	case *Call:
+		n, ok := intrinsicArity[e.Fn]
+		if !ok {
+			return fmt.Errorf("ir: %s: unknown intrinsic %q", where, e.Fn)
+		}
+		if len(e.Args) != n {
+			return fmt.Errorf("ir: %s: intrinsic %s expects %d args, got %d", where, e.Fn, n, len(e.Args))
+		}
 		for _, a := range e.Args {
 			if err := p.validateExpr(a, loopVars, where); err != nil {
 				return err

@@ -320,7 +320,7 @@ func randomProgram(rng *rand.Rand) *ir.Program {
 		case 3:
 			return &ir.Neg{X: gen(depth - 1)}
 		default:
-			return ir.CallE("f", gen(depth-1))
+			return ir.CallE("abs", gen(depth-1))
 		}
 	}
 	randExpr = gen

@@ -160,8 +160,18 @@ func (p *parser) parseConstIntExpr() (int64, error) {
 	if !ok || !a.IsConst() {
 		return 0, p.errf(t, "expression must be a compile-time integer constant")
 	}
+	// Literals parse through float64, so a constant beyond its exact
+	// integer range would print as a literal that re-parses to another
+	// value.
+	if a.Const > maxExactInt || a.Const < -maxExactInt {
+		return 0, p.errf(t, "constant %d is beyond ±2^53, the integers a float64 holds exactly", a.Const)
+	}
 	return a.Const, nil
 }
+
+// maxExactInt is 2^53: every integer of smaller magnitude has an exact
+// float64.
+const maxExactInt = 1 << 53
 
 func (p *parser) parseArray() error {
 	p.advance() // array

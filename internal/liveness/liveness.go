@@ -269,10 +269,16 @@ const (
 	// CarryLevel — the array shrinks to a current-value scalar plus a
 	// carry buffer over the deeper index dimensions.
 	CarryOne
-	// ForwardOnly: elements are written once and all same-iteration
-	// reads after the write can be forwarded, but earlier reads consume
-	// the array's incoming values — the store (writeback) can be
-	// eliminated while keeping the loads (Figure 7's res).
+	// ForwardOnly: every read has the store's subscript; reads after
+	// the store in an iteration can be forwarded, and reads before it
+	// are taken to consume the array's incoming values — the store
+	// (writeback) can be eliminated while keeping the loads (Figure 7's
+	// res). The classification compares subscripts only. It does not
+	// check that each element is written once: a store that leaves an
+	// enclosing loop variable out of its subscript (sweep3d's edgeI[j]
+	// inside the angle loop) rewrites elements, and a read before it
+	// then consumes an earlier iteration's store. Store elimination
+	// checks that itself.
 	ForwardOnly
 )
 

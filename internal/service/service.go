@@ -8,7 +8,7 @@
 //
 //   - a bounded worker pool: at most Config.Workers analyses run
 //     concurrently, every request carries a context deadline, and the
-//     deadline is threaded down into internal/exec's interpreter loops
+//     deadline is threaded down into internal/exec's execution loops
 //     and internal/sim's trace replay, so a hostile or huge program is
 //     cut off promptly (ErrCanceled) instead of wedging a worker;
 //   - a content-addressed LRU result cache (internal/cache): the

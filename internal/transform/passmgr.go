@@ -55,9 +55,10 @@ type Config struct {
 	// MaxFixpointIters bounds the scans of each fixpoint loop;
 	// non-positive means DefaultMaxFixpointIters.
 	MaxFixpointIters int
-	// ExecLimits bounds every program execution the pipeline performs
-	// (the differential baseline run and each checkpoint's verification
-	// run). The zero value imposes no limit.
+	// ExecLimits bounds every program execution the pipeline performs:
+	// the differential baseline and each checkpoint's verification run
+	// once per input vector, each run under its own budget. The zero
+	// value imposes no limit.
 	ExecLimits exec.Limits
 	// NoAnalysisCache makes the analysis manager recompute every
 	// analysis on every request instead of memoizing per program
@@ -136,7 +137,7 @@ type PassStat struct {
 type Outcome struct {
 	// Mode is the verification mode the run effectively used (it can
 	// downgrade from differential to structural when the reference run
-	// of the input program itself fails; see Notes).
+	// of the input program itself fails on input vector 0; see Notes).
 	Mode verify.Mode
 	// Actions logs applied transformations and skipped passes in
 	// pipeline order.
@@ -208,7 +209,7 @@ type manager struct {
 	cur          *ir.Program        // last known-good program
 	am           *analysis.Manager  // analysis cache over cur
 	curPreserved analysis.Preserved // preserved set of the running pass
-	baseline     *exec.Result       // reference result of the input, for differential mode
+	baseline     []*exec.Result     // reference results of the input, one per input vector, for differential mode
 	out          *Outcome
 	steps        int             // checkpoints committed by the current pass
 	blocked      map[string]bool // (pass,nest,array) steps that already failed once
@@ -239,22 +240,32 @@ func newManager(ctx context.Context, p *ir.Program, cfg Config) *manager {
 	}
 	m.am.SetTraceContext(ctx)
 	if cfg.Verify >= verify.ModeDifferential {
+		// The input's reference results, computed once per pipeline. A
+		// failure on input vector 0 downgrades the run to structural
+		// verification; a failure on a later vector only drops that
+		// vector from the comparison.
 		bctx, bspan := trace.StartSpan(ctx, "transform.baseline")
-		ref, err := exec.RunCtx(bctx, p, nil, cfg.ExecLimits)
+		refs, err := verify.BaselineCtx(bctx, p, cfg.ExecLimits)
 		switch {
 		case err == nil:
-			m.baseline = ref
+			m.baseline = refs
 			bspan.End()
 		case errors.Is(err, exec.ErrCanceled):
 			m.stop = true
 			m.note("pipeline canceled during baseline run")
 			bspan.End(trace.String("error", err.Error()))
-		default:
+		case len(refs) == 0:
 			m.cfg.Verify = verify.ModeStructural
 			m.out.Mode = verify.ModeStructural
 			m.note("differential baseline run failed (%v); downgraded to structural verification", err)
 			bspan.End(trace.String("error", err.Error()),
 				trace.String("verdict", "downgraded-to-structural"))
+		default:
+			m.baseline = refs
+			m.note("differential baseline run failed (%v); comparing over %d of %d input vectors",
+				err, len(refs), verify.Vectors)
+			bspan.End(trace.String("error", err.Error()),
+				trace.String("verdict", "vector-dropped"))
 		}
 	}
 	return m

@@ -18,7 +18,10 @@ import (
 //   - the array classifies ForwardOnly or ScalarLike in the nest;
 //   - it is not live after the nest (no later nest reads it);
 //   - the nest contains exactly one store to it, unconditionally
-//     executed at the top level of its loop body.
+//     executed at the top level of its loop body;
+//   - for a ForwardOnly array, the store writes each element once
+//     (every enclosing loop variable indexes it), or every read of the
+//     array feeds the store itself (a dead accumulator).
 func EliminateStores(p *ir.Program, nestIdx int, array string) (*ir.Program, error) {
 	cl := liveness.Classify(p, nestIdx, array)
 	if cl.Kind != liveness.ForwardOnly && cl.Kind != liveness.ScalarLike {
@@ -56,6 +59,17 @@ func eliminateStoresWith(p *ir.Program, nestIdx int, array string, cl liveness.C
 	}
 	if len(writes[0].Guards) != 0 {
 		return nil, fmt.Errorf("transform: store to %s is conditional", array)
+	}
+	// A forward-only array's reads before the store take the array's
+	// incoming values, which elimination leaves in memory. That holds
+	// only if no earlier iteration stored to the element first. When the
+	// store can write one element twice — there is a loop variable it
+	// does not index — a read may consume an earlier iteration's store.
+	// Only a dead accumulator, whose every read feeds the store itself,
+	// survives losing those values.
+	if cl.Kind == liveness.ForwardOnly && !injectiveStore(p, writes[0]) &&
+		!readsFeedStore(p, p.Nests[nestIdx], writes[0].Ref, uses) {
+		return nil, fmt.Errorf("transform: store to %s rewrites elements across iterations of a loop it does not index, and other statements read them", array)
 	}
 
 	out := p.Clone()
@@ -126,4 +140,73 @@ func forwardReads(ss []ir.Stmt, array, scalar string) {
 		// No writes can appear after the unique store.
 		return nil, ir.S(scalar)
 	})
+}
+
+// injectiveStore reports whether a store writes each element at most
+// once per execution of its nest: every enclosing loop variable is the
+// sole variable of some subscript, so distinct iterations write distinct
+// elements.
+func injectiveStore(p *ir.Program, w liveness.Use) bool {
+	subs := make([][]string, len(w.Ref.Index))
+	for k, ix := range w.Ref.Index {
+		a, ok := ir.AffineOf(ix, p.Consts)
+		if !ok {
+			return false
+		}
+		subs[k] = a.Vars()
+	}
+	for _, l := range w.Loops {
+		indexed := false
+		for _, vars := range subs {
+			if len(vars) == 1 && vars[0] == l.Var {
+				indexed = true
+				break
+			}
+		}
+		if !indexed {
+			return false
+		}
+	}
+	return true
+}
+
+// readsFeedStore reports whether every read among uses sits in the
+// right-hand side of the assignment that stores through lhs.
+func readsFeedStore(p *ir.Program, n *ir.Nest, lhs *ir.Ref, uses []liveness.Use) bool {
+	st := storeOf(n.Body, lhs)
+	if st == nil {
+		return false
+	}
+	own := map[*ir.Ref]bool{}
+	// WalkRefs walks statements; a print of the RHS visits its reads.
+	ir.WalkRefs([]ir.Stmt{&ir.Print{Arg: st.RHS}}, p, func(r *ir.Ref, _ bool) { own[r] = true })
+	for _, u := range uses {
+		if !u.Write && !own[u.Ref] {
+			return false
+		}
+	}
+	return true
+}
+
+// storeOf finds the assignment whose left-hand side is lhs.
+func storeOf(ss []ir.Stmt, lhs *ir.Ref) *ir.Assign {
+	for _, s := range ss {
+		var found *ir.Assign
+		switch s := s.(type) {
+		case *ir.Assign:
+			if s.LHS == lhs {
+				return s
+			}
+		case *ir.For:
+			found = storeOf(s.Body, lhs)
+		case *ir.If:
+			if found = storeOf(s.Then, lhs); found == nil {
+				found = storeOf(s.Else, lhs)
+			}
+		}
+		if found != nil {
+			return found
+		}
+	}
+	return nil
 }

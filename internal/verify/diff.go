@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -23,23 +24,26 @@ const DefaultTol = 1e-9
 // wraps it in a PassError carrying the attribution to the failing
 // pass.
 type Divergence struct {
-	Kind  string // "print-count", "print" or "scalar"
-	Index int    // print index, for Kind "print"
-	Name  string // scalar name, for Kind "scalar"
-	Want  float64
-	Got   float64
+	Vector int    // input vector of the diverging runs (see Vectors)
+	Kind   string // "print-count", "print" or "scalar"
+	Index  int    // print index, for Kind "print"
+	Name   string // scalar name, for Kind "scalar"
+	Want   float64
+	Got    float64
 }
 
 func (d *Divergence) Error() string {
+	var what string
 	switch d.Kind {
 	case "print-count":
-		return fmt.Sprintf("verify: print count diverged: original prints %d values, transformed %d",
+		what = fmt.Sprintf("print count diverged: original prints %d values, transformed %d",
 			int(d.Want), int(d.Got))
 	case "print":
-		return fmt.Sprintf("verify: print %d diverged: original %g, transformed %g", d.Index, d.Want, d.Got)
+		what = fmt.Sprintf("print %d diverged: original %g, transformed %g", d.Index, d.Want, d.Got)
 	default:
-		return fmt.Sprintf("verify: scalar %s diverged: original %g, transformed %g", d.Name, d.Want, d.Got)
+		what = fmt.Sprintf("scalar %s diverged: original %g, transformed %g", d.Name, d.Want, d.Got)
 	}
+	return fmt.Sprintf("verify: input vector %d: %s", d.Vector, what)
 }
 
 // approxEqual is relative-tolerance equality, matching the transform
@@ -56,6 +60,15 @@ func approxEqual(a, b, tol float64) bool {
 // array contents may differ between semantically equivalent programs.
 // It returns a *Divergence describing the first difference, or nil.
 func CompareResults(ref, got *exec.Result, tol float64) error {
+	if d := compare(ref, got, tol); d != nil {
+		return d
+	}
+	return nil
+}
+
+// compare is CompareResults with a concrete result type, so a caller
+// can say which input vector diverged.
+func compare(ref, got *exec.Result, tol float64) *Divergence {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
@@ -82,44 +95,87 @@ func CompareResults(ref, got *exec.Result, tol float64) error {
 	return nil
 }
 
+// Vectors is the number of input vectors a differential check compares
+// over. Vector 0 is the plain run: zero-filled arrays and the seeded
+// input stream. Vector 1 starts every array element at a value seeded
+// from the array's name and offset and shifts the input stream (see
+// exec.Compiled.RunVectors), so a rewrite that is right only when
+// arrays start at zero — one that drops a read of an array's incoming
+// values, say — diverges on it.
+const Vectors = 2
+
 // Differential runs the original and transformed programs functionally
-// (no machine model) and compares their results with CompareResults.
-// Execution is fully deterministic: arrays start zero-filled and every
-// ReadInput statement consumes the interpreter's seeded pseudo-input
-// stream, so the two programs observe identical external data.
+// on the compiled engine, over the Vectors input vectors, and compares
+// their results with CompareResults. Execution is fully deterministic,
+// so the two programs observe identical external data. A vector on
+// which the original itself fails is dropped, as in BaselineCtx; a
+// failure on vector 0 leaves nothing to compare and is an error.
 func Differential(orig, xform *ir.Program, tol float64) error {
-	return DifferentialCtx(context.Background(), orig, xform, tol, exec.Limits{})
-}
-
-// DifferentialCtx is Differential with cancellation and a step budget
-// threaded into both runs. It returns an error wrapping
-// exec.ErrCanceled (or exec.ErrStepBudget) when a run is cut short, so
-// callers can distinguish an abandoned check from a real divergence.
-func DifferentialCtx(ctx context.Context, orig, xform *ir.Program, tol float64, lim exec.Limits) error {
-	ref, err := exec.RunCtx(ctx, orig, nil, lim)
-	if err != nil {
-		return fmt.Errorf("verify: reference run failed: %w", err)
-	}
-	return DifferentialAgainstCtx(ctx, ref, xform, tol, lim)
-}
-
-// DifferentialAgainstCtx compares a transformed program against an
-// already-computed reference result, so a pipeline verifying many
-// checkpoints runs the original only once. Cancellation and a step
-// budget are threaded into the transformed run.
-func DifferentialAgainstCtx(ctx context.Context, ref *exec.Result, xform *ir.Program, tol float64, lim exec.Limits) error {
-	ctx, span := trace.StartSpan(ctx, "verify.differential")
-	got, err := exec.RunCtx(ctx, xform, nil, lim)
-	if err != nil {
-		span.End(trace.String("error", err.Error()))
-		return fmt.Errorf("verify: transformed run failed: %w", err)
-	}
-	err = CompareResults(ref, got, tol)
-	if err != nil {
-		span.End(trace.String("verdict", "diverged"), trace.String("error", err.Error()))
+	ctx := context.Background()
+	refs, err := BaselineCtx(ctx, orig, exec.Limits{})
+	if len(refs) == 0 {
 		return err
 	}
-	span.End(trace.String("verdict", "equivalent"))
+	return DifferentialAgainstCtx(ctx, refs, xform, tol, exec.Limits{})
+}
+
+// BaselineCtx compiles the original program once and runs it over the
+// Vectors input vectors, returning one reference result per vector for
+// DifferentialAgainstCtx. When the original fails on a vector, the
+// results of the vectors before it are returned with the error: the
+// failing vector and those after it are dropped, and a caller may go on
+// comparing over the rest. An empty result means vector 0 failed, and
+// there is nothing to compare against. Errors wrap exec.ErrCanceled or
+// exec.ErrStepBudget when a run was cut short.
+func BaselineCtx(ctx context.Context, orig *ir.Program, lim exec.Limits) ([]*exec.Result, error) {
+	cp, err := exec.Compile(orig)
+	if err != nil {
+		return nil, fmt.Errorf("verify: reference program does not compile: %w", err)
+	}
+	refs, err := cp.RunVectors(ctx, Vectors, lim)
+	if err != nil {
+		return refs, fmt.Errorf("verify: reference run failed: %w", err)
+	}
+	return refs, nil
+}
+
+// DifferentialAgainstCtx compares a transformed program against the
+// reference results of BaselineCtx, so a pipeline verifying many
+// checkpoints runs the original only once. It compiles the transformed
+// program and runs it over the first len(refs) input vectors on the
+// compiled engine, with cancellation and the step budget threaded into
+// every run; an error wrapping exec.ErrCanceled or exec.ErrStepBudget
+// means the check was cut short rather than failed. It returns a
+// *Divergence for the first vector whose results differ.
+func DifferentialAgainstCtx(ctx context.Context, refs []*exec.Result, xform *ir.Program, tol float64, lim exec.Limits) error {
+	ctx, span := trace.StartSpan(ctx, "verify.differential", trace.Int("vectors", int64(len(refs))))
+	err := differential(ctx, refs, xform, tol, lim)
+	switch {
+	case err == nil:
+		span.End(trace.String("verdict", "equivalent"))
+	case errors.As(err, new(*Divergence)):
+		span.End(trace.String("verdict", "diverged"), trace.String("error", err.Error()))
+	default:
+		span.End(trace.String("error", err.Error()))
+	}
+	return err
+}
+
+func differential(ctx context.Context, refs []*exec.Result, xform *ir.Program, tol float64, lim exec.Limits) error {
+	cp, err := exec.Compile(xform)
+	if err != nil {
+		return fmt.Errorf("verify: transformed program does not compile: %w", err)
+	}
+	got, err := cp.RunVectors(ctx, len(refs), lim)
+	if err != nil {
+		return fmt.Errorf("verify: transformed run failed: %w", err)
+	}
+	for v, ref := range refs {
+		if d := compare(ref, got[v], tol); d != nil {
+			d.Vector = v
+			return d
+		}
+	}
 	return nil
 }
 

@@ -2,14 +2,15 @@
 // a deep structural IR verifier that goes beyond Program.Validate
 // (static subscript bounds under loop ranges and guard refinement),
 // and a differential-execution checker that runs the original and
-// transformed programs on the interpreter's deterministic input stream
-// and compares their observable results within a tolerance.
+// transformed programs on the compiled engine over Vectors
+// deterministic input vectors and compares their observable results
+// within a tolerance.
 //
 // Both checkers are conservative in opposite directions. The
 // structural verifier only reports a violation when the offending
 // subscript range is statically known — an unknown range (a subscript
 // through a scalar, for instance) is accepted and left to the dynamic
-// bounds checks of the interpreter. The differential checker compares
+// bounds checks of the execution engines. The differential checker compares
 // the program's observability boundary — printed values, in order, and
 // final values of scalars present in both programs — because array
 // contents may legally change under storage reduction and store
