@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/faults"
 	"repro/internal/ir"
 	"repro/internal/trace"
 )
@@ -118,43 +117,54 @@ func (cp *Compiled) Run(h Machine) (*Result, error) {
 // stateless between runs, so one Compiled may serve many concurrent
 // RunCtx calls, each with its own context.
 func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	ctx, err := startRun(ctx)
+	if err != nil {
+		return nil, err
 	}
-	if faults.Should(ctx, faults.ExecCancel) {
-		return nil, fmt.Errorf("%w: injected %s", ErrCanceled, faults.ExecCancel)
-	}
-	ctx, span := trace.StartSpan(ctx, "exec.run", trace.String("program", cp.prog.Name),
-		trace.String("engine", "compiled"))
 	env := &cenv{
-		mach:  h,
-		smach: siteMachine(h),
-		ctx:   ctx,
-		lim:   lim,
-		res:   &Result{Scalars: map[string]float64{}, arrays: map[string][]float64{}},
+		mach:    h,
+		smach:   siteMachine(h),
+		lim:     lim,
+		arrays:  cp.layout(),
+		scalars: make([]float64, len(cp.prog.Scalars)),
+		ivars:   make([]int64, maxIvars(cp.prog)),
 	}
-	env.arrays = cp.layout()
-	env.scalars = make([]float64, len(cp.prog.Scalars))
+	if err := cp.runOnce(ctx, env); err != nil {
+		return nil, err
+	}
+	env.res.arrays = make(map[string][]float64, len(cp.arrayOrder))
+	for i, a := range cp.arrayOrder {
+		env.res.arrays[a.Name] = env.arrays[i].data
+	}
+	return env.res, nil
+}
+
+// runOnce executes the program once in env, whose arrays and loop
+// variable slots the caller has prepared, under an exec.run span that
+// also carries attrs. It resets the scalars to their initial values,
+// flushes env.mach when there is one, and leaves the final scalars and
+// flops in env.res.
+func (cp *Compiled) runOnce(ctx context.Context, env *cenv, attrs ...trace.Attr) error {
+	ctx, span := trace.StartSpan(ctx, "exec.run", append([]trace.Attr{trace.String("program", cp.prog.Name),
+		trace.String("engine", "compiled")}, attrs...)...)
+	env.ctx = ctx
 	for i, s := range cp.prog.Scalars {
 		env.scalars[i] = s.Init
 	}
-	env.ivars = make([]int64, maxIvars(cp.prog))
+	env.res = &Result{Scalars: make(map[string]float64, len(env.scalars))}
 	if err := cp.run(env); err != nil {
 		span.End(trace.Int("steps", env.steps), trace.String("error", err.Error()))
-		return nil, err
+		return err
 	}
-	if h != nil {
-		h.Flush()
+	if env.mach != nil {
+		env.mach.Flush()
 	}
 	for i, s := range cp.prog.Scalars {
 		env.res.Scalars[s.Name] = env.scalars[i]
 	}
-	for i, a := range cp.arrayOrder {
-		env.res.arrays[a.Name] = env.arrays[i].data
-	}
 	env.res.Flops = env.flops
 	span.End(trace.Int("steps", env.steps), trace.Int("flops", env.flops))
-	return env.res, nil
+	return nil
 }
 
 // layout assigns every array its base address, strides and zero-filled
@@ -192,11 +202,9 @@ func (cp *Compiled) layout() []carr {
 // first failing vector ends the call: RunVectors returns the results of
 // the vectors before it and an error naming it.
 func (cp *Compiled) RunVectors(ctx context.Context, n int, lim Limits) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if faults.Should(ctx, faults.ExecCancel) {
-		return nil, fmt.Errorf("%w: injected %s", ErrCanceled, faults.ExecCancel)
+	ctx, err := startRun(ctx)
+	if err != nil {
+		return nil, err
 	}
 	arrays := cp.layout()
 	scalars := make([]float64, len(cp.prog.Scalars))
@@ -206,29 +214,10 @@ func (cp *Compiled) RunVectors(ctx context.Context, n int, lim Limits) ([]*Resul
 		for i, a := range cp.arrayOrder {
 			fillVector(arrays[i].data, a.Name, v)
 		}
-		for i, s := range cp.prog.Scalars {
-			scalars[i] = s.Init
-		}
-		vctx, span := trace.StartSpan(ctx, "exec.run", trace.String("program", cp.prog.Name),
-			trace.String("engine", "compiled"), trace.Int("vector", int64(v)))
-		env := &cenv{
-			ctx:      vctx,
-			lim:      lim,
-			arrays:   arrays,
-			scalars:  scalars,
-			ivars:    ivars,
-			res:      &Result{Scalars: make(map[string]float64, len(scalars))},
-			inputSeq: int64(v) << vectorShift,
-		}
-		if err := cp.run(env); err != nil {
-			span.End(trace.Int("steps", env.steps), trace.String("error", err.Error()))
+		env := &cenv{lim: lim, arrays: arrays, scalars: scalars, ivars: ivars, inputSeq: int64(v) << vectorShift}
+		if err := cp.runOnce(ctx, env, trace.Int("vector", int64(v))); err != nil {
 			return out, fmt.Errorf("input vector %d: %w", v, err)
 		}
-		for i, s := range cp.prog.Scalars {
-			env.res.Scalars[s.Name] = scalars[i]
-		}
-		env.res.Flops = env.flops
-		span.End(trace.Int("steps", env.steps), trace.Int("flops", env.flops))
 		out = append(out, env.res)
 	}
 	return out, nil
@@ -795,23 +784,21 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 		}
 		args = append(args, f)
 	}
-	// Compile has validated the program, so each call's argument count
-	// matches the intrinsic's.
-	evalArgs := func(env *cenv, buf []float64) error {
+	// Compile has validated the program, so each call has its
+	// intrinsic's argument count, and none takes more than two.
+	evalArgs := func(env *cenv) (b [2]float64, err error) {
 		for i, f := range args {
-			v, err := f(env)
-			if err != nil {
-				return err
+			if b[i], err = f(env); err != nil {
+				return b, err
 			}
-			buf[i] = v
 		}
-		return nil
+		return b, nil
 	}
 	switch x.Fn {
 	case "f":
 		return func(env *cenv) (float64, error) {
-			var b [2]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			env.flop(2)
@@ -819,8 +806,8 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 		}, nil
 	case "g":
 		return func(env *cenv) (float64, error) {
-			var b [2]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			env.flop(2)
@@ -828,8 +815,8 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 		}, nil
 	case "sqrt":
 		return func(env *cenv) (float64, error) {
-			var b [1]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			env.flop(1)
@@ -837,8 +824,8 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 		}, nil
 	case "sin":
 		return func(env *cenv) (float64, error) {
-			var b [1]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			env.flop(1)
@@ -846,8 +833,8 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 		}, nil
 	case "cos":
 		return func(env *cenv) (float64, error) {
-			var b [1]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			env.flop(1)
@@ -855,32 +842,32 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 		}, nil
 	case "abs":
 		return func(env *cenv) (float64, error) {
-			var b [1]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			return math.Abs(b[0]), nil
 		}, nil
 	case "min":
 		return func(env *cenv) (float64, error) {
-			var b [2]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			return math.Min(b[0], b[1]), nil
 		}, nil
 	case "max":
 		return func(env *cenv) (float64, error) {
-			var b [2]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			return math.Max(b[0], b[1]), nil
 		}, nil
 	case "mod":
 		return func(env *cenv) (float64, error) {
-			var b [2]float64
-			if err := evalArgs(env, b[:]); err != nil {
+			b, err := evalArgs(env)
+			if err != nil {
 				return 0, err
 			}
 			if b[1] == 0 {
@@ -888,7 +875,7 @@ func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
 			}
 			return math.Mod(b[0], b[1]), nil
 		}, nil
-	default:
+	default: // unreachable: Validate rejects unknown intrinsics
 		return nil, fmt.Errorf("unknown intrinsic %q", x.Fn)
 	}
 }

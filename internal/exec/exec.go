@@ -127,11 +127,9 @@ func RunCtx(ctx context.Context, p *ir.Program, h Machine, lim Limits) (*Result,
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if faults.Should(ctx, faults.ExecCancel) {
-		return nil, fmt.Errorf("%w: injected %s", ErrCanceled, faults.ExecCancel)
+	ctx, err := startRun(ctx)
+	if err != nil {
+		return nil, err
 	}
 	ctx, span := trace.StartSpan(ctx, "exec.run", trace.String("program", p.Name),
 		trace.String("engine", "interp"))
@@ -156,6 +154,19 @@ func RunCtx(ctx context.Context, p *ir.Program, h Machine, lim Limits) (*Result,
 	e.res.Flops = e.flops
 	span.End(trace.Int("steps", e.steps), trace.Int("flops", e.flops))
 	return e.res, nil
+}
+
+// startRun is the prologue every execution entry point shares: a nil
+// ctx means context.Background(), and an injected exec.cancel fault ends
+// the call before anything runs.
+func startRun(ctx context.Context) (context.Context, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if faults.Should(ctx, faults.ExecCancel) {
+		return nil, fmt.Errorf("%w: injected %s", ErrCanceled, faults.ExecCancel)
+	}
+	return ctx, nil
 }
 
 type arrayState struct {
@@ -465,67 +476,36 @@ func (e *interp) call(c *ir.Call) (float64, error) {
 		}
 		args[i] = v
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("intrinsic %s expects %d args, got %d", c.Fn, n, len(args))
-		}
-		return nil
-	}
+	// RunCtx has validated the program, so each call has its
+	// intrinsic's argument count.
 	switch c.Fn {
 	case "f":
-		if err := need(2); err != nil {
-			return 0, err
-		}
 		e.flop(2)
 		return 0.5*args[0] + 0.25*args[1], nil
 	case "g":
-		if err := need(2); err != nil {
-			return 0, err
-		}
 		e.flop(2)
 		return args[0]*0.75 + args[1], nil
 	case "sqrt":
-		if err := need(1); err != nil {
-			return 0, err
-		}
 		e.flop(1)
 		return math.Sqrt(math.Abs(args[0])), nil
 	case "sin":
-		if err := need(1); err != nil {
-			return 0, err
-		}
 		e.flop(1)
 		return math.Sin(args[0]), nil
 	case "cos":
-		if err := need(1); err != nil {
-			return 0, err
-		}
 		e.flop(1)
 		return math.Cos(args[0]), nil
 	case "abs":
-		if err := need(1); err != nil {
-			return 0, err
-		}
 		return math.Abs(args[0]), nil
 	case "min":
-		if err := need(2); err != nil {
-			return 0, err
-		}
 		return math.Min(args[0], args[1]), nil
 	case "max":
-		if err := need(2); err != nil {
-			return 0, err
-		}
 		return math.Max(args[0], args[1]), nil
 	case "mod":
-		if err := need(2); err != nil {
-			return 0, err
-		}
 		if args[1] == 0 {
 			return 0, fmt.Errorf("mod by zero")
 		}
 		return math.Mod(args[0], args[1]), nil
-	default:
+	default: // unreachable: Validate rejects unknown intrinsics
 		return 0, fmt.Errorf("unknown intrinsic %q", c.Fn)
 	}
 }

@@ -155,3 +155,60 @@ func TestStoreElimKeepsRewrittenElements(t *testing.T) {
 		t.Fatalf("store-elim applied to %v, want flux but neither edgeI nor edgeJ", elim)
 	}
 }
+
+// TestRegroupOfIncomingArraysRollsBack pins a deliberate consequence of
+// seeding vector 1 by array name: regrouping renames a and b, so a
+// program that reads their incoming contents sees different values
+// after the rewrite and the step rolls back with a vector-1
+// Divergence. A program that writes a and b before reading them
+// observes no incoming contents, and its regrouping commits.
+func TestRegroupOfIncomingArraysRollsBack(t *testing.T) {
+	cfg := Config{Pipeline: "regroup:a+b", Verify: verify.ModeDifferential}
+	reads := lang.MustParse(`
+program reads
+array a[8]
+array b[8]
+scalar s
+loop L1 {
+  for i = 0, 7 {
+    s = s + a[i] * b[i]
+  }
+  print s
+}
+`)
+	q, out, err := OptimizeVerified(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d *verify.Divergence
+	if len(out.Skipped) != 1 || !errors.As(out.Skipped[0], &d) || d.Vector != 1 {
+		t.Fatalf("skipped = %v, want one vector-1 Divergence", out.Skipped)
+	}
+	if q.String() != reads.String() {
+		t.Fatal("rolled-back regrouping changed the program")
+	}
+
+	writes := lang.MustParse(`
+program writes
+array a[8]
+array b[8]
+scalar s
+loop L1 {
+  for i = 0, 7 {
+    a[i] = i
+    b[i] = 2 * i
+  }
+  for i = 0, 7 {
+    s = s + a[i] * b[i]
+  }
+  print s
+}
+`)
+	q, out, err = OptimizeVerified(writes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Skipped) != 0 || out.Checkpoints != 1 || q.ArrayByName("a") != nil {
+		t.Fatalf("regrouping of written-first arrays not committed: skipped %v, %d checkpoints", out.Skipped, out.Checkpoints)
+	}
+}

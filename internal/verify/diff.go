@@ -104,21 +104,6 @@ func compare(ref, got *exec.Result, tol float64) *Divergence {
 // values, say — diverges on it.
 const Vectors = 2
 
-// Differential runs the original and transformed programs functionally
-// on the compiled engine, over the Vectors input vectors, and compares
-// their results with CompareResults. Execution is fully deterministic,
-// so the two programs observe identical external data. A vector on
-// which the original itself fails is dropped, as in BaselineCtx; a
-// failure on vector 0 leaves nothing to compare and is an error.
-func Differential(orig, xform *ir.Program, tol float64) error {
-	ctx := context.Background()
-	refs, err := BaselineCtx(ctx, orig, exec.Limits{})
-	if len(refs) == 0 {
-		return err
-	}
-	return DifferentialAgainstCtx(ctx, refs, xform, tol, exec.Limits{})
-}
-
 // BaselineCtx compiles the original program once and runs it over the
 // Vectors input vectors, returning one reference result per vector for
 // DifferentialAgainstCtx. When the original fails on a vector, the

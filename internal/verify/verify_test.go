@@ -1,9 +1,11 @@
 package verify
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 )
@@ -127,10 +129,21 @@ func testKernels(t *testing.T) []*ir.Program {
 	return ps
 }
 
+// checkPair compares two programs over every input vector the
+// original runs on, as the pass manager does for one checkpoint.
+func checkPair(orig, xform *ir.Program, tol float64) error {
+	ctx := context.Background()
+	refs, err := BaselineCtx(ctx, orig, exec.Limits{})
+	if err != nil {
+		return err
+	}
+	return DifferentialAgainstCtx(ctx, refs, xform, tol, exec.Limits{})
+}
+
 func TestDifferentialEquivalentPair(t *testing.T) {
 	// Fig6Original and Fig6Fused are the paper's worked example of a
 	// semantics-preserving rewrite.
-	if err := Differential(kernels.Fig6Original(24), kernels.Fig6Fused(24), 0); err != nil {
+	if err := checkPair(kernels.Fig6Original(24), kernels.Fig6Fused(24), 0); err != nil {
 		t.Fatalf("equivalent pair diverged: %v", err)
 	}
 }
@@ -146,7 +159,7 @@ func TestDifferentialDetectsDivergence(t *testing.T) {
 				ir.Show(ir.At("a", ir.V("i")))))
 		return p
 	}
-	err := Differential(mk(1), mk(2), 0)
+	err := checkPair(mk(1), mk(2), 0)
 	if err == nil {
 		t.Fatal("divergent pair accepted")
 	}
@@ -167,7 +180,7 @@ func TestCompareResultsScalarAndCount(t *testing.T) {
 	q := ir.NewProgram("q")
 	q.DeclareScalar("s")
 	q.AddNest("l1", ir.Let(ir.S("s"), ir.N(2)), ir.Show(ir.N(1)))
-	err := Differential(p, q, 0)
+	err := checkPair(p, q, 0)
 	d, ok := err.(*Divergence)
 	if !ok || d.Kind != "scalar" || d.Name != "s" {
 		t.Fatalf("want scalar divergence on s, got %v", err)
@@ -175,7 +188,7 @@ func TestCompareResultsScalarAndCount(t *testing.T) {
 
 	r := ir.NewProgram("r")
 	r.AddNest("l1", ir.Show(ir.N(1)), ir.Show(ir.N(2)))
-	err = Differential(p, r, 0)
+	err = checkPair(p, r, 0)
 	d, ok = err.(*Divergence)
 	if !ok || d.Kind != "print-count" {
 		t.Fatalf("want print-count divergence, got %v", err)
