@@ -427,6 +427,28 @@ func BenchmarkCompiledExecutor(b *testing.B) {
 	b.ReportMetric(100_000, "elems/op")
 }
 
+// BenchmarkCompiledVerifyMatmul measures the engine behind differential
+// verification: RunVectors over both input vectors of a 128³ matrix
+// multiply with no machine, as the pass manager's baseline and every
+// differential check run it. It reports ns per executed loop-body
+// iteration across the two vectors.
+func BenchmarkCompiledVerifyMatmul(b *testing.B) {
+	const n = 128
+	cp, err := exec.Compile(kernels.MatmulJKI(n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cp.RunVectors(ctx, 2, exec.Limits{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	iters := float64(2 * (n + n*n + n*n*n))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*iters), "ns/iter")
+}
+
 // BenchmarkCompiledExecutorWithSim includes the cache simulator, the
 // configuration used by every experiment.
 func BenchmarkCompiledExecutorWithSim(b *testing.B) {

@@ -12,13 +12,31 @@ import (
 // Closure compiler: the production execution engine. It compiles a
 // program to a tree of Go closures with all name resolution done once,
 // ahead of time — array bases and strides, scalar slots and loop
-// variable slots become direct pointers. It runs several times faster
-// than the tree-walking interpreter (which re-resolves names per
-// access), making paper-scale simulations and differential verification
-// cheap. The interpreter stays as an independent implementation of the
-// executor semantics: the test suite runs both engines on the same
-// programs and requires identical results, identical traffic and
-// identical error text.
+// variable slots become direct indices. The interpreter stays as an
+// independent implementation of the executor semantics: the test suite
+// runs both engines on the same programs and requires identical
+// results, identical traffic and identical error text.
+//
+// Two choices keep the per-iteration cost low.
+//
+// Closures return bare values (func(*cenv) float64, int64, or nothing).
+// A run-time fault — an index out of bounds, a non-integer in integer
+// context, division or mod by zero, the step budget, cancellation —
+// panics with a runFault (a fast reference out of bounds panics with
+// the reference itself; see cref.fastOffset), and the nest's closure
+// recovers it into the "exec: nest L: ..." error the interpreter
+// returns. Any other panic, such as one from a Machine, is not a fault
+// of the program and is re-raised.
+//
+// Subscripts that are affine in loop variables — integer literals, loop
+// variables, named constants, +, -, negation and multiplication by a
+// constant — are folded at compile time to c + Σ coef·ivar[slot]. A
+// reference of rank one or two whose subscripts each read at most one
+// loop variable is addressed inline by its load or store, and
+// bounds-checked in the interpreter's order. Any other reference keeps
+// a closure per dimension. Either way the machine sees the same
+// Load/Store/AddFlops calls, with the same addresses and sites, in the
+// same order as under the interpreter.
 
 // Compiled is a program prepared for repeated execution.
 type Compiled struct {
@@ -34,6 +52,7 @@ type cenv struct {
 	smach    SiteMachine // non-nil when mach accepts attribution sites
 	ctx      context.Context
 	lim      Limits
+	stepCap  int64 // lim.MaxSteps, or MaxInt64 when the run is unlimited
 	steps    int64
 	arrays   []carr
 	scalars  []float64
@@ -43,26 +62,32 @@ type cenv struct {
 	inputSeq int64
 }
 
-// step mirrors interp.step for the compiled engine: one loop-body
-// iteration of budget accounting plus periodic context polling.
-func (env *cenv) step() error {
-	env.steps++
-	if env.lim.MaxSteps > 0 && env.steps > env.lim.MaxSteps {
-		return fmt.Errorf("%w (limit %d iterations)", ErrStepBudget, env.lim.MaxSteps)
+// runFault carries a run-time error from the closure that detects it
+// to the nest's closure, which recovers it.
+type runFault struct{ err error }
+
+// fail raises a run-time fault.
+func fail(format string, args ...any) {
+	panic(runFault{fmt.Errorf(format, args...)})
+}
+
+// tick is the slow half of a loop iteration's step accounting, entered
+// once the budget is exceeded or at every poll point. It mirrors
+// interp.step.
+func (env *cenv) tick() {
+	if env.steps > env.stepCap {
+		fail("%w (limit %d iterations)", ErrStepBudget, env.lim.MaxSteps)
 	}
 	if env.steps&pollMask == 0 {
 		if err := env.ctx.Err(); err != nil {
-			return fmt.Errorf("%w after %d iterations: %v", ErrCanceled, env.steps, err)
+			fail("%w after %d iterations: %v", ErrCanceled, env.steps, err)
 		}
 	}
-	return nil
 }
 
 type carr struct {
-	base   int64
-	data   []float64
-	dims   []int
-	stride []int64
+	base int64
+	data []float64
 }
 
 // Compile validates and compiles the program.
@@ -70,7 +95,9 @@ func Compile(p *ir.Program) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	var err error
 	c := &compiler{
+		err:      &err,
 		prog:     p,
 		arrayIdx: map[string]int{},
 		scalIdx:  map[string]int{},
@@ -84,17 +111,11 @@ func Compile(p *ir.Program) (*Compiled, error) {
 	}
 	var nests []func(env *cenv) error
 	for _, n := range p.Nests {
-		label := n.Label
-		body, err := c.stmts(n.Body)
+		body := c.stmts(n.Body)
 		if err != nil {
 			return nil, fmt.Errorf("exec: compile nest %s: %w", n.Label, err)
 		}
-		nests = append(nests, func(env *cenv) error {
-			if err := body(env); err != nil {
-				return fmt.Errorf("exec: nest %s: %w", label, err)
-			}
-			return nil
-		})
+		nests = append(nests, nest(n.Label, body))
 	}
 	run := func(env *cenv) error {
 		for _, n := range nests {
@@ -105,6 +126,29 @@ func Compile(p *ir.Program) (*Compiled, error) {
 		return nil
 	}
 	return &Compiled{prog: p, run: run, arrayOrder: p.Arrays}, nil
+}
+
+// nest runs one nest's body, turning a runFault, or the *cref of a
+// fast reference out of bounds, into the nest's error.
+func nest(label string, body stmtF) func(env *cenv) error {
+	return func(env *cenv) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				var f error
+				switch r := r.(type) {
+				case runFault:
+					f = r.err
+				case *cref:
+					f = r.outOfBounds(env.ivars)
+				default:
+					panic(r)
+				}
+				err = fmt.Errorf("exec: nest %s: %w", label, f)
+			}
+		}()
+		body(env)
+		return nil
+	}
 }
 
 // Run executes the compiled program against a (possibly nil) machine.
@@ -127,7 +171,7 @@ func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result,
 		lim:     lim,
 		arrays:  cp.layout(),
 		scalars: make([]float64, len(cp.prog.Scalars)),
-		ivars:   make([]int64, maxIvars(cp.prog)),
+		ivars:   make([]int64, ivarSlots(cp.prog)),
 	}
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err
@@ -148,6 +192,10 @@ func (cp *Compiled) runOnce(ctx context.Context, env *cenv, attrs ...trace.Attr)
 	ctx, span := trace.StartSpan(ctx, "exec.run", append([]trace.Attr{trace.String("program", cp.prog.Name),
 		trace.String("engine", "compiled")}, attrs...)...)
 	env.ctx = ctx
+	env.stepCap = math.MaxInt64
+	if env.lim.MaxSteps > 0 {
+		env.stepCap = env.lim.MaxSteps
+	}
 	for i, s := range cp.prog.Scalars {
 		env.scalars[i] = s.Init
 	}
@@ -167,19 +215,12 @@ func (cp *Compiled) runOnce(ctx context.Context, env *cenv, attrs ...trace.Attr)
 	return nil
 }
 
-// layout assigns every array its base address, strides and zero-filled
-// storage.
+// layout assigns every array its base address and zero-filled storage.
 func (cp *Compiled) layout() []carr {
 	arrays := make([]carr, 0, len(cp.arrayOrder))
 	var next int64
 	for _, a := range cp.arrayOrder {
-		ca := carr{base: next, data: make([]float64, a.Size()), dims: a.Dims}
-		s := int64(1)
-		for _, d := range a.Dims {
-			ca.stride = append(ca.stride, s)
-			s *= int64(d)
-		}
-		arrays = append(arrays, ca)
+		arrays = append(arrays, carr{base: next, data: make([]float64, a.Size())})
 		next += a.Bytes()
 		next = (next + align - 1) &^ (align - 1)
 		next += align
@@ -208,7 +249,7 @@ func (cp *Compiled) RunVectors(ctx context.Context, n int, lim Limits) ([]*Resul
 	}
 	arrays := cp.layout()
 	scalars := make([]float64, len(cp.prog.Scalars))
-	ivars := make([]int64, maxIvars(cp.prog))
+	ivars := make([]int64, ivarSlots(cp.prog))
 	out := make([]*Result, 0, n)
 	for v := 0; v < n; v++ {
 		for i, a := range cp.arrayOrder {
@@ -245,10 +286,11 @@ func fillVector(data []float64, name string, v int) {
 	}
 }
 
-// maxIvars counts the deepest loop-variable usage; slots are assigned
-// per distinct variable name at compile time, so the count of distinct
-// names suffices.
-func maxIvars(p *ir.Program) int {
+// ivarSlots counts the loop-variable slots a run needs: one per
+// distinct variable name, as the compiler assigns them, and at least
+// one, since a constant subscript on the fast path reads slot 0 times
+// zero.
+func ivarSlots(p *ir.Program) int {
 	names := map[string]bool{}
 	var visit func([]ir.Stmt)
 	visit = func(ss []ir.Stmt) {
@@ -266,506 +308,549 @@ func maxIvars(p *ir.Program) int {
 	for _, n := range p.Nests {
 		visit(n.Body)
 	}
-	return len(names)
+	return max(len(names), 1)
 }
 
+// compiler holds the name resolution of one Compile call. The first
+// compile-time error sticks in *err; later compile steps still return
+// closures, which are discarded.
 type compiler struct {
 	prog     *ir.Program
 	arrayIdx map[string]int
 	scalIdx  map[string]int
 	ivarIdx  map[string]int // loop variable -> slot
-	nextIvar int
+	err      *error         // Compile's error; see errorf
 }
 
-type fExpr func(env *cenv) (float64, error)
-type iExpr func(env *cenv) (int64, error)
-type stmtF func(env *cenv) error
+type fExpr func(env *cenv) float64
+type iExpr func(env *cenv) int64
+type stmtF func(env *cenv)
+
+// errorf records the first compile-time error. It writes through a
+// pointer to Compile's own variable: nothing read out of the compiler
+// reaches the heap, so escape analysis keeps its maps on the stack.
+func (c *compiler) errorf(format string, args ...any) {
+	if *c.err == nil {
+		*c.err = fmt.Errorf(format, args...)
+	}
+}
 
 func (c *compiler) ivarSlot(name string) int {
 	if i, ok := c.ivarIdx[name]; ok {
 		return i
 	}
-	i := c.nextIvar
+	i := len(c.ivarIdx)
 	c.ivarIdx[name] = i
-	c.nextIvar++
 	return i
 }
 
-func (c *compiler) stmts(ss []ir.Stmt) (stmtF, error) {
-	var fs []stmtF
-	for _, s := range ss {
-		f, err := c.stmt(s)
-		if err != nil {
-			return nil, err
-		}
-		fs = append(fs, f)
-	}
-	switch len(fs) {
+func (c *compiler) stmts(ss []ir.Stmt) stmtF {
+	switch len(ss) {
 	case 0:
-		return func(env *cenv) error { return nil }, nil
+		return func(*cenv) {}
 	case 1:
-		return fs[0], nil
+		return c.stmt(ss[0])
 	}
-	return func(env *cenv) error {
+	fs := make([]stmtF, len(ss))
+	for i, s := range ss {
+		fs[i] = c.stmt(s)
+	}
+	return func(env *cenv) {
 		for _, f := range fs {
-			if err := f(env); err != nil {
-				return err
-			}
+			f(env)
 		}
-		return nil
-	}, nil
+	}
 }
 
-func (c *compiler) stmt(s ir.Stmt) (stmtF, error) {
+func (c *compiler) stmt(s ir.Stmt) stmtF {
 	switch s := s.(type) {
 	case *ir.For:
-		lo, err := c.intExpr(s.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := c.intExpr(s.Hi)
-		if err != nil {
-			return nil, err
-		}
+		lo, hi := c.intExpr(s.Lo), c.intExpr(s.Hi)
 		// The slot must be assigned before compiling the body so inner
 		// references resolve to it.
 		slot := c.ivarSlot(s.Var)
-		body, err := c.stmts(s.Body)
-		if err != nil {
-			return nil, err
-		}
+		body := c.stmts(s.Body)
 		step := int64(s.StepOr1())
-		return func(env *cenv) error {
-			l, err := lo(env)
-			if err != nil {
-				return err
-			}
-			h, err := hi(env)
-			if err != nil {
-				return err
-			}
+		return func(env *cenv) {
+			l := lo(env)
+			h := hi(env)
 			for v := l; v <= h; v += step {
-				if err := env.step(); err != nil {
-					return err
+				env.steps++
+				if env.steps > env.stepCap || env.steps&pollMask == 0 {
+					env.tick()
 				}
 				env.ivars[slot] = v
-				if err := body(env); err != nil {
-					return err
-				}
+				body(env)
 			}
-			return nil
-		}, nil
+		}
 	case *ir.Assign:
-		rhs, err := c.expr(s.RHS)
-		if err != nil {
-			return nil, err
+		rhs := c.expr(s.RHS)
+		if s.LHS.IsScalar() {
+			si := c.scalar(s.LHS.Name)
+			return func(env *cenv) { env.scalars[si] = rhs(env) }
 		}
-		store, err := c.store(s.LHS)
-		if err != nil {
-			return nil, err
+		r := c.ref(s.LHS)
+		if r.fast {
+			return func(env *cenv) { v := rhs(env); r.write(env, r.fastOffset(env.ivars), v) }
 		}
-		return func(env *cenv) error {
-			v, err := rhs(env)
-			if err != nil {
-				return err
-			}
-			return store(env, v)
-		}, nil
+		return func(env *cenv) { v := rhs(env); r.write(env, r.offset(env), v) }
 	case *ir.If:
-		cond, err := c.expr(s.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := c.stmts(s.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := c.stmts(s.Else)
-		if err != nil {
-			return nil, err
-		}
-		return func(env *cenv) error {
-			v, err := cond(env)
-			if err != nil {
-				return err
+		cond, then, els := c.expr(s.Cond), c.stmts(s.Then), c.stmts(s.Else)
+		return func(env *cenv) {
+			if cond(env) != 0 {
+				then(env)
+			} else {
+				els(env)
 			}
-			if v != 0 {
-				return then(env)
-			}
-			return els(env)
-		}, nil
+		}
 	case *ir.ReadInput:
-		store, err := c.store(s.Target)
-		if err != nil {
-			return nil, err
+		if s.Target.IsScalar() {
+			si := c.scalar(s.Target.Name)
+			return func(env *cenv) {
+				env.scalars[si] = inputValue(env.inputSeq)
+				env.inputSeq++
+			}
 		}
-		return func(env *cenv) error {
+		r := c.ref(s.Target)
+		return func(env *cenv) {
 			v := inputValue(env.inputSeq)
 			env.inputSeq++
-			return store(env, v)
-		}, nil
+			r.write(env, r.offset(env), v)
+		}
 	case *ir.Print:
-		arg, err := c.expr(s.Arg)
-		if err != nil {
-			return nil, err
-		}
-		return func(env *cenv) error {
-			v, err := arg(env)
-			if err != nil {
-				return err
-			}
-			env.res.Prints = append(env.res.Prints, v)
-			return nil
-		}, nil
+		arg := c.expr(s.Arg)
+		return func(env *cenv) { env.res.Prints = append(env.res.Prints, arg(env)) }
 	default:
-		return nil, fmt.Errorf("unknown statement %T", s)
+		c.errorf("unknown statement %T", s)
+		return func(*cenv) {}
 	}
 }
 
-// addr compiles an array reference into an offset computation.
-func (c *compiler) addr(r *ir.Ref) (func(env *cenv) (int64, error), int, error) {
-	ai, ok := c.arrayIdx[r.Name]
+func (c *compiler) scalar(name string) int {
+	si, ok := c.scalIdx[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("unknown array %q", r.Name)
+		c.errorf("unknown scalar %q", name)
 	}
-	decl := c.prog.Arrays[ai]
-	if len(r.Index) != len(decl.Dims) {
-		return nil, 0, fmt.Errorf("rank mismatch on %q", r.Name)
-	}
-	var idx []iExpr
-	for _, ixe := range r.Index {
-		f, err := c.intExpr(ixe)
-		if err != nil {
-			return nil, 0, err
-		}
-		idx = append(idx, f)
-	}
-	dims := decl.Dims
-	where := ir.ExprString(r) // the interpreter's spelling, rendered once
-	return func(env *cenv) (int64, error) {
-		a := &env.arrays[ai]
-		var off int64
-		for k, f := range idx {
-			v, err := f(env)
-			if err != nil {
-				return 0, err
-			}
-			if v < 0 || v >= int64(dims[k]) {
-				return 0, fmt.Errorf("index %d out of bounds [0,%d) in %s", v, dims[k], where)
-			}
-			off += v * a.stride[k]
-		}
-		return off, nil
-	}, ai, nil
+	return si
 }
 
-func (c *compiler) store(r *ir.Ref) (func(env *cenv, v float64) error, error) {
-	if r.IsScalar() {
-		if si, ok := c.scalIdx[r.Name]; ok {
-			return func(env *cenv, v float64) error {
-				env.scalars[si] = v
-				return nil
-			}, nil
-		}
-		return nil, fmt.Errorf("unknown scalar %q", r.Name)
-	}
-	off, ai, err := c.addr(r)
-	if err != nil {
-		return nil, err
-	}
-	site := uint32(r.Site) // per-ref constant, captured at compile time
-	return func(env *cenv, v float64) error {
-		o, err := off(env)
-		if err != nil {
-			return err
-		}
-		a := &env.arrays[ai]
-		if env.smach != nil {
-			env.smach.StoreSite(a.base+o*ir.ElemSize, ir.ElemSize, site)
-		} else if env.mach != nil {
-			env.mach.Store(a.base+o*ir.ElemSize, ir.ElemSize)
-		}
-		a.data[o] = v
-		return nil
-	}, nil
+// affine is the folded form c + Σ coef·ivars[slot] of an integer
+// expression built from integer literals, loop variables, named
+// constants, +, -, negation and multiplication by a constant. int64
+// arithmetic wraps, so the folded form computes exactly what the
+// expression tree does. Term slices are shared between forms and never
+// modified in place.
+type affine struct {
+	c     int64
+	terms []term
 }
 
-func (c *compiler) intExpr(x ir.Expr) (iExpr, error) {
+type term struct {
+	slot int
+	coef int64
+}
+
+func (a *affine) eval(ivars []int64) int64 {
+	v := a.c
+	for _, t := range a.terms {
+		v += t.coef * ivars[t.slot]
+	}
+	return v
+}
+
+// scaled returns k·a.
+func (a affine) scaled(k int64) affine {
+	if k == 1 || len(a.terms) == 0 {
+		return affine{c: a.c * k, terms: a.terms}
+	}
+	out := affine{c: a.c * k, terms: make([]term, len(a.terms))}
+	for i, t := range a.terms {
+		out.terms[i] = term{t.slot, t.coef * k}
+	}
+	return out
+}
+
+// plus returns a + b, one term per slot.
+func (a affine) plus(b affine) affine {
+	switch {
+	case len(b.terms) == 0:
+		return affine{c: a.c + b.c, terms: a.terms}
+	case len(a.terms) == 0:
+		return affine{c: a.c + b.c, terms: b.terms}
+	}
+	out := affine{c: a.c + b.c, terms: append([]term(nil), a.terms...)}
+next:
+	for _, t := range b.terms {
+		for i := range out.terms {
+			if out.terms[i].slot == t.slot {
+				out.terms[i].coef += t.coef
+				continue next
+			}
+		}
+		out.terms = append(out.terms, t)
+	}
+	return out
+}
+
+// affine folds x, reporting false when x is not affine.
+func (c *compiler) affine(x ir.Expr) (affine, bool) {
 	switch x := x.(type) {
 	case *ir.Num:
 		i := int64(x.Val)
-		if float64(i) != x.Val {
-			return intFail(fmt.Errorf("non-integer literal %v in integer context", x.Val)), nil
-		}
-		return func(*cenv) (int64, error) { return i, nil }, nil
+		return affine{c: i}, float64(i) == x.Val
 	case *ir.Var:
 		if slot, ok := c.ivarIdx[x.Name]; ok {
-			return func(env *cenv) (int64, error) { return env.ivars[slot], nil }, nil
+			return affine{terms: []term{{slot, 1}}}, true
 		}
-		if v, ok := c.prog.Consts[x.Name]; ok {
-			return func(*cenv) (int64, error) { return v, nil }, nil
+		v, ok := c.prog.Consts[x.Name]
+		return affine{c: v}, ok
+	case *ir.Neg:
+		a, ok := c.affine(x.X)
+		return a.scaled(-1), ok
+	case *ir.Bin:
+		if x.Op != ir.Add && x.Op != ir.Sub && x.Op != ir.Mul {
+			return affine{}, false
 		}
+		l, ok := c.affine(x.L)
+		if !ok {
+			return affine{}, false
+		}
+		r, ok := c.affine(x.R)
+		if !ok {
+			return affine{}, false
+		}
+		switch {
+		case x.Op == ir.Add:
+			return l.plus(r), true
+		case x.Op == ir.Sub:
+			return l.plus(r.scaled(-1)), true
+		case len(r.terms) == 0:
+			return l.scaled(r.c), true
+		case len(l.terms) == 0:
+			return r.scaled(l.c), true
+		}
+	}
+	return affine{}, false
+}
+
+// cref is a compiled array reference. A reference of rank one or two
+// whose subscripts each read at most one loop variable is fast: f
+// addresses it without a loop over dimensions. Any other reference is
+// addressed dimension by dimension through dims.
+type cref struct {
+	ai   int
+	site uint32 // per-ref constant, captured at compile time
+	fast bool
+	f    fast2
+	dims []cdim
+	ref  *ir.Ref // rendered in fault messages
+}
+
+// cdim is one subscript of a reference that is not fast.
+type cdim struct {
+	gen    iExpr
+	extent int64
+	stride int64
+}
+
+// fast2 holds the subscripts c + k·ivars[s] of a fast reference, with
+// extents n and the second dimension's stride st. Rank one pads the
+// second dimension with the constant 0 of extent 1, and a constant
+// subscript has k 0 and s 0.
+type fast2 struct {
+	c0, k0, n0     int64
+	c1, k1, n1, st int64
+	s0, s1         int
+}
+
+// at returns the offset and whether both subscripts are in bounds. On
+// false the caller calls cref.outOfBounds.
+func (f *fast2) at(ivars []int64) (int64, bool) {
+	v0 := f.c0 + f.k0*ivars[f.s0]
+	v1 := f.c1 + f.k1*ivars[f.s1]
+	return v0 + v1*f.st, uint64(v0) < uint64(f.n0) && uint64(v1) < uint64(f.n1)
+}
+
+func (c *compiler) ref(r *ir.Ref) *cref {
+	ai, ok := c.arrayIdx[r.Name]
+	if !ok {
+		c.errorf("unknown array %q", r.Name)
+		return &cref{}
+	}
+	decl := c.prog.Arrays[ai]
+	if len(r.Index) != len(decl.Dims) {
+		c.errorf("rank mismatch on %q", r.Name)
+		return &cref{}
+	}
+	cr := &cref{ai: ai, site: uint32(r.Site), ref: r, fast: len(r.Index) <= 2}
+	var buf [2]affine
+	forms := buf[:0]
+	for _, ixe := range r.Index {
+		a, ok := c.affine(ixe)
+		cr.fast = cr.fast && ok && len(a.terms) <= 1
+		forms = append(forms, a)
+	}
+	if !cr.fast {
+		stride := int64(1)
+		for k, ixe := range r.Index {
+			d := cdim{gen: c.intExpr(ixe), extent: int64(decl.Dims[k]), stride: stride}
+			stride *= d.extent
+			cr.dims = append(cr.dims, d)
+		}
+		return cr
+	}
+	f := &cr.f
+	f.c0, f.n0, f.n1 = forms[0].c, int64(decl.Dims[0]), 1
+	if t := forms[0].terms; len(t) == 1 {
+		f.k0, f.s0 = t[0].coef, t[0].slot
+	}
+	if len(forms) == 2 {
+		f.c1, f.n1, f.st = forms[1].c, int64(decl.Dims[1]), int64(decl.Dims[0])
+		if t := forms[1].terms; len(t) == 1 {
+			f.k1, f.s1 = t[0].coef, t[0].slot
+		}
+	}
+	return cr
+}
+
+// offset computes the element offset of the reference. A reference
+// that is not fast is evaluated and bounds-checked one dimension at a
+// time, as the interpreter does.
+func (r *cref) offset(env *cenv) int64 {
+	if r.fast {
+		return r.fastOffset(env.ivars)
+	}
+	var off int64
+	for k := range r.dims {
+		d := &r.dims[k]
+		v := d.gen(env)
+		if uint64(v) >= uint64(d.extent) {
+			panic(runFault{r.boundsErr(v, d.extent)})
+		}
+		off += v * d.stride
+	}
+	return off
+}
+
+// fastOffset computes the element offset of a fast reference. It is
+// small enough to inline into the load and store closures, because an
+// index out of bounds panics with the reference itself rather than
+// calling out to format the fault: nest recovers it and calls
+// outOfBounds while ivars still hold the faulting iteration.
+func (r *cref) fastOffset(ivars []int64) int64 {
+	o, ok := r.f.at(ivars)
+	if !ok {
+		panic(r)
+	}
+	return o
+}
+
+// outOfBounds is the fault of a fast reference whose at reported
+// false, naming the first subscript out of bounds.
+func (r *cref) outOfBounds(ivars []int64) error {
+	f := &r.f
+	v, n := f.c0+f.k0*ivars[f.s0], f.n0
+	if uint64(v) < uint64(n) {
+		v, n = f.c1+f.k1*ivars[f.s1], f.n1
+	}
+	return r.boundsErr(v, n)
+}
+
+func (r *cref) boundsErr(v, n int64) error {
+	return fmt.Errorf("index %d out of bounds [0,%d) in %s", v, n, ir.ExprString(r.ref))
+}
+
+// load compiles an array read. A fast reference gets its own closure,
+// into which fastOffset inlines.
+func (c *compiler) load(x *ir.Ref) fExpr {
+	r := c.ref(x)
+	if r.fast {
+		return func(env *cenv) float64 { return r.read(env, r.fastOffset(env.ivars)) }
+	}
+	return func(env *cenv) float64 { return r.read(env, r.offset(env)) }
+}
+
+// read issues the load of element o to the machine, if any, and
+// returns the element.
+func (r *cref) read(env *cenv, o int64) float64 {
+	if env.mach != nil {
+		r.access(env, o, false)
+	}
+	return env.arrays[r.ai].data[o]
+}
+
+// write issues the store of element o to the machine, if any, and sets
+// the element to v.
+func (r *cref) write(env *cenv, o int64, v float64) {
+	if env.mach != nil {
+		r.access(env, o, true)
+	}
+	env.arrays[r.ai].data[o] = v
+}
+
+func (r *cref) access(env *cenv, o int64, store bool) {
+	addr := env.arrays[r.ai].base + o*ir.ElemSize
+	switch {
+	case env.smach != nil && store:
+		env.smach.StoreSite(addr, ir.ElemSize, r.site)
+	case env.smach != nil:
+		env.smach.LoadSite(addr, ir.ElemSize, r.site)
+	case store:
+		env.mach.Store(addr, ir.ElemSize)
+	default:
+		env.mach.Load(addr, ir.ElemSize)
+	}
+}
+
+func (c *compiler) intExpr(x ir.Expr) iExpr {
+	if a, ok := c.affine(x); ok {
+		if k := a.c; len(a.terms) == 0 {
+			return func(*cenv) int64 { return k }
+		}
+		af := a // only this branch moves the form to the heap
+		return func(env *cenv) int64 { return af.eval(env.ivars) }
+	}
+	switch x := x.(type) {
+	case *ir.Num:
+		return intFail("non-integer literal %v in integer context", x.Val)
+	case *ir.Var:
 		if si, ok := c.scalIdx[x.Name]; ok {
 			name := x.Name
-			return func(env *cenv) (int64, error) {
+			return func(env *cenv) int64 {
 				f := env.scalars[si]
 				i := int64(f)
 				if float64(i) != f {
-					return 0, fmt.Errorf("scalar %q holds non-integer %v in integer context", name, f)
+					fail("scalar %q holds non-integer %v in integer context", name, f)
 				}
-				return i, nil
-			}, nil
+				return i
+			}
 		}
-		return nil, fmt.Errorf("unknown variable %q in integer context", x.Name)
+		c.errorf("unknown variable %q in integer context", x.Name)
+		return intFail("unknown variable %q in integer context", x.Name)
 	case *ir.Neg:
-		f, err := c.intExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return func(env *cenv) (int64, error) {
-			v, err := f(env)
-			return -v, err
-		}, nil
+		f := c.intExpr(x.X)
+		return func(env *cenv) int64 { return -f(env) }
 	case *ir.Bin:
-		l, err := c.intExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.intExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
+		l, r := c.intExpr(x.L), c.intExpr(x.R)
 		switch x.Op {
 		case ir.Add:
-			return func(env *cenv) (int64, error) {
-				a, err := l(env)
-				if err != nil {
-					return 0, err
-				}
-				b, err := r(env)
-				return a + b, err
-			}, nil
+			return func(env *cenv) int64 { return l(env) + r(env) }
 		case ir.Sub:
-			return func(env *cenv) (int64, error) {
-				a, err := l(env)
-				if err != nil {
-					return 0, err
-				}
-				b, err := r(env)
-				return a - b, err
-			}, nil
+			return func(env *cenv) int64 { return l(env) - r(env) }
 		case ir.Mul:
-			return func(env *cenv) (int64, error) {
-				a, err := l(env)
-				if err != nil {
-					return 0, err
-				}
-				b, err := r(env)
-				return a * b, err
-			}, nil
+			return func(env *cenv) int64 { return l(env) * r(env) }
 		case ir.Div:
-			return func(env *cenv) (int64, error) {
-				a, err := l(env)
-				if err != nil {
-					return 0, err
-				}
-				b, err := r(env)
-				if err != nil {
-					return 0, err
-				}
+			return func(env *cenv) int64 {
+				a, b := l(env), r(env)
 				if b == 0 {
-					return 0, fmt.Errorf("integer division by zero")
+					fail("integer division by zero")
 				}
-				return a / b, nil
-			}, nil
+				return a / b
+			}
 		default:
 			// The interpreter evaluates both operands before rejecting
-			// the operator, so their errors take precedence.
-			opErr := fmt.Errorf("operator %s not allowed in integer context", x.Op)
-			return func(env *cenv) (int64, error) {
-				if _, err := l(env); err != nil {
-					return 0, err
-				}
-				if _, err := r(env); err != nil {
-					return 0, err
-				}
-				return 0, opErr
-			}, nil
+			// the operator, so their faults take precedence.
+			op := x.Op
+			return func(env *cenv) int64 {
+				l(env)
+				r(env)
+				fail("operator %s not allowed in integer context", op)
+				return 0
+			}
 		}
 	case *ir.Call:
 		if x.Fn == "mod" && len(x.Args) == 2 {
-			l, err := c.intExpr(x.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.intExpr(x.Args[1])
-			if err != nil {
-				return nil, err
-			}
-			return func(env *cenv) (int64, error) {
-				a, err := l(env)
-				if err != nil {
-					return 0, err
-				}
-				b, err := r(env)
-				if err != nil {
-					return 0, err
-				}
+			l, r := c.intExpr(x.Args[0]), c.intExpr(x.Args[1])
+			return func(env *cenv) int64 {
+				a, b := l(env), r(env)
 				if b == 0 {
-					return 0, fmt.Errorf("mod by zero")
+					fail("mod by zero")
 				}
-				return a % b, nil
-			}, nil
+				return a % b
+			}
 		}
-		return intFail(fmt.Errorf("call %s not allowed in integer context", x.Fn)), nil
+		return intFail("call %s not allowed in integer context", x.Fn)
 	default:
-		return intFail(fmt.Errorf("expression %s not allowed in integer context", ir.ExprString(x))), nil
+		return intFail("expression %s not allowed in integer context", ir.ExprString(x))
 	}
 }
 
 // intFail defers an integer-context error to run time, where the
 // interpreter reports it: code that never executes, such as a branch
 // under "if 0", must not make a valid program fail to compile.
-func intFail(err error) iExpr {
-	return func(*cenv) (int64, error) { return 0, err }
+func intFail(format string, args ...any) iExpr {
+	err := fmt.Errorf(format, args...)
+	return func(*cenv) int64 { panic(runFault{err}) }
 }
 
-func (c *compiler) expr(x ir.Expr) (fExpr, error) {
+func (c *compiler) expr(x ir.Expr) fExpr {
 	switch x := x.(type) {
 	case *ir.Num:
 		v := x.Val
-		return func(*cenv) (float64, error) { return v, nil }, nil
+		return func(*cenv) float64 { return v }
 	case *ir.Var:
 		if si, ok := c.scalIdx[x.Name]; ok {
-			return func(env *cenv) (float64, error) { return env.scalars[si], nil }, nil
+			return func(env *cenv) float64 { return env.scalars[si] }
 		}
 		if slot, ok := c.ivarIdx[x.Name]; ok {
-			return func(env *cenv) (float64, error) { return float64(env.ivars[slot]), nil }, nil
+			return func(env *cenv) float64 { return float64(env.ivars[slot]) }
 		}
 		if v, ok := c.prog.Consts[x.Name]; ok {
 			f := float64(v)
-			return func(*cenv) (float64, error) { return f, nil }, nil
+			return func(*cenv) float64 { return f }
 		}
-		return nil, fmt.Errorf("unknown variable %q", x.Name)
+		c.errorf("unknown variable %q", x.Name)
 	case *ir.Ref:
 		if x.IsScalar() {
-			if si, ok := c.scalIdx[x.Name]; ok {
-				return func(env *cenv) (float64, error) { return env.scalars[si], nil }, nil
-			}
-			return nil, fmt.Errorf("unknown scalar %q", x.Name)
+			si := c.scalar(x.Name)
+			return func(env *cenv) float64 { return env.scalars[si] }
 		}
-		off, ai, err := c.addr(x)
-		if err != nil {
-			return nil, err
-		}
-		site := uint32(x.Site) // per-ref constant, captured at compile time
-		return func(env *cenv) (float64, error) {
-			o, err := off(env)
-			if err != nil {
-				return 0, err
-			}
-			a := &env.arrays[ai]
-			if env.smach != nil {
-				env.smach.LoadSite(a.base+o*ir.ElemSize, ir.ElemSize, site)
-			} else if env.mach != nil {
-				env.mach.Load(a.base+o*ir.ElemSize, ir.ElemSize)
-			}
-			return a.data[o], nil
-		}, nil
+		return c.load(x)
 	case *ir.Neg:
-		f, err := c.expr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return func(env *cenv) (float64, error) {
-			v, err := f(env)
-			return -v, err
-		}, nil
+		f := c.expr(x.X)
+		return func(env *cenv) float64 { return -f(env) }
 	case *ir.Bin:
 		return c.binExpr(x)
 	case *ir.Call:
 		return c.callExpr(x)
 	default:
-		return nil, fmt.Errorf("unknown expression %T", x)
+		c.errorf("unknown expression %T", x)
 	}
+	return func(*cenv) float64 { return 0 }
 }
 
-func (c *compiler) binExpr(x *ir.Bin) (fExpr, error) {
-	l, err := c.expr(x.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.expr(x.R)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) binExpr(x *ir.Bin) fExpr {
+	l, r := c.expr(x.L), c.expr(x.R)
+	switch x.Op {
 	// Short-circuit logical operators.
-	switch x.Op {
 	case ir.And:
-		return func(env *cenv) (float64, error) {
-			a, err := l(env)
-			if err != nil || a == 0 {
-				return 0, err
-			}
-			b, err := r(env)
-			if err != nil {
-				return 0, err
-			}
-			return b2f(b != 0), nil
-		}, nil
+		return func(env *cenv) float64 { return b2f(l(env) != 0 && r(env) != 0) }
 	case ir.Or:
-		return func(env *cenv) (float64, error) {
-			a, err := l(env)
-			if err != nil {
-				return 0, err
-			}
-			if a != 0 {
-				return 1, nil
-			}
-			b, err := r(env)
-			if err != nil {
-				return 0, err
-			}
-			return b2f(b != 0), nil
-		}, nil
-	}
-	type binop func(a, b float64, env *cenv) float64
-	var op binop
-	switch x.Op {
+		return func(env *cenv) float64 { return b2f(l(env) != 0 || r(env) != 0) }
+	// Arithmetic counts its flop once both operands are evaluated.
 	case ir.Add:
-		op = func(a, b float64, env *cenv) float64 { env.flop(1); return a + b }
+		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a + b }
 	case ir.Sub:
-		op = func(a, b float64, env *cenv) float64 { env.flop(1); return a - b }
+		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a - b }
 	case ir.Mul:
-		op = func(a, b float64, env *cenv) float64 { env.flop(1); return a * b }
+		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a * b }
 	case ir.Div:
-		op = func(a, b float64, env *cenv) float64 { env.flop(1); return a / b }
+		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a / b }
 	case ir.Lt:
-		op = func(a, b float64, _ *cenv) float64 { return b2f(a < b) }
+		return func(env *cenv) float64 { return b2f(l(env) < r(env)) }
 	case ir.Le:
-		op = func(a, b float64, _ *cenv) float64 { return b2f(a <= b) }
+		return func(env *cenv) float64 { return b2f(l(env) <= r(env)) }
 	case ir.Gt:
-		op = func(a, b float64, _ *cenv) float64 { return b2f(a > b) }
+		return func(env *cenv) float64 { return b2f(l(env) > r(env)) }
 	case ir.Ge:
-		op = func(a, b float64, _ *cenv) float64 { return b2f(a >= b) }
+		return func(env *cenv) float64 { return b2f(l(env) >= r(env)) }
 	case ir.Eq:
-		op = func(a, b float64, _ *cenv) float64 { return b2f(a == b) }
+		return func(env *cenv) float64 { return b2f(l(env) == r(env)) }
 	case ir.Ne:
-		op = func(a, b float64, _ *cenv) float64 { return b2f(a != b) }
-	default:
-		return nil, fmt.Errorf("unknown operator %v", x.Op)
+		return func(env *cenv) float64 { return b2f(l(env) != r(env)) }
 	}
-	return func(env *cenv) (float64, error) {
-		a, err := l(env)
-		if err != nil {
-			return 0, err
-		}
-		b, err := r(env)
-		if err != nil {
-			return 0, err
-		}
-		return op(a, b, env), nil
-	}, nil
+	c.errorf("unknown operator %v", x.Op)
+	return func(*cenv) float64 { return 0 }
 }
 
 func (env *cenv) flop(n int64) {
@@ -775,107 +860,40 @@ func (env *cenv) flop(n int64) {
 	}
 }
 
-func (c *compiler) callExpr(x *ir.Call) (fExpr, error) {
-	var args []fExpr
-	for _, a := range x.Args {
-		f, err := c.expr(a)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, f)
-	}
+func (c *compiler) callExpr(x *ir.Call) fExpr {
 	// Compile has validated the program, so each call has its
 	// intrinsic's argument count, and none takes more than two.
-	evalArgs := func(env *cenv) (b [2]float64, err error) {
-		for i, f := range args {
-			if b[i], err = f(env); err != nil {
-				return b, err
-			}
-		}
-		return b, nil
+	var args [2]fExpr
+	for i, a := range x.Args {
+		args[i] = c.expr(a)
 	}
+	a, b := args[0], args[1]
 	switch x.Fn {
 	case "f":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			env.flop(2)
-			return 0.5*b[0] + 0.25*b[1], nil
-		}, nil
+		return func(env *cenv) float64 { u, v := a(env), b(env); env.flop(2); return 0.5*u + 0.25*v }
 	case "g":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			env.flop(2)
-			return b[0]*0.75 + b[1], nil
-		}, nil
+		return func(env *cenv) float64 { u, v := a(env), b(env); env.flop(2); return u*0.75 + v }
 	case "sqrt":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			env.flop(1)
-			return math.Sqrt(math.Abs(b[0])), nil
-		}, nil
+		return func(env *cenv) float64 { u := a(env); env.flop(1); return math.Sqrt(math.Abs(u)) }
 	case "sin":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			env.flop(1)
-			return math.Sin(b[0]), nil
-		}, nil
+		return func(env *cenv) float64 { u := a(env); env.flop(1); return math.Sin(u) }
 	case "cos":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			env.flop(1)
-			return math.Cos(b[0]), nil
-		}, nil
+		return func(env *cenv) float64 { u := a(env); env.flop(1); return math.Cos(u) }
 	case "abs":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			return math.Abs(b[0]), nil
-		}, nil
+		return func(env *cenv) float64 { return math.Abs(a(env)) }
 	case "min":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			return math.Min(b[0], b[1]), nil
-		}, nil
+		return func(env *cenv) float64 { return math.Min(a(env), b(env)) }
 	case "max":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
-			}
-			return math.Max(b[0], b[1]), nil
-		}, nil
+		return func(env *cenv) float64 { return math.Max(a(env), b(env)) }
 	case "mod":
-		return func(env *cenv) (float64, error) {
-			b, err := evalArgs(env)
-			if err != nil {
-				return 0, err
+		return func(env *cenv) float64 {
+			u, v := a(env), b(env)
+			if v == 0 {
+				fail("mod by zero")
 			}
-			if b[1] == 0 {
-				return 0, fmt.Errorf("mod by zero")
-			}
-			return math.Mod(b[0], b[1]), nil
-		}, nil
-	default: // unreachable: Validate rejects unknown intrinsics
-		return nil, fmt.Errorf("unknown intrinsic %q", x.Fn)
+			return math.Mod(u, v)
+		}
 	}
+	c.errorf("unknown intrinsic %q", x.Fn) // unreachable: Validate rejects unknown intrinsics
+	return func(*cenv) float64 { return 0 }
 }

@@ -414,3 +414,31 @@ func TestRunVectorsStopsAtFailingVector(t *testing.T) {
 		t.Fatalf("results = %v, want vector 0's alone", rs)
 	}
 }
+
+// panicMachine panics on its first load, as a broken Machine might.
+type panicMachine struct{}
+
+type machinePanic struct{}
+
+func (panicMachine) Load(int64, int)  { panic(machinePanic{}) }
+func (panicMachine) Store(int64, int) {}
+func (panicMachine) AddFlops(int64)   {}
+func (panicMachine) Flush()           {}
+
+// TestMachinePanicPropagates: the compiled engine recovers only its own
+// run-time faults. A panic raised by a Machine is not a fault of the
+// program, so it must leave RunCtx as a panic, not as an error.
+func TestMachinePanicPropagates(t *testing.T) {
+	cp, err := Compile(lang.MustParse("program t\narray a[4]\nscalar s\nloop L1 { for i = 0, 3 { s = s + a[i] } }"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		_, err = cp.RunCtx(context.Background(), panicMachine{}, Limits{})
+		return nil
+	}()
+	if r != (machinePanic{}) {
+		t.Fatalf("RunCtx panicked with %v and returned err %v, want the machine's panic", r, err)
+	}
+}

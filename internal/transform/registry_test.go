@@ -134,3 +134,55 @@ func TestPassesListing(t *testing.T) {
 		t.Error("unknown name resolved")
 	}
 }
+
+// FuzzParsePipeline feeds arbitrary text to ParsePipeline, the parser
+// bwserved runs on the untrusted "pipeline" request field. It must
+// never panic, every error must carry the package's "transform:"
+// prefix, and an accepted spec must re-parse from its Spec to the same
+// steps. The steps' own specs, joined, form a canonical spelling that
+// is a parse fixpoint.
+func FuzzParsePipeline(f *testing.F) {
+	for _, spec := range []string{
+		"", ",,", " ", DefaultPipelineSpec, "pipeline", "pipeline:x", "pipeline, fuse",
+		"storeelim, shrink ,peel:L0:i", "peel-last:L1:j", "interchange:MM:j", "distribute:L1",
+		"unrolljam:MM:j:2", "unrolljam:MM:j:x", "scalarize:Update_Sum", "regroup:a+b+c",
+		"regroup:", "simplify:1", "fuse:", "bogus", "fuse,,store-elim", ":", "::::",
+	} {
+		f.Add(spec)
+	}
+	steps := func(pl *Pipeline) []string {
+		out := make([]string, pl.Len())
+		for i, st := range pl.steps {
+			out[i] = st.info.Name + " " + st.spec
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl, err := ParsePipeline(spec)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "transform:") {
+				t.Fatalf("ParsePipeline(%q) error lacks the transform: prefix: %v", spec, err)
+			}
+			return
+		}
+		want := steps(pl)
+		again, err := ParsePipeline(pl.Spec)
+		if err != nil {
+			t.Fatalf("accepted spec %q does not re-parse: %v", pl.Spec, err)
+		}
+		if got := steps(again); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("re-parse of %q changed the steps:\n%q\n%q", pl.Spec, want, got)
+		}
+		specs := make([]string, len(pl.steps))
+		for i, st := range pl.steps {
+			specs[i] = st.spec
+		}
+		canon, err := ParsePipeline(strings.Join(specs, ","))
+		if err != nil {
+			t.Fatalf("canonical spelling %q of %q does not parse: %v", strings.Join(specs, ","), spec, err)
+		}
+		if got := steps(canon); strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("canonical spelling of %q changed the steps:\n%q\n%q", spec, want, got)
+		}
+	})
+}
