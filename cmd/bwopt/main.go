@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	bwopt [-fusion-only] [-machine origin|exemplar] [-scale N] \
+//	bwopt [-machine origin|exemplar] [-scale N] \
 //	      [-verify off|structural|differential] [-tol T] \
 //	      [-passes spec[,spec...]] [-profile] [-mrc] [-json] \
 //	      [-trace out.json] program.bw
@@ -111,7 +111,6 @@ type jsonReport struct {
 }
 
 func main() {
-	fusionOnly := flag.Bool("fusion-only", false, "run only loop fusion (no storage passes)")
 	machineName := flag.String("machine", "", "machine model (default Origin2000; see -list-machines)")
 	listMachines := flag.Bool("list-machines", false, "list registered machine models and exit")
 	scale := flag.Int("scale", 1, "divide cache capacities by this factor")
@@ -163,13 +162,12 @@ func main() {
 		ctx = trace.NewContext(ctx, root)
 	}
 
-	opt := transform.All()
-	if *fusionOnly {
-		opt = transform.FusionOnly()
+	pipeline := *passes
+	if pipeline == "" {
+		pipeline = transform.DefaultPipelineSpec
 	}
 	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, transform.Config{
-		Options: opt, Pipeline: *passes, Verify: mode, Tol: *tol,
-		SnapshotPasses: *profile,
+		Pipeline: pipeline, Verify: mode, Tol: *tol, SnapshotPasses: *profile,
 	})
 	if err == nil && *passes != "" && len(outcome.Skipped) > 0 {
 		// Strict mode for explicit pipelines: the user asked for these
@@ -275,16 +273,10 @@ func main() {
 		}
 	}
 
-	// Sanity: outputs must match.
-	if len(before.Result.Prints) != len(after.Result.Prints) {
-		fatal(fmt.Errorf("transformed program prints %d values, original %d",
-			len(after.Result.Prints), len(before.Result.Prints)))
-	}
-	for i := range before.Result.Prints {
-		if before.Result.Prints[i] != after.Result.Prints[i] {
-			fmt.Fprintf(os.Stderr, "warning: print %d differs: %g vs %g (floating-point reassociation)\n",
-				i, before.Result.Prints[i], after.Result.Prints[i])
-		}
+	// The optimized program must observe what the original did, within
+	// the verification tolerance; anything beyond it is a miscompile.
+	if err := verify.CompareResults(before.Result, after.Result, *tol); err != nil {
+		fatal(fmt.Errorf("optimized program diverges from the original: %w", err))
 	}
 }
 

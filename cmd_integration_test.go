@@ -78,8 +78,8 @@ func TestBwoptEndToEnd(t *testing.T) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
-	// Fusion-only mode must not eliminate the store.
-	out, err = runTool(t, bin, "-fusion-only", "testdata/fig7.bw")
+	// A fusion-only pipeline must not eliminate the store.
+	out, err = runTool(t, bin, "-passes", "fuse", "testdata/fig7.bw")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
@@ -109,6 +109,49 @@ func TestBwoptVerifyFlag(t *testing.T) {
 	}
 	if out, err := runTool(t, bin, "-verify", "quantum", "testdata/fig7.bw"); err == nil {
 		t.Fatalf("unknown verify mode accepted:\n%s", out)
+	}
+}
+
+// siblingLoops is contracted wrongly with verification off: the write
+// and the read of a[m,i] sit in sibling inner loops, and the scalar
+// that replaces a keeps only the last write. The original prints 24.
+const siblingLoops = `program sibling
+array a[2, 4]
+scalar s
+loop L {
+  for m = 0, 1 {
+    for i = 0, 3 { a[m, i] = m + i + 1 }
+    for i = 0, 3 { s = s + a[m, i] }
+  }
+  print s
+}
+`
+
+// TestBwoptFinalCheck: bwopt compares the optimized program's prints
+// with the original's at -tol and exits non-zero on a divergence,
+// naming it; differential verification rolls the bad step back.
+func TestBwoptFinalCheck(t *testing.T) {
+	bin := buildTool(t, "cmd/bwopt")
+	prog := filepath.Join(t.TempDir(), "sibling.bw")
+	if err := os.WriteFile(prog, []byte(siblingLoops), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runTool(t, bin, prog)
+	if err == nil {
+		t.Fatalf("miscompiled program exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "print 0 diverged: original 24, transformed 36") {
+		t.Fatalf("exit without the divergence:\n%s", out)
+	}
+	if strings.Contains(out, "reassociation") {
+		t.Fatalf("divergence labelled as reassociation:\n%s", out)
+	}
+	out, err = runTool(t, bin, "-verify", "differential", prog)
+	if err != nil {
+		t.Fatalf("differential run failed: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "diverges") {
+		t.Fatalf("differential run still diverges:\n%s", out)
 	}
 }
 

@@ -250,13 +250,9 @@ func (c *Client) backoff(k int, retryAfter time.Duration) time.Duration {
 // Analyze calls POST /v1/analyze.
 func (c *Client) Analyze(ctx context.Context, req *service.AnalyzeRequest) (*service.AnalyzeResponse, Meta, error) {
 	var resp service.AnalyzeResponse
-	meta, err := c.do(ctx, "/v1/analyze", req, &resp)
+	meta, err := c.do(ctx, "/v1/analyze", req, &resp, &resp.ResponseMeta)
 	if err != nil {
 		return nil, meta, err
-	}
-	meta.Cached, meta.Coalesced = resp.Cached, resp.Coalesced
-	if resp.Degraded != nil {
-		meta.Degraded = resp.Degraded.Mode
 	}
 	return &resp, meta, nil
 }
@@ -264,13 +260,9 @@ func (c *Client) Analyze(ctx context.Context, req *service.AnalyzeRequest) (*ser
 // Optimize calls POST /v1/optimize.
 func (c *Client) Optimize(ctx context.Context, req *service.OptimizeRequest) (*service.OptimizeResponse, Meta, error) {
 	var resp service.OptimizeResponse
-	meta, err := c.do(ctx, "/v1/optimize", req, &resp)
+	meta, err := c.do(ctx, "/v1/optimize", req, &resp, &resp.ResponseMeta)
 	if err != nil {
 		return nil, meta, err
-	}
-	meta.Cached, meta.Coalesced = resp.Cached, resp.Coalesced
-	if resp.Degraded != nil {
-		meta.Degraded = resp.Degraded.Mode
 	}
 	return &resp, meta, nil
 }
@@ -280,8 +272,10 @@ func (c *Client) Optimize(ctx context.Context, req *service.OptimizeRequest) (*s
 // (4xx) will not.
 func retryable(status int) bool { return status >= 500 }
 
-// do runs the retry loop for one logical call.
-func (c *Client) do(ctx context.Context, path string, req, out any) (Meta, error) {
+// do runs the retry loop for one logical call. On success out holds
+// the response and env, its embedded envelope, fills meta's
+// service-level fields.
+func (c *Client) do(ctx context.Context, path string, req, out any, env *service.ResponseMeta) (Meta, error) {
 	var meta Meta
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -302,6 +296,10 @@ func (c *Client) do(ctx context.Context, path string, req, out any) (Meta, error
 		status, retryAfter, err := c.attempt(ctx, path, body, out, &meta)
 		c.breakerRecord(err == nil)
 		if err == nil {
+			meta.Cached, meta.Coalesced = env.Cached, env.Coalesced
+			if env.Degraded != nil {
+				meta.Degraded = env.Degraded.Mode
+			}
 			return meta, nil
 		}
 		last = err

@@ -218,3 +218,27 @@ func TestCallCtxCancelStopsRetries(t *testing.T) {
 		t.Fatalf("err = %v, want ctx deadline", err)
 	}
 }
+
+// TestMetaFromEnvelope: Analyze and Optimize read the service-level
+// fields of Meta from the one response envelope both endpoints share.
+func TestMetaFromEnvelope(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"cached":true,"coalesced":true,"degraded":{"level":1,"mode":"no-differential","reason":"test"}}`))
+	}))
+	t.Cleanup(ts.Close)
+	c := newClient(ts)
+	_, am, err := c.Analyze(context.Background(), &service.AnalyzeRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, om, err := c.Optimize(context.Background(), &service.OptimizeRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]Meta{"analyze": am, "optimize": om} {
+		if !m.Cached || !m.Coalesced || m.Degraded != "no-differential" {
+			t.Errorf("%s meta = %+v, want cached, coalesced, no-differential", name, m)
+		}
+	}
+}

@@ -48,11 +48,6 @@ func Optimize(p *ir.Program) (*ir.Program, []transform.Action, error) {
 	return transform.Optimize(p, transform.All())
 }
 
-// OptimizeWith applies a selected subset of the passes.
-func OptimizeWith(p *ir.Program, opt transform.Options) (*ir.Program, []transform.Action, error) {
-	return transform.Optimize(p, opt)
-}
-
 // Speedup compares two balance reports (before/after).
 func Speedup(before, after *balance.Report) float64 {
 	return balance.Speedup(before, after)

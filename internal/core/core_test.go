@@ -276,7 +276,7 @@ func TestConflictStudyExperiment(t *testing.T) {
 
 func TestOptimizeWithOptions(t *testing.T) {
 	p := kernels.Fig8Workload(4000)
-	q, _, err := OptimizeWith(p, transform.FusionOnly())
+	q, _, err := transform.OptimizeVerified(p, transform.Config{Pipeline: "fuse"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func Fig8(cfg Config) (*report.Table, error) {
 		Headers: []string{"machine", "variant", "mem traffic", "predicted time", "speedup"},
 	}
 	orig := kernels.Fig8Workload(cfg.Fig8N)
-	fusedOnly, _, err := OptimizeWith(orig, transform.FusionOnly())
+	fusedOnly, _, err := transform.OptimizeVerified(orig, transform.Config{Pipeline: "fuse"})
 	if err != nil {
 		return nil, err
 	}

@@ -187,29 +187,51 @@ func TestAnalyzeBoundsConsistency(t *testing.T) {
 // TestDegradedBoundsCacheDiscipline extends the cache-poisoning rule to
 // the bounds dimension: a response computed with degraded (or absent)
 // bounds must never be served to a full-service request, because the
-// bounds mode is part of the cache address.
+// bounds mode is part of the cache address. Both endpoints share the
+// lifecycle that enforces it, so both are checked.
 func TestDegradedBoundsCacheDiscipline(t *testing.T) {
+	for path, body := range map[string]map[string]any{
+		"/v1/analyze":  {"kernel": "dmxpy", "n": 96, "belady": true},
+		"/v1/optimize": {"kernel": "dmxpy", "n": 96},
+	} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) { testDegradedBoundsCacheDiscipline(t, path, body) })
+	}
+}
+
+// boundsResponse is the part of either endpoint's response the bounds
+// discipline reads.
+type boundsResponse struct {
+	ResponseMeta
+	Bounds *BoundsSummary `json:"bounds"`
+}
+
+func testDegradedBoundsCacheDiscipline(t *testing.T, path string, body map[string]any) {
 	s, ts := newTestServer(t, Config{Workers: 1})
+	withTimeout := func(ms int) map[string]any {
+		m := map[string]any{"timeout_ms": ms}
+		for k, v := range body {
+			m[k] = v
+		}
+		return m
+	}
 
 	// Force the ladder: write the cost estimate directly, then send a
 	// deadline in [est/2, est) — rung 1, which sheds the pebbling half
 	// of the bound but keeps measurement and the compulsory floor.
 	s.pipeEWMABits.Store(math.Float64bits(1.0))
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{
-		"kernel": "dmxpy", "n": 96, "belady": true, "timeout_ms": 700,
-	})
+	resp, b := postJSON(t, ts.URL+path, withTimeout(700))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded analyze: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("degraded request: status %d: %s", resp.StatusCode, b)
 	}
-	var deg AnalyzeResponse
-	if err := json.Unmarshal(body, &deg); err != nil {
+	var deg boundsResponse
+	if err := json.Unmarshal(b, &deg); err != nil {
 		t.Fatal(err)
 	}
 	if deg.Degraded == nil || deg.Degraded.Level != 1 {
-		t.Fatalf("want rung-1 degradation, got %s", body)
+		t.Fatalf("want rung-1 degradation, got %s", b)
 	}
 	if deg.Bounds == nil {
-		t.Fatalf("rung-1 response lost its bounds block entirely: %s", body)
+		t.Fatalf("rung-1 response lost its bounds block entirely: %s", b)
 	}
 	if !deg.Bounds.PebblingSkipped {
 		t.Fatalf("rung-1 bounds not marked pebbling_skipped: %+v", deg.Bounds)
@@ -224,19 +246,19 @@ func TestDegradedBoundsCacheDiscipline(t *testing.T) {
 	// Full-deadline follow-up: must recompute, not serve the weaker
 	// cached bounds.
 	s.pipeEWMABits.Store(math.Float64bits(0.001))
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{"kernel": "dmxpy", "n": 96, "belady": true})
+	resp, b = postJSON(t, ts.URL+path, body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("full analyze: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("full request: status %d: %s", resp.StatusCode, b)
 	}
-	var full AnalyzeResponse
-	if err := json.Unmarshal(body, &full); err != nil {
+	var full boundsResponse
+	if err := json.Unmarshal(b, &full); err != nil {
 		t.Fatal(err)
 	}
 	if full.Cached {
 		t.Fatal("pebbling-shed result was served to a full-bounds request")
 	}
 	if full.Bounds == nil || full.Bounds.PebblingSkipped {
-		t.Fatalf("full request got degraded bounds: %s", body)
+		t.Fatalf("full request got degraded bounds: %s", b)
 	}
 	if full.Bounds.BoundBytes < deg.Bounds.BoundBytes {
 		t.Fatalf("full bound %d weaker than compulsory-only %d",
@@ -247,20 +269,85 @@ func TestDegradedBoundsCacheDiscipline(t *testing.T) {
 	// variant sits at the address the degraded probe checks first, and a
 	// strictly better answer is acceptable for a degraded request.
 	s.pipeEWMABits.Store(math.Float64bits(1.0))
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{
-		"kernel": "dmxpy", "n": 96, "belady": true, "timeout_ms": 700,
-	})
+	resp, b = postJSON(t, ts.URL+path, withTimeout(700))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat degraded analyze: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("repeat degraded request: status %d: %s", resp.StatusCode, b)
 	}
-	var again AnalyzeResponse
-	if err := json.Unmarshal(body, &again); err != nil {
+	var again boundsResponse
+	if err := json.Unmarshal(b, &again); err != nil {
 		t.Fatal(err)
 	}
 	if !again.Cached {
-		t.Fatalf("repeat degraded request missed the cache: %s", body)
+		t.Fatalf("repeat degraded request missed the cache: %s", b)
 	}
 	if again.Bounds == nil {
 		t.Fatal("cached degraded variant lost its bounds block")
+	}
+}
+
+// TestDegradedCachedVariantProbe pins the degradation rung's cache
+// probes on both endpoints. A rung-1 request whose own address missed
+// is answered from the full-bounds variant of its effective features,
+// with no program run and both markers set. At rung 2 (structural-only)
+// analyze still measures, so its answer is cached at the degraded
+// address and a repeat is served from there; optimize skips
+// measurement, so its answer is incomplete and never cached.
+func TestDegradedCachedVariantProbe(t *testing.T) {
+	for _, c := range []struct {
+		path         string
+		full, probed map[string]any
+		rung2Cached  bool
+	}{
+		{"/v1/analyze", map[string]any{"kernel": "dmxpy", "n": 96},
+			map[string]any{"kernel": "dmxpy", "n": 96, "profile": true, "timeout_ms": 700}, true},
+		{"/v1/optimize", map[string]any{"kernel": "dmxpy", "n": 96, "verify": "structural"},
+			map[string]any{"kernel": "dmxpy", "n": 96, "verify": "differential", "profile": true, "timeout_ms": 700}, false},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1})
+			decode := func(resp *http.Response, b []byte) ResponseMeta {
+				t.Helper()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d: %s", resp.StatusCode, b)
+				}
+				var m ResponseMeta
+				if err := json.Unmarshal(b, &m); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+
+			if m := decode(postJSON(t, ts.URL+c.path, c.full)); m.Cached || m.Degraded != nil {
+				t.Fatalf("full request: %+v", m)
+			}
+			s.pipeEWMABits.Store(math.Float64bits(1.0))
+			runs := s.programRuns.Value()
+			resp, b := postJSON(t, ts.URL+c.path, c.probed)
+			m := decode(resp, b)
+			if m.Degraded == nil || m.Degraded.Level != 1 || !m.Cached {
+				t.Fatalf("rung-1 request not served from the full-bounds variant: %s", b)
+			}
+			if resp.Header.Get("X-Cache") != "miss" || resp.Header.Get("X-Degraded") != m.Degraded.Mode {
+				t.Fatalf("headers X-Cache %q X-Degraded %q", resp.Header.Get("X-Cache"), resp.Header.Get("X-Degraded"))
+			}
+			if strings.Contains(string(b), `"profile"`) {
+				t.Fatalf("probed answer carries a profile the rung sheds: %s", b)
+			}
+			if got := s.programRuns.Value(); got != runs {
+				t.Fatalf("probed answer ran the program %v times", got-runs)
+			}
+
+			// 400ms against a 1s estimate: rung 2, structural-only.
+			rung2 := map[string]any{"kernel": "dmxpy", "n": 80, "timeout_ms": 400}
+			for i := 0; i < 2; i++ {
+				m := decode(postJSON(t, ts.URL+c.path, rung2))
+				if m.Degraded == nil || m.Degraded.Level != 2 {
+					t.Fatalf("request %d: want rung 2, got %+v", i, m.Degraded)
+				}
+				if want := i == 1 && c.rung2Cached; m.Cached != want {
+					t.Fatalf("rung-2 request %d: cached = %v, want %v", i, m.Cached, want)
+				}
+			}
+		})
 	}
 }

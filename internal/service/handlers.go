@@ -78,22 +78,17 @@ type AnalyzeRequest struct {
 	Belady bool `json:"belady,omitempty"`
 }
 
-// PassOptions selects optimizer passes for POST /v1/optimize; omitting
-// the field entirely enables all passes.
-type PassOptions struct {
-	Fuse            bool `json:"fuse"`
-	ReduceStorage   bool `json:"reduce_storage"`
-	EliminateStores bool `json:"eliminate_stores"`
-}
+// program returns the request's common half; the lifecycle reads the
+// deadline and trace switch from it.
+func (r *ProgramRequest) program() *ProgramRequest { return r }
 
 // OptimizeRequest is the body of POST /v1/optimize.
 type OptimizeRequest struct {
 	ProgramRequest
-	Passes *PassOptions `json:"passes,omitempty"`
-	// Pipeline is an explicit pass pipeline string from the transform
+	// Pipeline selects the passes: a pipeline string from the transform
 	// registry (e.g. "fuse,reduce-storage,store-elim" or
-	// "interchange:n1:i"); see GET /v1/passes for the vocabulary. It is
-	// mutually exclusive with Passes.
+	// "interchange:n1:i"), the vocabulary of bwopt -passes and GET
+	// /v1/passes. Omitted, it runs the paper's default strategy.
 	Pipeline string `json:"pipeline,omitempty"`
 	// Verify is the per-checkpoint verification mode: "off" (default),
 	// "structural" or "differential".
@@ -157,18 +152,44 @@ type BeladyComparison struct {
 	MissReduction float64 `json:"miss_reduction"`
 }
 
-// AnalyzeResponse is the body of a successful POST /v1/analyze.
-type AnalyzeResponse struct {
+// ResponseMeta is the envelope both /v1/analyze and /v1/optimize
+// responses embed: how the service delivered the answer, as opposed to
+// the answer itself.
+type ResponseMeta struct {
+	// Cached marks an answer served from the result cache.
 	Cached bool `json:"cached"`
 	// Coalesced marks a response shared from an identical concurrent
 	// request's pipeline run (singleflight): this request consumed no
 	// worker of its own.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Degraded marks a response served below full service by the
-	// overload ladder (see DegradeInfo); absent at full service.
-	Degraded *DegradeInfo      `json:"degraded,omitempty"`
-	Balance  *BalanceSummary   `json:"balance"`
-	Belady   *BeladyComparison `json:"belady,omitempty"`
+	// overload ladder (see DegradeInfo); absent at full service. A
+	// structural-only optimize omits before/after/speedup (measurement
+	// was skipped to fit the deadline).
+	Degraded *DegradeInfo `json:"degraded,omitempty"`
+	// Trace is the request's span tree, present only when the request
+	// set "trace": true. Cached entries never store a trace; a traced
+	// cache hit reports the (short) hit path.
+	Trace []*trace.Node `json:"trace,omitempty"`
+}
+
+func (m ResponseMeta) envelope() ResponseMeta { return m }
+
+// response is a lifecycle endpoint's answer. Cached and shared values
+// are immutable, so each request's envelope goes on a shallow copy.
+type response interface {
+	envelope() ResponseMeta
+	withEnvelope(ResponseMeta) response
+}
+
+func (r AnalyzeResponse) withEnvelope(m ResponseMeta) response  { r.ResponseMeta = m; return &r }
+func (r OptimizeResponse) withEnvelope(m ResponseMeta) response { r.ResponseMeta = m; return &r }
+
+// AnalyzeResponse is the body of a successful POST /v1/analyze.
+type AnalyzeResponse struct {
+	ResponseMeta
+	Balance *BalanceSummary   `json:"balance"`
+	Belady  *BeladyComparison `json:"belady,omitempty"`
 	// Bounds is the analyzed program's data-movement lower bound and
 	// the measurement's optimality gap (internal/bounds); absent when
 	// the service degraded past program execution or the footprint run
@@ -190,10 +211,6 @@ type AnalyzeResponse struct {
 	// (AnalyzeRequest.Machines), in request order, first entry equal to
 	// Balance/Bounds. Absent for single-machine requests.
 	Machines []*MachineAnalysis `json:"machines,omitempty"`
-	// Trace is the request's span tree, present only when the request
-	// set "trace": true. Cached entries never store a trace; a traced
-	// cache hit reports the (short) hit path.
-	Trace []*trace.Node `json:"trace,omitempty"`
 }
 
 // MachineAnalysis is one machine's result in a fan-out analyze
@@ -216,12 +233,7 @@ type Verification struct {
 
 // OptimizeResponse is the body of a successful POST /v1/optimize.
 type OptimizeResponse struct {
-	Cached bool `json:"cached"`
-	// Coalesced and Degraded: see AnalyzeResponse. A structural-only
-	// degraded response omits Before/After/Speedup (measurement was
-	// skipped to fit the deadline).
-	Coalesced    bool            `json:"coalesced,omitempty"`
-	Degraded     *DegradeInfo    `json:"degraded,omitempty"`
+	ResponseMeta
 	Optimized    string          `json:"optimized"` // optimized program source
 	Actions      []string        `json:"actions"`
 	Verification *Verification   `json:"verification"`
@@ -251,9 +263,6 @@ type OptimizeResponse struct {
 	// stats of the run that produced them).
 	Passes   []transform.PassStat `json:"pass_stats,omitempty"`
 	Analysis analysis.Stats       `json:"analysis,omitempty"`
-	// Trace is the request's span tree, present only when the request
-	// set "trace": true (see AnalyzeResponse.Trace).
-	Trace []*trace.Node `json:"trace,omitempty"`
 }
 
 // ErrorResponse is the JSON error envelope for all non-2xx statuses.
@@ -489,9 +498,8 @@ type resultKey struct {
 	Endpoint string
 	Source   string
 	Machine  string
-	Passes   *transform.Options `json:",omitempty"`
-	Pipeline string             `json:",omitempty"`
-	Tol      float64            `json:",omitempty"`
+	Pipeline string  `json:",omitempty"`
+	Tol      float64 `json:",omitempty"`
 	// Features is what was actually computed: a degraded response lives
 	// at its own address (see features).
 	Features features
@@ -507,108 +515,114 @@ func (s *Server) measure(ctx context.Context, p *ir.Program, specs []machine.Spe
 	return reps, err
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req AnalyzeRequest
-	if !s.decode(w, r, &req) {
+// call is one resolved /v1/analyze or /v1/optimize request: its cache
+// address less the features, the features asked for, and the body.
+type call struct {
+	key  resultKey
+	want features
+	// body computes the answer at the admitted rung with the effective
+	// features. It returns the envelope-free response and whether that
+	// response is the complete answer for eff's address.
+	body func(ctx context.Context, eff features, level degradeLevel) (response, bool, error)
+}
+
+// keyOf is the cache address of the answer computed with f. The
+// tolerance shapes only a differential check, so other modes drop it.
+func (c *call) keyOf(f features) (string, error) {
+	k := c.key
+	k.Features = f
+	if f.Verify != verify.ModeDifferential {
+		k.Tol = 0
+	}
+	return cache.Key(k)
+}
+
+// serve is the one request lifecycle of /v1/analyze and /v1/optimize:
+// decode req, apply the deadline and any X-Chaos faults, start the
+// inline trace, and run resolve (the endpoint's parse-and-key step)
+// as the parse stage. A cache hit is answered at once; a miss
+// coalesces onto an identical in-flight request (singleflight), whose
+// leader runs the pipeline (see run). Every header the lifecycle sends
+// is set here, and so is each request's own envelope, written on a
+// copy of the shared answer.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, span string, req interface{ program() *ProgramRequest }, resolve func() (*call, error)) {
+	if !s.decode(w, r, req) {
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, req.program().TimeoutMS)
 	defer cancel()
 	ctx, err := s.chaosCtx(ctx, r)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	ctx, tr, root := startRequestTrace(ctx, req.Trace, "v1.analyze")
+	ctx, tr, root := startRequestTrace(ctx, req.program().Trace, span)
 
 	begin := time.Now()
-	p, sourceID, err := s.resolveProgram(&req.ProgramRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	specs, machineKey, err := resolveMachines(&req)
+	c, err := resolve()
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.stageSeconds.With("parse").Observe(time.Since(begin).Seconds())
-
-	want := features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
-		Profile: req.Profile, MRC: req.MRC, Belady: req.Belady}}
-	keyOf := func(f features) (string, error) {
-		return cache.Key(resultKey{Endpoint: "analyze", Source: sourceID, Machine: machineKey, Features: f})
-	}
-	key, err := keyOf(want)
+	key, err := c.keyOf(c.want)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
+
+	var resp response
+	var meta ResponseMeta
 	if v, ok := s.cacheGet(ctx, key); ok {
 		s.cacheHits.Inc()
 		w.Header().Set("X-Cache", "hit")
-		resp := *v.(*AnalyzeResponse) // shallow copy; cached values are immutable
-		resp.Cached = true
-		if tr != nil {
-			root.End(trace.String("cache", "hit"))
-			resp.Trace = tr.Tree()
+		resp, meta.Cached = v.(response), true
+	} else {
+		s.cacheMisses.Inc()
+		w.Header().Set("X-Cache", "miss")
+		v, shared, err := s.flight.do(ctx, key, func() (any, error) { return s.run(ctx, c) })
+		if err != nil {
+			s.failOverload(w, err)
+			return
 		}
-		writeJSON(w, http.StatusOK, &resp)
-		return
-	}
-	s.cacheMisses.Inc()
-	w.Header().Set("X-Cache", "miss")
-
-	// Coalesce identical concurrent misses onto one pipeline run; the
-	// leader passes admission control and may be degraded or shed.
-	v, shared, err := s.flight.do(ctx, key, func() (any, error) {
-		return s.runAnalyze(ctx, &req, p, specs, want, keyOf)
-	})
-	if err != nil {
-		s.failOverload(w, err)
-		return
-	}
-	resp := v.(*AnalyzeResponse)
-	if shared {
-		s.coalesced.Inc()
-		w.Header().Set("X-Coalesced", "1")
-		cp := *resp
-		cp.Coalesced = true
-		resp = &cp
-	}
-	if resp.Degraded != nil {
-		s.degraded.With(resp.Degraded.Mode).Inc()
-		s.degradedAll.Inc()
-		w.Header().Set("X-Degraded", resp.Degraded.Mode)
+		resp = v.(response)
+		meta = resp.envelope()
+		if shared {
+			s.coalesced.Inc()
+			w.Header().Set("X-Coalesced", "1")
+			meta.Coalesced = true
+		}
+		if meta.Degraded != nil {
+			s.degraded.With(meta.Degraded.Mode).Inc()
+			s.degradedAll.Inc()
+			w.Header().Set("X-Degraded", meta.Degraded.Mode)
+		}
 	}
 	if tr != nil {
-		root.End(trace.String("cache", "miss"))
-		out := *resp
-		out.Trace = tr.Tree()
-		writeJSON(w, http.StatusOK, &out)
-		return
+		root.End(trace.String("cache", w.Header().Get("X-Cache")))
+		meta.Trace = tr.Tree()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp.withEnvelope(meta))
 }
 
-// runAnalyze is the leader's pipeline body for one analyze miss:
-// admission, degradation, worker acquisition, and one measurement run
-// that serves every target machine and every requested feature. The
-// returned response is trace-free (the handler attaches trees).
-func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, specs []machine.Spec, want features, keyOf func(features) (string, error)) (*AnalyzeResponse, error) {
+// run is the leader's half of a miss: admission (or a shed), the
+// degradation rung and its cached-variant probe, a worker, the body.
+// Only full-service runs feed the cost estimate: degraded runs are
+// cheaper by construction and would drag it optimistic. The answer is
+// cached trace- and envelope-free under the key of what was actually
+// computed: a degraded run is exactly that variant's full answer, so
+// it must never be stored under the requested address.
+func (s *Server) run(ctx context.Context, c *call) (response, error) {
 	level, reason, err := s.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	eff, info, cached, err := s.degrade(ctx, level, reason, want, keyOf)
+	eff, info, cached, err := s.degrade(ctx, level, reason, c.want, c.keyOf)
 	if err != nil {
 		return nil, err
 	}
 	if cached != nil {
-		cp := *cached.(*AnalyzeResponse)
-		cp.Cached = true
-		cp.Degraded = info
-		return &cp, nil
+		return cached.(response).withEnvelope(ResponseMeta{Cached: true, Degraded: info}), nil
 	}
 
 	release, err := s.acquire(ctx)
@@ -617,10 +631,51 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	}
 	defer release()
 
-	pbegin := time.Now()
-	reps, err := s.measure(ctx, p, specs, eff.Options)
+	begin := time.Now()
+	resp, cacheable, err := c.body(ctx, eff, level)
 	if err != nil {
 		return nil, err
+	}
+	if level == degradeNone {
+		s.observePipeline(time.Since(begin))
+	}
+	if cacheable {
+		if key, err := c.keyOf(eff); err == nil {
+			s.cachePut(ctx, key, resp)
+		}
+	}
+	return resp.withEnvelope(ResponseMeta{Degraded: info}), nil
+}
+
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	var req AnalyzeRequest
+	s.serve(w, r, "v1.analyze", &req, func() (*call, error) {
+		p, sourceID, err := s.resolveProgram(&req.ProgramRequest)
+		if err != nil {
+			return nil, err
+		}
+		specs, machineKey, err := resolveMachines(&req)
+		if err != nil {
+			return nil, err
+		}
+		return &call{
+			key: resultKey{Endpoint: "analyze", Source: sourceID, Machine: machineKey},
+			want: features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
+				Profile: req.Profile, MRC: req.MRC, Belady: req.Belady}},
+			body: func(ctx context.Context, eff features, _ degradeLevel) (response, bool, error) {
+				return s.analyze(ctx, &req, p, specs, eff)
+			},
+		}, nil
+	})
+}
+
+// analyze is the analyze body: one measurement run that serves every
+// target machine and every requested feature. Its answer is always
+// complete for eff, so always cacheable.
+func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, specs []machine.Spec, eff features) (response, bool, error) {
+	reps, err := s.measure(ctx, p, specs, eff.Options)
+	if err != nil {
+		return nil, false, err
 	}
 	rep := reps[0]
 	resp := &AnalyzeResponse{Balance: summarize(rep), Bounds: boundsOf(rep)}
@@ -650,25 +705,7 @@ func (s *Server) runAnalyze(ctx context.Context, req *AnalyzeRequest, p *ir.Prog
 	if rep.Replay != nil {
 		resp.Belady = beladyComparison(rep.Replay)
 	}
-	if level == degradeNone {
-		// Only full-service runs feed the cost estimate: degraded runs
-		// are cheaper by construction and would drag it optimistic.
-		s.observePipeline(time.Since(pbegin))
-	}
-
-	// Cache the trace-free, degradation-free response under the key of
-	// what was actually computed: a degraded run is exactly that
-	// variant's full answer, so it must never be stored under the
-	// requested address.
-	if key, err := keyOf(eff); err == nil {
-		s.cachePut(ctx, key, resp)
-	}
-	if info != nil {
-		cp := *resp
-		cp.Degraded = info
-		return &cp, nil
-	}
-	return resp, nil
+	return resp, true, nil
 }
 
 // beladyComparison projects a measurement's LRU-vs-optimal replay onto
@@ -695,150 +732,62 @@ func beladyComparison(r *balance.Replay) *BeladyComparison {
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-	ctx, err := s.chaosCtx(ctx, r)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ctx, tr, root := startRequestTrace(ctx, req.Trace, "v1.optimize")
-
-	begin := time.Now()
-	p, sourceID, err := s.resolveProgram(&req.ProgramRequest)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	spec, err := resolveMachine(req.Machine, req.Scale)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	mode, err := verify.ParseMode(req.Verify)
-	if err != nil {
-		s.fail(w, badRequest("%v", err))
-		return
-	}
-	if req.Pipeline != "" && req.Passes != nil {
-		s.fail(w, badRequest("set at most one of \"passes\" and \"pipeline\""))
-		return
-	}
-	if req.Pipeline != "" {
-		if _, err := transform.ParsePipeline(req.Pipeline); err != nil {
-			s.fail(w, &httpError{code: http.StatusBadRequest,
-				msg: "pipeline does not parse", diags: []string{err.Error()}})
-			return
+	s.serve(w, r, "v1.optimize", &req, func() (*call, error) {
+		p, sourceID, err := s.resolveProgram(&req.ProgramRequest)
+		if err != nil {
+			return nil, err
 		}
-	}
-	opts := transform.All()
-	if req.Passes != nil {
-		opts = transform.Options{
-			Fuse:            req.Passes.Fuse,
-			ReduceStorage:   req.Passes.ReduceStorage,
-			EliminateStores: req.Passes.EliminateStores,
+		spec, err := resolveMachine(req.Machine, req.Scale)
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.stageSeconds.With("parse").Observe(time.Since(begin).Seconds())
-
-	want := features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
-		Profile: req.Profile, MRC: req.MRC}, Verify: mode}
-	keyOf := func(f features) (string, error) {
-		return cache.Key(resultKey{Endpoint: "optimize", Source: sourceID, Machine: spec.Name,
-			Passes: &opts, Pipeline: req.Pipeline, Tol: req.Tol, Features: f})
-	}
-	key, err := keyOf(want)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if v, ok := s.cacheGet(ctx, key); ok {
-		s.cacheHits.Inc()
-		w.Header().Set("X-Cache", "hit")
-		resp := *v.(*OptimizeResponse)
-		resp.Cached = true
-		if tr != nil {
-			root.End(trace.String("cache", "hit"))
-			resp.Trace = tr.Tree()
+		mode, err := verify.ParseMode(req.Verify)
+		if err != nil {
+			return nil, badRequest("%v", err)
 		}
-		writeJSON(w, http.StatusOK, &resp)
-		return
-	}
-	s.cacheMisses.Inc()
-	w.Header().Set("X-Cache", "miss")
-
-	// Coalesce identical concurrent misses onto one pipeline run (N
-	// identical in-flight requests cost one optimization); the leader
-	// passes admission control and may be degraded or shed.
-	v, shared, err := s.flight.do(ctx, key, func() (any, error) {
-		return s.runOptimize(ctx, &req, p, spec, opts, want, keyOf)
+		// An omitted pipeline is the paper's strategy. Every spelling of
+		// a pass sequence keys and runs as its canonical form; " , " is
+		// the empty pipeline, not the default.
+		spelled := req.Pipeline
+		if spelled == "" {
+			spelled = transform.DefaultPipelineSpec
+		}
+		pl, err := transform.ParsePipeline(spelled)
+		if err != nil {
+			return nil, &httpError{code: http.StatusBadRequest,
+				msg: "pipeline does not parse", diags: []string{err.Error()}}
+		}
+		pipeline, tol := pl.Canonical(), req.Tol
+		if tol <= 0 {
+			tol = verify.DefaultTol
+		}
+		return &call{
+			key: resultKey{Endpoint: "optimize", Source: sourceID, Machine: spec.Name,
+				Pipeline: pipeline, Tol: tol},
+			want: features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
+				Profile: req.Profile, MRC: req.MRC}, Verify: mode},
+			body: func(ctx context.Context, eff features, level degradeLevel) (response, bool, error) {
+				return s.optimize(ctx, req.Kernel, p, spec, transform.Config{
+					Pipeline: pipeline, Verify: eff.Verify, Tol: tol, ExecLimits: s.limits(),
+					SnapshotPasses: eff.Profile,
+				}, eff, rungs[level].execs)
+			},
+		}, nil
 	})
-	if err != nil {
-		s.failOverload(w, err)
-		return
-	}
-	resp := v.(*OptimizeResponse)
-	if shared {
-		s.coalesced.Inc()
-		w.Header().Set("X-Coalesced", "1")
-		cp := *resp
-		cp.Coalesced = true
-		resp = &cp
-	}
-	if resp.Degraded != nil {
-		s.degraded.With(resp.Degraded.Mode).Inc()
-		s.degradedAll.Inc()
-		w.Header().Set("X-Degraded", resp.Degraded.Mode)
-	}
-	if tr != nil {
-		root.End(trace.String("cache", "miss"))
-		out := *resp
-		out.Trace = tr.Tree()
-		writeJSON(w, http.StatusOK, &out)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// runOptimize is the leader's pipeline body for one optimize miss:
-// admission, degradation (verification clamp, measurement skip),
-// worker acquisition, transform, measurement. The returned response is
-// trace-free (the handler attaches trees).
-func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Program, spec machine.Spec, opts transform.Options, want features, keyOf func(features) (string, error)) (*OptimizeResponse, error) {
-	level, reason, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	eff, info, cached, err := s.degrade(ctx, level, reason, want, keyOf)
-	if err != nil {
-		return nil, err
-	}
-	if cached != nil {
-		cp := *cached.(*OptimizeResponse)
-		cp.Cached = true
-		cp.Degraded = info
-		return &cp, nil
-	}
-
-	release, err := s.acquire(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("timed out waiting for a worker: %w", err)
-	}
-	defer release()
-
-	pbegin := time.Now()
+// optimize is the optimize body: the verified pipeline under cfg, then
+// — when the rung affords executions — the before and after
+// measurements and the pass deltas. A structural-only run skipped
+// measurement, so it is incomplete for any address and not cacheable.
+// An empty cfg.Pipeline runs no pass (cfg sets no Options).
+func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spec machine.Spec, cfg transform.Config, eff features, measured bool) (response, bool, error) {
 	obegin := time.Now()
-	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, transform.Config{
-		Options: opts, Pipeline: req.Pipeline, Verify: eff.Verify, Tol: req.Tol, ExecLimits: s.limits(),
-		SnapshotPasses: eff.Profile,
-	})
+	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, cfg)
 	s.stageSeconds.With("optimize").Observe(time.Since(obegin).Seconds())
 	s.recordOutcome(outcome)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 
 	resp := &OptimizeResponse{
@@ -858,74 +807,54 @@ func (s *Server) runOptimize(ctx context.Context, req *OptimizeRequest, p *ir.Pr
 	for _, a := range outcome.Actions {
 		resp.Actions = append(resp.Actions, a.String())
 	}
+	if !measured {
+		return resp, false, nil
+	}
 
-	measured := rungs[level].execs
-	if measured {
-		// The bounds block describes the optimized program, so the
-		// before run computes a bound only for a profiled report.
-		bo := eff.Options
-		if !bo.Profile {
-			bo.Bounds = balance.BoundsNone
-		}
-		reps, err := s.measure(ctx, p, []machine.Spec{spec}, bo)
-		if err != nil {
-			return nil, err
-		}
-		before := reps[0]
-		if reps, err = s.measure(ctx, q, []machine.Spec{spec}, eff.Options); err != nil {
-			return nil, err
-		}
-		after := reps[0]
-		resp.Before = summarize(before)
-		resp.After = summarize(after)
-		resp.Speedup = balance.Speedup(before, after)
-		resp.Bounds = boundsOf(after)
-		s.observeGap(req.Kernel, spec.Name, resp.Bounds)
-		if eff.Profile {
-			// Attribute the pipeline's savings pass by pass from the
-			// committed snapshots; before and after are the two ends.
-			resp.Profile = after.Attribution.Summary()
-			s.observeProfile(req.Kernel, resp.Profile)
-			if n := len(outcome.Snapshots); n > 0 {
-				snaps := make([]balance.ProgramSnapshot, n)
-				for i, sn := range outcome.Snapshots {
-					snaps[i] = balance.ProgramSnapshot{Pass: sn.Pass, Program: sn.Program}
-				}
-				s.programRuns.Add(float64(n - 1))
-				deltas, err := balance.PassDeltas(ctx, before, after, snaps, spec, s.limits())
-				if err != nil {
-					return nil, err
-				}
-				resp.PassDeltas = deltas
+	// The bounds block describes the optimized program, so the before
+	// run computes a bound only for a profiled report.
+	bo := eff.Options
+	if !bo.Profile {
+		bo.Bounds = balance.BoundsNone
+	}
+	reps, err := s.measure(ctx, p, []machine.Spec{spec}, bo)
+	if err != nil {
+		return nil, false, err
+	}
+	before := reps[0]
+	if reps, err = s.measure(ctx, q, []machine.Spec{spec}, eff.Options); err != nil {
+		return nil, false, err
+	}
+	after := reps[0]
+	resp.Before = summarize(before)
+	resp.After = summarize(after)
+	resp.Speedup = balance.Speedup(before, after)
+	resp.Bounds = boundsOf(after)
+	s.observeGap(kernel, spec.Name, resp.Bounds)
+	if eff.Profile {
+		// Attribute the pipeline's savings pass by pass from the
+		// committed snapshots; before and after are the two ends.
+		resp.Profile = after.Attribution.Summary()
+		s.observeProfile(kernel, resp.Profile)
+		if n := len(outcome.Snapshots); n > 0 {
+			snaps := make([]balance.ProgramSnapshot, n)
+			for i, sn := range outcome.Snapshots {
+				snaps[i] = balance.ProgramSnapshot{Pass: sn.Pass, Program: sn.Program}
 			}
-		}
-		if eff.MRC {
-			resp.MRCBefore = before.MRC
-			resp.MRCAfter = after.MRC
-			s.observeMRC(req.Kernel, resp.MRCAfter)
-		}
-	}
-	if level == degradeNone {
-		// Only full-service runs feed the cost estimate (see runAnalyze).
-		s.observePipeline(time.Since(pbegin))
-	}
-
-	// Cache the trace-free, degradation-free response under the key of
-	// what was actually computed: a verification-clamped run with its
-	// effective bounds mode is exactly that degraded request's full
-	// answer. A structural-only run skipped measurement, so it is
-	// incomplete for any key and is not cached.
-	if measured {
-		if key, err := keyOf(eff); err == nil {
-			s.cachePut(ctx, key, resp)
+			s.programRuns.Add(float64(n - 1))
+			deltas, err := balance.PassDeltas(ctx, before, after, snaps, spec, s.limits())
+			if err != nil {
+				return nil, false, err
+			}
+			resp.PassDeltas = deltas
 		}
 	}
-	if info != nil {
-		cp := *resp
-		cp.Degraded = info
-		return &cp, nil
+	if eff.MRC {
+		resp.MRCBefore = before.MRC
+		resp.MRCAfter = after.MRC
+		s.observeMRC(kernel, resp.MRCAfter)
 	}
-	return resp, nil
+	return resp, true, nil
 }
 
 func (s *Server) handleKernels(w http.ResponseWriter, _ *http.Request) {

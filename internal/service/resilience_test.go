@@ -39,10 +39,24 @@ func postJSONHeaders(t *testing.T, url string, body any, hdr map[string]string) 
 	return resp, out.Bytes()
 }
 
-// TestCoalescing is the issue's acceptance test: N identical
-// concurrent requests perform exactly one pipeline run; followers
-// share the leader's result and carry the coalesced marker.
+// TestCoalescing: N identical concurrent requests perform exactly one
+// pipeline run; followers share the leader's result and carry the
+// coalesced marker. Both endpoints share the lifecycle, so both are
+// checked: the stage counted is optimize's transform run and analyze's
+// one measurement.
 func TestCoalescing(t *testing.T) {
+	for _, c := range []struct {
+		path, stage string
+		body        map[string]any
+	}{
+		{"/v1/optimize", "optimize", map[string]any{"kernel": "sec21", "n": 2048, "verify": "structural"}},
+		{"/v1/analyze", "measure", map[string]any{"kernel": "sec21", "n": 2048, "belady": true}},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) { testCoalescing(t, c.path, c.stage, c.body) })
+	}
+}
+
+func testCoalescing(t *testing.T, path, stage string, body map[string]any) {
 	const n = 8
 	s, ts := newTestServer(t, Config{
 		Workers: 2,
@@ -51,7 +65,6 @@ func TestCoalescing(t *testing.T) {
 		Faults: faults.MustParse("worker.stall:once,delay=500ms"),
 	})
 
-	body := map[string]any{"kernel": "sec21", "n": 2048, "verify": "structural"}
 	type result struct {
 		status    int
 		coalesced bool
@@ -63,10 +76,10 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, b := postJSON(t, ts.URL+"/v1/optimize", body)
-			var or OptimizeResponse
-			json.Unmarshal(b, &or)
-			results[i] = result{resp.StatusCode, or.Coalesced, resp.Header.Get("X-Coalesced")}
+			resp, b := postJSON(t, ts.URL+path, body)
+			var meta ResponseMeta
+			json.Unmarshal(b, &meta)
+			results[i] = result{resp.StatusCode, meta.Coalesced, resp.Header.Get("X-Coalesced")}
 		}(i)
 	}
 	wg.Wait()
@@ -88,8 +101,8 @@ func TestCoalescing(t *testing.T) {
 	if coalesced != n-1 {
 		t.Fatalf("coalesced %d of %d requests, want %d", coalesced, n, n-1)
 	}
-	// The load-bearing assertion: one optimize-stage run total.
-	if got := s.stageSeconds.With("optimize").Count(); got != 1 {
+	// The load-bearing assertion: one pipeline-stage run total.
+	if got := s.stageSeconds.With(stage).Count(); got != 1 {
 		t.Fatalf("pipeline ran %d times for %d identical requests, want exactly 1", got, n)
 	}
 	if got := s.coalesced.Value(); got != float64(n-1) {
@@ -98,8 +111,14 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestShedding drives the queue past MaxQueue and expects a 503 with
-// Retry-After rather than unbounded queueing.
+// Retry-After rather than unbounded queueing, on both endpoints.
 func TestShedding(t *testing.T) {
+	for _, path := range []string{"/v1/analyze", "/v1/optimize"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) { testShedding(t, path) })
+	}
+}
+
+func testShedding(t *testing.T, path string) {
 	s, ts := newTestServer(t, Config{
 		Workers:  1,
 		MaxQueue: 1,
@@ -110,7 +129,7 @@ func TestShedding(t *testing.T) {
 
 	done := make(chan int, 1)
 	go func() {
-		resp, _ := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"kernel": "sec21", "n": 1024})
+		resp, _ := postJSON(t, ts.URL+path, map[string]any{"kernel": "sec21", "n": 1024})
 		done <- resp.StatusCode
 	}()
 	// Wait until the first request holds the worker (stalling), so the
@@ -123,7 +142,7 @@ func TestShedding(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", map[string]any{"kernel": "sec21", "n": 4096})
+	resp, body := postJSON(t, ts.URL+path, map[string]any{"kernel": "sec21", "n": 4096})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
 	}
@@ -239,17 +258,20 @@ func TestDegradationCacheOnlyShed(t *testing.T) {
 		t.Fatalf("priming run: status %d: %s", resp.StatusCode, body)
 	}
 	// 30ms deadline vs ≥ 400ms estimate: rung 3, nothing cached → 503.
-	resp, body = postJSON(t, ts.URL+"/v1/optimize", map[string]any{
-		"kernel": "dmxpy", "n": 80, "verify": "differential", "timeout_ms": 30,
-	})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "cache-only") {
-		t.Fatalf("shed reason does not mention cache-only: %s", body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("cache-only shed without Retry-After")
+	for path, req := range map[string]map[string]any{
+		"/v1/optimize": {"kernel": "dmxpy", "n": 80, "verify": "differential", "timeout_ms": 30},
+		"/v1/analyze":  {"kernel": "dmxpy", "n": 80, "timeout_ms": 30},
+	} {
+		resp, body = postJSON(t, ts.URL+path, req)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503: %s", path, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "cache-only") {
+			t.Fatalf("%s: shed reason does not mention cache-only: %s", path, body)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: cache-only shed without Retry-After", path)
+		}
 	}
 }
 

@@ -85,12 +85,19 @@ loop L1 {
 }
 
 // TestCacheHitVsMiss asserts the second identical request is served
-// from the cache, via the cache-hit counter — not wall clock.
+// from the cache, via the cache-hit counter — not wall clock — on both
+// endpoints.
 func TestCacheHitVsMiss(t *testing.T) {
+	for _, path := range []string{"/v1/analyze", "/v1/optimize"} {
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) { testCacheHitVsMiss(t, path) })
+	}
+}
+
+func testCacheHitVsMiss(t *testing.T, path string) {
 	s, ts := newTestServer(t, Config{})
 	req := map[string]any{"kernel": "conv", "n": 4096}
 
-	resp, body := postJSON(t, ts.URL+"/v1/analyze", req)
+	resp, body := postJSON(t, ts.URL+path, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("miss request: status %d: %s", resp.StatusCode, body)
 	}
@@ -102,14 +109,14 @@ func TestCacheHitVsMiss(t *testing.T) {
 		t.Fatalf("after miss: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/analyze", req)
+	resp, body = postJSON(t, ts.URL+path, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hit request: status %d: %s", resp.StatusCode, body)
 	}
 	if got := resp.Header.Get("X-Cache"); got != "hit" {
 		t.Fatalf("second request X-Cache = %q, want hit", got)
 	}
-	var ar AnalyzeResponse
+	var ar ResponseMeta
 	json.Unmarshal(body, &ar)
 	if !ar.Cached {
 		t.Fatal("second response not marked cached")
@@ -120,7 +127,7 @@ func TestCacheHitVsMiss(t *testing.T) {
 	}
 
 	// A request differing only in kernel size is a distinct entry.
-	resp, _ = postJSON(t, ts.URL+"/v1/analyze", map[string]any{"kernel": "conv", "n": 8192})
+	resp, _ = postJSON(t, ts.URL+path, map[string]any{"kernel": "conv", "n": 8192})
 	if got := resp.Header.Get("X-Cache"); got != "miss" {
 		t.Fatalf("different size X-Cache = %q, want miss", got)
 	}
@@ -522,7 +529,10 @@ func TestOptimizeAnalysisMetrics(t *testing.T) {
 }
 
 // TestOptimizePipelineField exercises the explicit "pipeline" request
-// field and its validation.
+// field, its validation and its cache key: every spelling of one pass
+// sequence shares an entry, an omitted pipeline is the default one,
+// and the tolerance is part of the key only under differential
+// verification.
 func TestOptimizePipelineField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -559,6 +569,57 @@ func TestOptimizePipelineField(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("pipeline+passes: status %d: %s", resp.StatusCode, body)
+	}
+
+	// Pairs of requests: the second must hit (or miss) the entry the
+	// first wrote.
+	base := map[string]any{"kernel": "fig7", "n": 512}
+	with := func(kv ...any) map[string]any {
+		m := map[string]any{}
+		for k, v := range base {
+			m[k] = v
+		}
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i].(string)] = kv[i+1]
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name          string
+		first, second map[string]any
+		hit           bool
+	}{
+		{"whitespace respelling", with("pipeline", "fuse,store-elim"), with("pipeline", " fuse , store-elim "), true},
+		{"omitted is the default", with("pipeline", "pipeline"), base, true},
+		{"empty pipeline is not the default", base, with("pipeline", " , "), false},
+		{"tol ignored without differential", with("verify", "structural"), with("verify", "structural", "tol", 1e-3), true},
+		{"tol 0 is the default tol", with("verify", "differential", "tol", 1e-9), with("verify", "differential"), true},
+		{"tol keys differential", with("verify", "differential", "n", 256), with("verify", "differential", "n", 256, "tol", 1e-3), false},
+	} {
+		for i, req := range []map[string]any{c.first, c.second} {
+			resp, body := postJSON(t, ts.URL+"/v1/optimize", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: request %d: status %d: %s", c.name, i, resp.StatusCode, body)
+			}
+			if i == 1 {
+				if got := resp.Header.Get("X-Cache") == "hit"; got != c.hit {
+					t.Errorf("%s: X-Cache %q, want hit=%v", c.name, resp.Header.Get("X-Cache"), c.hit)
+				}
+			}
+		}
+	}
+
+	// A pipeline of separators runs no pass at all.
+	resp, body = postJSON(t, ts.URL+"/v1/optimize", map[string]any{"kernel": "sec21", "n": 512, "pipeline": " , "})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("empty pipeline: status %d: %s", resp.StatusCode, body)
+	}
+	var empty OptimizeResponse
+	if err := json.Unmarshal(body, &empty); err != nil {
+		t.Fatal(err)
+	}
+	if len(empty.Passes) != 0 || len(empty.Actions) != 0 {
+		t.Fatalf("empty pipeline ran passes %+v, actions %v", empty.Passes, empty.Actions)
 	}
 }
 
@@ -650,6 +711,36 @@ func TestInlineTraceAndTraceID(t *testing.T) {
 	}
 	if id2 := resp.Header.Get("X-Trace-Id"); id2 == "" || id2 == id {
 		t.Fatalf("hit X-Trace-Id = %q, want fresh non-empty id (miss was %q)", id2, id)
+	}
+
+	// The analyze endpoint shares the lifecycle: its traced miss roots
+	// at v1.analyze over the measurement, its traced hit is marked.
+	for i, want := range []string{"miss", "hit"} {
+		resp, body = postJSON(t, ts.URL+"/v1/analyze", map[string]any{
+			"kernel": "dmxpy", "n": 64, "trace": true,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyze %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var ar AnalyzeResponse
+		if err := json.Unmarshal(body, &ar); err != nil {
+			t.Fatal(err)
+		}
+		if len(ar.Trace) == 0 || ar.Trace[0].Name != "v1.analyze" || ar.Trace[0].Attrs["cache"] != want {
+			t.Fatalf("analyze %s trace missing or unmarked: %+v", want, ar.Trace)
+		}
+		if ar.Cached != (want == "hit") {
+			t.Fatalf("analyze %s: cached = %v", want, ar.Cached)
+		}
+		runs := 0
+		trace.Walk(ar.Trace, func(n *trace.Node) {
+			if n.Name == "exec.run" {
+				runs++
+			}
+		})
+		if runs != 1-i {
+			t.Fatalf("analyze %s trace has %d exec.run spans, want %d", want, runs, 1-i)
+		}
 	}
 
 	// Untraced requests must not pay for or leak a span tree.

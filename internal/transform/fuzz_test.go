@@ -152,7 +152,7 @@ func TestFusionOnlyFuzzEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		q, _, err := Optimize(p, FusionOnly())
+		q, _, err := Optimize(p, Options{Fuse: true})
 		if err != nil {
 			return false
 		}

@@ -263,7 +263,7 @@ loop L2 {
 	if len(dist.Nests) != 3 {
 		t.Fatalf("nests = %d", len(dist.Nests))
 	}
-	refused, _, err := Optimize(dist, FusionOnly())
+	refused, _, err := Optimize(dist, Options{Fuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,6 @@ type Options struct {
 // All enables every pass — the paper's full strategy.
 func All() Options { return Options{Fuse: true, ReduceStorage: true, EliminateStores: true} }
 
-// FusionOnly runs only bandwidth-minimal fusion (the "fusion only"
-// column of Figure 8).
-func FusionOnly() Options { return Options{Fuse: true} }
-
 // Optimize runs the paper's compiler strategy on a program: bandwidth-
 // minimal loop fusion first (localizing array live ranges), then
 // storage reduction (array contraction and shrinking), then store

@@ -308,6 +308,19 @@ type pipelineStep struct {
 // Len reports the number of instantiated passes.
 func (pl *Pipeline) Len() int { return len(pl.steps) }
 
+// Canonical is the pipeline's canonical spelling: the trimmed step
+// specs joined by commas, with "pipeline" expanded and empty elements
+// dropped. It parses back to the same steps, so spellings that differ
+// only in whitespace, empty elements or "pipeline" share it (aliases
+// are kept as written).
+func (pl *Pipeline) Canonical() string {
+	specs := make([]string, len(pl.steps))
+	for i, st := range pl.steps {
+		specs[i] = st.spec
+	}
+	return strings.Join(specs, ",")
+}
+
 // ParsePipeline parses a comma-separated pipeline string into an
 // executable pass sequence. Each element is a pass spec from the
 // registry (see Passes); "pipeline" expands to DefaultPipelineSpec.

@@ -87,8 +87,8 @@ func TestOptionsPipelineSpecRoundTrip(t *testing.T) {
 	if got := All().PipelineSpec(); got != DefaultPipelineSpec {
 		t.Errorf("All().PipelineSpec() = %q, want %q", got, DefaultPipelineSpec)
 	}
-	if got := FusionOnly().PipelineSpec(); got != "fuse" {
-		t.Errorf("FusionOnly().PipelineSpec() = %q", got)
+	if got := (Options{Fuse: true}).PipelineSpec(); got != "fuse" {
+		t.Errorf("fusion-only PipelineSpec() = %q", got)
 	}
 	if got := (Options{}).PipelineSpec(); got != "" {
 		t.Errorf("zero Options PipelineSpec() = %q, want empty", got)
@@ -173,13 +173,9 @@ func FuzzParsePipeline(f *testing.F) {
 		if got := steps(again); strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("re-parse of %q changed the steps:\n%q\n%q", pl.Spec, want, got)
 		}
-		specs := make([]string, len(pl.steps))
-		for i, st := range pl.steps {
-			specs[i] = st.spec
-		}
-		canon, err := ParsePipeline(strings.Join(specs, ","))
+		canon, err := ParsePipeline(pl.Canonical())
 		if err != nil {
-			t.Fatalf("canonical spelling %q of %q does not parse: %v", strings.Join(specs, ","), spec, err)
+			t.Fatalf("canonical spelling %q of %q does not parse: %v", pl.Canonical(), spec, err)
 		}
 		if got := steps(canon); strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("canonical spelling of %q changed the steps:\n%q\n%q", spec, want, got)

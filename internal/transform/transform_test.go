@@ -402,7 +402,7 @@ scalar s
 loop L1 { for i = 0, N-1 { a[i] = a[i] + 1 } }
 loop L2 { for i = 0, N-1 { s = s + a[i] } }
 `)
-	q, log, err := Optimize(p, FusionOnly())
+	q, log, err := Optimize(p, Options{Fuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
