@@ -431,7 +431,9 @@ func BenchmarkCompiledExecutor(b *testing.B) {
 // verification: RunVectors over both input vectors of a 128³ matrix
 // multiply with no machine, as the pass manager's baseline and every
 // differential check run it. It reports ns per executed loop-body
-// iteration across the two vectors.
+// iteration across the two vectors. That is wall time: the vectors run
+// concurrently, so with two or more CPUs it is about half the
+// per-iteration cost of one vector.
 func BenchmarkCompiledVerifyMatmul(b *testing.B) {
 	const n = 128
 	cp, err := exec.Compile(kernels.MatmulJKI(n))
@@ -439,6 +441,7 @@ func BenchmarkCompiledVerifyMatmul(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cp.RunVectors(ctx, 2, exec.Limits{}); err != nil {

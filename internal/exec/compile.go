@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/trace"
@@ -40,10 +42,11 @@ import (
 
 // Compiled is a program prepared for repeated execution.
 type Compiled struct {
-	prog *ir.Program
-	run  func(env *cenv) error
-	// Slot layouts, rebuilt per Run.
+	prog       *ir.Program
+	run        func(env *cenv) error
 	arrayOrder []*ir.Array
+	bases      []int64 // byte address of each array in arrayOrder
+	elems      int     // total elements of all arrays: one run's storage
 }
 
 // cenv is the mutable state of one compiled execution.
@@ -125,7 +128,16 @@ func Compile(p *ir.Program) (*Compiled, error) {
 		}
 		return nil
 	}
-	return &Compiled{prog: p, run: run, arrayOrder: p.Arrays}, nil
+	cp := &Compiled{prog: p, run: run, arrayOrder: p.Arrays, bases: make([]int64, len(p.Arrays))}
+	var next int64
+	for i, a := range p.Arrays {
+		cp.bases[i] = next
+		cp.elems += a.Size()
+		next += a.Bytes()
+		next = (next + align - 1) &^ (align - 1)
+		next += align
+	}
+	return cp, nil
 }
 
 // nest runs one nest's body, turning a runFault, or the *cref of a
@@ -169,7 +181,7 @@ func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result,
 		mach:    h,
 		smach:   siteMachine(h),
 		lim:     lim,
-		arrays:  cp.layout(),
+		arrays:  cp.layout(make([]float64, cp.elems)),
 		scalars: make([]float64, len(cp.prog.Scalars)),
 		ivars:   make([]int64, ivarSlots(cp.prog)),
 	}
@@ -215,53 +227,139 @@ func (cp *Compiled) runOnce(ctx context.Context, env *cenv, attrs ...trace.Attr)
 	return nil
 }
 
-// layout assigns every array its base address and zero-filled storage.
-func (cp *Compiled) layout() []carr {
-	arrays := make([]carr, 0, len(cp.arrayOrder))
-	var next int64
-	for _, a := range cp.arrayOrder {
-		arrays = append(arrays, carr{base: next, data: make([]float64, a.Size())})
-		next += a.Bytes()
-		next = (next + align - 1) &^ (align - 1)
-		next += align
+// layout carves every array's storage out of slab, which holds at
+// least cp.elems elements, in declaration order.
+func (cp *Compiled) layout(slab []float64) []carr {
+	arrays := make([]carr, len(cp.arrayOrder))
+	for i, a := range cp.arrayOrder {
+		n := a.Size()
+		arrays[i] = carr{base: cp.bases[i], data: slab[:n:n]}
+		slab = slab[n:]
 	}
 	return arrays
 }
 
 // RunVectors runs the program functionally — no machine — once per
-// input vector 0, 1, ..., n-1, each under its own exec.run span and its
-// own lim.MaxSteps budget. Vector 0 is the plain run: zero-filled
-// arrays and the seeded input stream. Every later vector v starts each
-// array element at a value seeded from the array's name and the
-// element's column-major offset, and reads the input stream from a
-// position shifted by v. Names, not memory layout, pick the values, so
-// two programs that declare the same array see the same initial
-// contents.
+// input vector 0, 1, ..., n-1, each under its own exec.run span (with a
+// "vector" attribute) and its own lim.MaxSteps budget. Vector 0 is the
+// plain run: zero-filled arrays and the seeded input stream. Every
+// later vector v starts each array element at a value seeded from the
+// array's name and the element's column-major offset, and reads the
+// input stream from a position shifted by v. Names, not memory layout,
+// pick the values, so two programs that declare the same array see the
+// same initial contents.
 //
-// The runs share one set of array buffers, refilled between vectors, so
-// each Result carries prints, scalars and flops but no arrays. The
-// first failing vector ends the call: RunVectors returns the results of
-// the vectors before it and an error naming it.
+// The vectors run concurrently, the last one on the calling goroutine,
+// and the call returns once all of them have stopped. Each vector has
+// its own scalars, loop variables and array storage; the storage is a
+// pooled slab that goes back to the pool when the vector ends, so each
+// Result carries prints, scalars and flops but no arrays. Results come
+// back in vector order. The first failing vector (lowest index) ends
+// the call: RunVectors returns the results of the vectors before it and
+// an error naming it, and cancels the vectors after it, whose errors
+// are never reported. A panic that is not a run-time fault is re-raised
+// on the caller in the same way, once every vector has stopped.
 func (cp *Compiled) RunVectors(ctx context.Context, n int, lim Limits) ([]*Result, error) {
 	ctx, err := startRun(ctx)
 	if err != nil {
 		return nil, err
 	}
-	arrays := cp.layout()
-	scalars := make([]float64, len(cp.prog.Scalars))
-	ivars := make([]int64, ivarSlots(cp.prog))
+	// Vector v runs under ctxs[v], and vector v+1's context derives from
+	// it, so stops[v] cancels every vector after v and none before it.
+	ctxs := make([]context.Context, n)
+	stops := make([]context.CancelFunc, n)
+	for v := range ctxs {
+		ctxs[v] = ctx
+		ctx, stops[v] = context.WithCancel(ctx)
+	}
+	defer func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}()
+	runs := make([]vectorRun, n)
+	var wg sync.WaitGroup
+	for v := range runs {
+		run := func() {
+			if runs[v] = cp.runVector(ctxs[v], v, lim); runs[v].res == nil {
+				stops[v]()
+			}
+		}
+		if v == n-1 {
+			run()
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
 	out := make([]*Result, 0, n)
-	for v := 0; v < n; v++ {
-		for i, a := range cp.arrayOrder {
-			fillVector(arrays[i].data, a.Name, v)
+	for v, r := range runs {
+		switch {
+		case r.panic != nil:
+			panic(r.panic)
+		case r.err != nil:
+			return out, fmt.Errorf("input vector %d: %w", v, r.err)
 		}
-		env := &cenv{lim: lim, arrays: arrays, scalars: scalars, ivars: ivars, inputSeq: int64(v) << vectorShift}
-		if err := cp.runOnce(ctx, env, trace.Int("vector", int64(v))); err != nil {
-			return out, fmt.Errorf("input vector %d: %w", v, err)
-		}
-		out = append(out, env.res)
+		out = append(out, r.res)
 	}
 	return out, nil
+}
+
+// vectorRun is how one input vector of RunVectors ended: with a
+// result, a run-time error, or a recovered panic.
+type vectorRun struct {
+	res   *Result
+	err   error
+	panic any
+}
+
+// runVector runs input vector v on a pooled slab, recovering a panic
+// for RunVectors to re-raise on its caller.
+func (cp *Compiled) runVector(ctx context.Context, v int, lim Limits) (r vectorRun) {
+	defer func() {
+		if p := recover(); p != nil {
+			r = vectorRun{panic: p}
+		}
+	}()
+	slab := getSlab(cp.elems)
+	defer putSlab(slab)
+	env := &cenv{
+		lim:      lim,
+		arrays:   cp.layout(*slab),
+		scalars:  make([]float64, len(cp.prog.Scalars)),
+		ivars:    make([]int64, ivarSlots(cp.prog)),
+		inputSeq: int64(v) << vectorShift,
+	}
+	for i, a := range cp.arrayOrder {
+		fillVector(env.arrays[i].data, a.Name, v)
+	}
+	if err := cp.runOnce(ctx, env, trace.Int("vector", int64(v))); err != nil {
+		return vectorRun{err: err}
+	}
+	return vectorRun{res: env.res}
+}
+
+// slabPools holds RunVectors' array storage between runs: slabPools[k]
+// holds slabs of 1<<k elements. A slab's stale contents never leak into
+// a run, because fillVector overwrites every element it hands out.
+var slabPools [bits.UintSize]sync.Pool
+
+// getSlab returns a slab of at least n elements.
+func getSlab(n int) *[]float64 {
+	k := bits.Len(uint(max(n, 1) - 1))
+	if s, ok := slabPools[k].Get().(*[]float64); ok {
+		return s
+	}
+	s := make([]float64, 1<<k)
+	return &s
+}
+
+func putSlab(s *[]float64) {
+	slabPools[bits.Len(uint(len(*s)-1))].Put(s)
 }
 
 // vectorShift spaces the input vectors' streams 2^32 reads apart, far

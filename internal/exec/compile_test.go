@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -392,7 +393,8 @@ loop L1 {
 	if !reflect.DeepEqual(rq[1].Prints, rs[1].Prints) {
 		t.Fatalf("vector 1 depends on layout: %v vs %v", rq[1].Prints, rs[1].Prints)
 	}
-	// Buffers are shared within a call, never across calls.
+	// Each vector's arrays come from a pooled slab that later calls
+	// reuse; refilling every element keeps a rerun's results unchanged.
 	again, err := cp.RunVectors(context.Background(), 2, Limits{})
 	if err != nil || !reflect.DeepEqual(again[1].Prints, rs[1].Prints) {
 		t.Fatalf("rerun = %v (%v), want %v", again[1].Prints, err, rs[1].Prints)
@@ -413,6 +415,105 @@ func TestRunVectorsStopsAtFailingVector(t *testing.T) {
 	if len(rs) != 1 || len(rs[0].Prints) != 1 {
 		t.Fatalf("results = %v, want vector 0's alone", rs)
 	}
+}
+
+// TestRunVectorsPooledSlabsStartClean: a slab left holding another
+// program's vector-1 values must not leak into a later call. The second
+// program's arrays fill the same size class, and its first statement
+// reads every element before any write, so vector 0 must print zeros.
+func TestRunVectorsPooledSlabsStartClean(t *testing.T) {
+	dirty, err := Compile(lang.MustParse(`
+program dirty
+array x[40]
+array y[24]
+scalar s
+loop L1 { for i = 0, 39 { s = s + x[i] }
+  for i = 0, 23 { s = s + y[i] } }
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Compile(lang.MustParse("program clean\narray a[64]\nloop L1 { for i = 0, 63 { print a[i] } }"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 8; round++ {
+		if _, err := dirty.RunVectors(context.Background(), 2, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := clean.RunVectors(context.Background(), 2, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range rs[0].Prints {
+			if v != 0 {
+				t.Fatalf("round %d: vector 0 printed a[%d] = %v, want 0", round, i, v)
+			}
+		}
+		if rs[1].Prints[0] == 0 {
+			t.Fatal("vector 1 printed an unseeded a[0]")
+		}
+	}
+}
+
+// TestRunVectorsConcurrentCallers runs RunVectors from several
+// goroutines at once, on one Compiled and on two whose slabs share a
+// size class. Every result must equal the one from a call made alone.
+func TestRunVectorsConcurrentCallers(t *testing.T) {
+	srcs := []string{`
+program p
+array a[100]
+array b[28]
+scalar s
+loop L1 {
+  for i = 0, 99 { read b[mod(i, 28)]
+    s = s + a[i] * b[mod(i, 28)]
+    a[i] = s }
+  print s
+  print a[50]
+}
+`, `
+program q
+array c[120]
+scalar t = 1
+loop L1 {
+  for i = 1, 119 { c[i] = c[i] + c[i-1] * 0.5
+    t = t + c[i] }
+  print t
+}
+`}
+	var cps []*Compiled
+	var want [][]*Result
+	for _, src := range srcs {
+		cp, err := Compile(lang.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := cp.RunVectors(context.Background(), 2, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps, want = append(cps, cp), append(want, rs)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (g + i) % len(cps)
+				if g < 2 {
+					k = 0 // two callers stay on one Compiled
+				}
+				got, err := cps[k].RunVectors(context.Background(), 2, Limits{})
+				if err != nil || !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("caller %d, program %d: %v (%v), want %v", g, k, got, err, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // panicMachine panics on its first load, as a broken Machine might.
