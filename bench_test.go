@@ -12,6 +12,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ import (
 	"repro/internal/balance"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/hypergraph"
+	"repro/internal/fusion"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/report"
@@ -129,8 +130,9 @@ func BenchmarkFig4Fusion(b *testing.B) {
 	b.ReportMetric(v, "arrays-loaded")
 }
 
-// BenchmarkFig5MinCut times the Figure 5 minimal hyper-edge cut on a
-// 64-loop random hyper-graph (the paper's algorithm is cubic in arrays,
+// BenchmarkFig5MinCut regenerates the Figure 5 table up to 64 loops,
+// timing the fusion pass's minimum hyper-edge cut on each random
+// hyper-graph (the paper bounds its algorithm as cubic in arrays,
 // linear in loops).
 func BenchmarkFig5MinCut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -343,23 +345,24 @@ func BenchmarkExecutor(b *testing.B) {
 	b.ReportMetric(100_000, "elems/op")
 }
 
-// BenchmarkHypergraphMinCut measures the Figure 5 algorithm on a
-// 128-node, 192-edge hyper-graph.
-func BenchmarkHypergraphMinCut(b *testing.B) {
-	build := func() *hypergraph.Hypergraph {
-		h := hypergraph.New(128)
-		for v := 0; v+1 < 128; v++ {
-			h.AddEdge(v, v+1)
+// BenchmarkTwoPartition times the fusion pass's minimum hyper-edge cut
+// (fusion.Graph.TwoPartition) on a 128-loop graph with 191 arrays: a
+// chain of loop pairs plus 64 three-loop arrays over interior loops.
+func BenchmarkTwoPartition(b *testing.B) {
+	g := fusion.NewAbstract(128)
+	for v := 0; v+1 < 128; v++ {
+		if err := g.AddArray(fmt.Sprintf("c%d", v), v, v+1); err != nil {
+			b.Fatal(err)
 		}
-		for e := 0; e < 64; e++ {
-			h.AddEdge(1+(e*3)%126, 1+(e*5)%126, 1+(e*7)%126)
+	}
+	for e := 0; e < 64; e++ {
+		if err := g.AddArray(fmt.Sprintf("A%d", e), 1+(e*3)%126, 1+(e*5)%126, 1+(e*7)%126); err != nil {
+			b.Fatal(err)
 		}
-		return h
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := build()
-		if _, err := h.MinCut(0, 127); err != nil {
+		if _, _, err := g.TwoPartition(0, 127); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/balance"
-	"repro/internal/hypergraph"
+	"repro/internal/fusion"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -344,10 +344,11 @@ func Fig4() (*report.Table, error) {
 	return t, nil
 }
 
-// Fig5 exercises the Figure 5 minimal-cut algorithm on random
-// hyper-graphs of growing size, reporting cut weights and wall time —
-// the paper's complexity claim is O(E^3 + V), cubic in arrays but
-// linear in loops.
+// Fig5 times the fusion pass's minimum hyper-edge cut
+// (fusion.Graph.TwoPartition) on random hyper-graphs of growing size,
+// reporting cut weights and wall time — the paper's complexity claim
+// for its Figure 5 algorithm is O(E^3 + V), cubic in arrays but linear
+// in loops.
 func Fig5(maxLoops int) (*report.Table, error) {
 	t := &report.Table{
 		Title:   "Figure 5: hyper-graph minimal cut scaling",
@@ -355,29 +356,31 @@ func Fig5(maxLoops int) (*report.Table, error) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for n := 8; n <= maxLoops; n *= 2 {
-		h := hypergraph.New(n)
+		g := fusion.NewAbstract(n)
 		arrays := n / 2
 		for e := 0; e < arrays; e++ {
 			size := 2 + rng.Intn(3)
 			nodes := make([]int, size)
 			for i := range nodes {
-				// Interior nodes only, so no hyper-edge contains both
-				// terminals (which would make the cut infinite).
 				nodes[i] = 1 + rng.Intn(n-2)
 			}
-			h.AddWeightedEdge(1, fmt.Sprintf("A%d", e), nodes...)
+			if err := g.AddArray(fmt.Sprintf("A%d", e), nodes...); err != nil {
+				return nil, err
+			}
 		}
 		// Chain edges guarantee connectivity without touching both
 		// terminals at once.
 		for v := 0; v+1 < n; v++ {
-			h.AddWeightedEdge(1, fmt.Sprintf("c%d", v), v, v+1)
+			if err := g.AddArray(fmt.Sprintf("c%d", v), v, v+1); err != nil {
+				return nil, err
+			}
 		}
 		start := time.Now()
-		res, err := h.MinCut(0, n-1)
+		_, cut, err := g.TwoPartition(0, n-1)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(n, h.E(), res.Weight, time.Since(start).Round(time.Microsecond).String())
+		t.AddRow(n, len(g.ArrayNames), len(cut), time.Since(start).Round(time.Microsecond).String())
 	}
 	return t, nil
 }

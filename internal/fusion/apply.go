@@ -254,19 +254,15 @@ func FuseGreedily(p *ir.Program) (*ir.Program, Partition, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return FuseGreedilyFrom(p, g)
-}
-
-// FuseGreedilyFrom runs the recursive-bisection heuristic and applies
-// its partitioning, starting from an already-built fusion graph of the
-// same program (for callers holding the graph in an analysis cache).
-func FuseGreedilyFrom(p *ir.Program, g *Graph) (*ir.Program, Partition, error) {
 	return FuseGreedilyFromCtx(context.Background(), p, g)
 }
 
-// FuseGreedilyFromCtx is FuseGreedilyFrom with trace spans parented at
-// ctx: one for the partitioning heuristic (with nested min-cut spans)
-// and one for the IR rewrite that realizes the chosen partitioning.
+// FuseGreedilyFromCtx runs the recursive-bisection heuristic and
+// applies its partitioning, starting from an already-built fusion graph
+// of the same program (for callers holding the graph in an analysis
+// cache). Trace spans are parented at ctx: one for the partitioning
+// heuristic (with nested min-cut spans) and one for the IR rewrite that
+// realizes the chosen partitioning.
 func FuseGreedilyFromCtx(ctx context.Context, p *ir.Program, g *Graph) (*ir.Program, Partition, error) {
 	parts, err := g.HeuristicCtx(ctx)
 	if err != nil {

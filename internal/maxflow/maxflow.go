@@ -1,22 +1,19 @@
 // Package maxflow implements the Edmonds–Karp maximum-flow algorithm
-// (Ford–Fulkerson with breadth-first augmenting paths) together with
-// minimum edge cuts and minimum vertex cuts via the standard
-// node-splitting construction.
+// (Ford–Fulkerson with breadth-first augmenting paths) on a residual
+// network, plus the residual reachability that reads a minimum cut off
+// a maximum flow.
 //
-// This package is the computational engine behind the paper's Figure 5
-// algorithm: bandwidth-minimal two-partition loop fusion reduces to a
-// minimum vertex cut on the transformed hyper-graph, which in turn
-// reduces to max-flow.
+// It is the engine behind the fusion pass's bandwidth-minimal
+// two-partitioning (fusion.Graph.TwoPartition, the paper's Figure 5
+// reduction): that pass builds the node-split network itself, and this
+// package only solves it.
 //
-// Failure semantics: the low-level Network primitives (NewNetwork,
-// AddEdge, MaxFlow) panic on misuse — negative vertex counts, edges
-// out of range, negative capacities, source equal to sink. These are
-// programmer-error invariants: every index is computed by the caller
-// from its own construction, never from external input, so a violation
-// is a bug in the caller, not a recoverable condition. The high-level
-// entry points VertexCut and EdgeCut, which callers reach with derived
-// problem instances, fully validate their inputs and return errors
-// instead; the optimizer pipeline additionally runs every pass under
+// Failure semantics: NewNetwork, AddEdge and MaxFlow panic on misuse —
+// negative vertex counts, edges out of range, negative capacities,
+// source equal to sink. These are programmer-error invariants: every
+// index is computed by the caller from its own construction, never
+// from external input, so a violation is a bug in the caller, not a
+// recoverable condition; the optimizer pipeline runs every pass under
 // panic containment, so even an invariant violation degrades to a
 // skipped pass rather than a crash.
 package maxflow
@@ -47,17 +44,8 @@ func NewNetwork(n int) *Network {
 	return &Network{adj: make([][]edge, n)}
 }
 
-// N returns the vertex count.
-func (f *Network) N() int { return len(f.adj) }
-
-// AddVertex appends a vertex and returns its index.
-func (f *Network) AddVertex() int {
-	f.adj = append(f.adj, nil)
-	return len(f.adj) - 1
-}
-
 // AddEdge adds a directed edge u->v with the given capacity and returns
-// an opaque handle usable with EdgeFlow.
+// an opaque handle usable with Saturated.
 func (f *Network) AddEdge(u, v int, cap int64) EdgeID {
 	if u < 0 || u >= len(f.adj) || v < 0 || v >= len(f.adj) {
 		panic(fmt.Sprintf("maxflow: edge (%d,%d) out of range [0,%d)", u, v, len(f.adj)))
@@ -76,11 +64,6 @@ type EdgeID struct {
 	orig int64
 }
 
-// EdgeFlow returns the flow currently routed through the identified edge.
-func (f *Network) EdgeFlow(id EdgeID) int64 {
-	return id.orig - f.adj[id.u][id.i].cap
-}
-
 // Saturated reports whether the identified edge carries its full capacity.
 func (f *Network) Saturated(id EdgeID) bool {
 	return f.adj[id.u][id.i].cap == 0 && id.orig > 0
@@ -93,8 +76,8 @@ func (f *Network) MaxFlow(s, t int) int64 {
 		panic("maxflow: source equals sink")
 	}
 	var total int64
-	prevV := make([]int, f.N())
-	prevE := make([]int, f.N())
+	prevV := make([]int, len(f.adj))
+	prevE := make([]int, len(f.adj))
 	for {
 		// BFS over residual edges.
 		for i := range prevV {
@@ -139,7 +122,7 @@ func (f *Network) MaxFlow(s, t int) int64 {
 // reachable from s in the residual graph — the source side of a minimum
 // cut.
 func (f *Network) ResidualReachable(s int) []bool {
-	seen := make([]bool, f.N())
+	seen := make([]bool, len(f.adj))
 	seen[s] = true
 	queue := []int{s}
 	for len(queue) > 0 {
@@ -153,128 +136,4 @@ func (f *Network) ResidualReachable(s int) []bool {
 		}
 	}
 	return seen
-}
-
-// --- Minimum vertex cut via node splitting -------------------------------
-
-// VertexCut computes a minimum vertex cut separating s from t in the
-// directed graph with the given vertex count and edges. Vertex i has
-// removal cost weight[i] (pass nil for unit weights). s and t themselves
-// are never cut (their internal capacity is infinite). It returns the cut
-// vertices and the cut's total weight. If s and t are directly connected
-// by an edge no vertex cut exists; VertexCut returns an error in that
-// case.
-//
-// The construction follows the paper's Figure 5 step 2: each vertex v is
-// split into v_in and v_out joined by an internal edge of capacity
-// weight[v]; each original edge (u,v) becomes u_out -> v_in with infinite
-// capacity. A minimum s-t edge cut in the split graph then consists only
-// of internal edges, which identify the cut vertices.
-func VertexCut(n int, edges [][2]int, weight []int64, s, t int) (cut []int, total int64, err error) {
-	if n < 0 {
-		return nil, 0, fmt.Errorf("maxflow: negative vertex count %d", n)
-	}
-	if s < 0 || s >= n || t < 0 || t >= n {
-		return nil, 0, fmt.Errorf("maxflow: terminals (%d,%d) out of range [0,%d)", s, t, n)
-	}
-	if s == t {
-		return nil, 0, fmt.Errorf("maxflow: vertex cut with s == t")
-	}
-	if weight == nil {
-		weight = make([]int64, n)
-		for i := range weight {
-			weight[i] = 1
-		}
-	}
-	if len(weight) != n {
-		return nil, 0, fmt.Errorf("maxflow: weight length %d != n %d", len(weight), n)
-	}
-	for i, w := range weight {
-		if w < 0 {
-			return nil, 0, fmt.Errorf("maxflow: negative weight %d on vertex %d", w, i)
-		}
-	}
-	for _, e := range edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, 0, fmt.Errorf("maxflow: edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
-		}
-		if (e[0] == s && e[1] == t) || (e[0] == t && e[1] == s) {
-			return nil, 0, fmt.Errorf("maxflow: s and t are adjacent; no vertex cut exists")
-		}
-	}
-	// v_in = 2v, v_out = 2v+1.
-	net := NewNetwork(2 * n)
-	internal := make([]EdgeID, n)
-	for v := 0; v < n; v++ {
-		w := weight[v]
-		if v == s || v == t {
-			w = Inf
-		}
-		internal[v] = net.AddEdge(2*v, 2*v+1, w)
-	}
-	for _, e := range edges {
-		net.AddEdge(2*e[0]+1, 2*e[1], Inf)
-	}
-	total = net.MaxFlow(2*s, 2*t+1)
-	if total >= Inf {
-		return nil, 0, fmt.Errorf("maxflow: no finite vertex cut between %d and %d", s, t)
-	}
-	// A vertex is in the cut iff its internal edge crosses the residual
-	// partition: v_in reachable from s_in, v_out not.
-	seen := net.ResidualReachable(2 * s)
-	for v := 0; v < n; v++ {
-		if v == s || v == t {
-			continue
-		}
-		if seen[2*v] && !seen[2*v+1] {
-			cut = append(cut, v)
-		}
-	}
-	return cut, total, nil
-}
-
-// EdgeCut computes a minimum s-t edge cut of the directed graph described
-// by edges with the given capacities (nil for unit). It returns the
-// indices (into edges) of a minimum cut set and the cut value. Invalid
-// instances — terminals or edges out of range, s equal to t, negative
-// or mis-sized capacities — are reported as errors.
-func EdgeCut(n int, edges [][2]int, cap []int64, s, t int) (cutIdx []int, total int64, err error) {
-	if n < 0 {
-		return nil, 0, fmt.Errorf("maxflow: negative vertex count %d", n)
-	}
-	if s < 0 || s >= n || t < 0 || t >= n {
-		return nil, 0, fmt.Errorf("maxflow: terminals (%d,%d) out of range [0,%d)", s, t, n)
-	}
-	if s == t {
-		return nil, 0, fmt.Errorf("maxflow: edge cut with s == t")
-	}
-	if cap == nil {
-		cap = make([]int64, len(edges))
-		for i := range cap {
-			cap[i] = 1
-		}
-	}
-	if len(cap) != len(edges) {
-		return nil, 0, fmt.Errorf("maxflow: capacity length %d != edge count %d", len(cap), len(edges))
-	}
-	for i, e := range edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, 0, fmt.Errorf("maxflow: edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
-		}
-		if cap[i] < 0 {
-			return nil, 0, fmt.Errorf("maxflow: negative capacity %d on edge %d", cap[i], i)
-		}
-	}
-	net := NewNetwork(n)
-	for i, e := range edges {
-		net.AddEdge(e[0], e[1], cap[i])
-	}
-	total = net.MaxFlow(s, t)
-	seen := net.ResidualReachable(s)
-	for i, e := range edges {
-		if seen[e[0]] && !seen[e[1]] {
-			cutIdx = append(cutIdx, i)
-		}
-	}
-	return cutIdx, total, nil
 }

@@ -54,12 +54,12 @@ func TestDisconnected(t *testing.T) {
 }
 
 func TestEdgeFlowAndSaturated(t *testing.T) {
+	// s -5-> a -3-> t: the 3 units saturate the second edge only.
 	f := NewNetwork(3)
 	e1 := f.AddEdge(0, 1, 5)
 	e2 := f.AddEdge(1, 2, 3)
-	f.MaxFlow(0, 2)
-	if got := f.EdgeFlow(e1); got != 3 {
-		t.Fatalf("flow on e1 = %d, want 3", got)
+	if got := f.MaxFlow(0, 2); got != 3 {
+		t.Fatalf("flow = %d, want 3", got)
 	}
 	if !f.Saturated(e2) {
 		t.Fatal("e2 should be saturated")
@@ -78,72 +78,148 @@ func TestParallelEdges(t *testing.T) {
 	}
 }
 
-func TestEdgeCutMatchesFlow(t *testing.T) {
+// Property: on random unit-capacity graphs, the edges leaving the
+// residual-reachable set after MaxFlow number exactly the flow value
+// and disconnect s from t — a cut whose value equals the flow, hence a
+// minimum one (max-flow/min-cut duality).
+func TestMaxFlowMinCutProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(8)
+		var edges [][2]int
+		for i := 0; i < n*2; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		net := NewNetwork(n)
+		for _, e := range edges {
+			net.AddEdge(e[0], e[1], 1)
+		}
+		total := net.MaxFlow(0, n-1)
+		seen := net.ResidualReachable(0)
+		if seen[n-1] {
+			return false // t still reachable: the flow was not maximum
+		}
+		// Removing the edges that cross the residual cut must
+		// disconnect s from t.
+		var cut int64
+		adj := make([][]int, n)
+		for _, e := range edges {
+			if seen[e[0]] && !seen[e[1]] {
+				cut++
+				continue
+			}
+			adj[e[0]] = append(adj[e[0]], e[1])
+		}
+		if cut != total {
+			return false
+		}
+		reach := make([]bool, n)
+		reach[0] = true
+		q := []int{0}
+		for len(q) > 0 {
+			u := q[0]
+			q = q[1:]
+			for _, v := range adj[u] {
+				if !reach[v] {
+					reach[v] = true
+					q = append(q, v)
+				}
+			}
+		}
+		return !reach[n-1]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Four vertices, five unit edges: the flow is 2, and exactly two edges
+// leave the residual-reachable set.
+func TestResidualCutMatchesFlow(t *testing.T) {
 	edges := [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {1, 2}}
-	cut, total, err := EdgeCut(4, edges, nil, 0, 3)
-	if err != nil {
-		t.Fatal(err)
+	net := NewNetwork(4)
+	for _, e := range edges {
+		net.AddEdge(e[0], e[1], 1)
 	}
-	if total != 2 {
-		t.Fatalf("cut value = %d, want 2", total)
+	if got := net.MaxFlow(0, 3); got != 2 {
+		t.Fatalf("flow = %d, want 2", got)
 	}
-	if len(cut) != 2 {
-		t.Fatalf("cut set = %v, want size 2", cut)
+	seen := net.ResidualReachable(0)
+	cut := 0
+	for _, e := range edges {
+		if seen[e[0]] && !seen[e[1]] {
+			cut++
+		}
 	}
-}
-
-func TestVertexCutSimple(t *testing.T) {
-	// s -0- a -1- t : only vertex a separates them.
-	edges := [][2]int{{0, 1}, {1, 2}}
-	cut, total, err := VertexCut(3, edges, nil, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 1 || len(cut) != 1 || cut[0] != 1 {
-		t.Fatalf("cut=%v total=%d", cut, total)
+	if cut != 2 {
+		t.Fatalf("%d edges cross the residual cut, want 2", cut)
 	}
 }
 
-func TestVertexCutDiamond(t *testing.T) {
-	// s -> a -> t, s -> b -> t: both a and b must be cut.
-	edges := [][2]int{{0, 1}, {1, 3}, {0, 2}, {2, 3}}
-	cut, total, err := VertexCut(4, edges, nil, 0, 3)
-	if err != nil {
-		t.Fatal(err)
+// nodeSplitCut finds a minimum vertex cut between s and t in a directed
+// graph the way the fusion pass cuts arrays: every vertex v becomes an
+// arc in(v)=2v -> out(v)=2v+1 of capacity 1 (Inf for s and t), every
+// graph edge u->v an Inf arc out(u) -> in(v). It returns the flow and
+// the vertices whose split arc crosses the residual cut.
+func nodeSplitCut(n int, edges [][2]int, s, t int) ([]int, int64) {
+	net := NewNetwork(2 * n)
+	for v := 0; v < n; v++ {
+		c := int64(1)
+		if v == s || v == t {
+			c = Inf
+		}
+		net.AddEdge(2*v, 2*v+1, c)
 	}
-	if total != 2 || len(cut) != 2 {
-		t.Fatalf("cut=%v total=%d, want two vertices", cut, total)
+	for _, e := range edges {
+		net.AddEdge(2*e[0]+1, 2*e[1], Inf)
+	}
+	flow := net.MaxFlow(2*s+1, 2*t)
+	if flow >= Inf {
+		return nil, flow
+	}
+	seen := net.ResidualReachable(2*s + 1)
+	var cut []int
+	for v := 0; v < n; v++ {
+		if seen[2*v] && !seen[2*v+1] {
+			cut = append(cut, v)
+		}
+	}
+	return cut, flow
+}
+
+// s -> a -> t: only vertex a separates them.
+func TestNodeSplitCutChain(t *testing.T) {
+	cut, flow := nodeSplitCut(3, [][2]int{{0, 1}, {1, 2}}, 0, 2)
+	if flow != 1 || len(cut) != 1 || cut[0] != 1 {
+		t.Fatalf("cut=%v flow=%d", cut, flow)
 	}
 }
 
-func TestVertexCutWeighted(t *testing.T) {
-	// Two internal paths; cutting cheap vertex 1 (w=1) on one path and
-	// cheap vertex 2 (w=2) on the other beats heavy vertices 3,4 (w=10).
-	edges := [][2]int{{0, 1}, {1, 5}, {0, 2}, {2, 5}, {0, 3}, {3, 1}, {0, 4}, {4, 2}}
-	w := []int64{0, 1, 2, 10, 10, 0}
-	cut, total, err := VertexCut(6, edges, w, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 3 {
-		t.Fatalf("total=%d want 3 (cut=%v)", total, cut)
+// s -> a -> t, s -> b -> t: both a and b must be cut.
+func TestNodeSplitCutDiamond(t *testing.T) {
+	cut, flow := nodeSplitCut(4, [][2]int{{0, 1}, {1, 3}, {0, 2}, {2, 3}}, 0, 3)
+	if flow != 2 || len(cut) != 2 {
+		t.Fatalf("cut=%v flow=%d, want two vertices", cut, flow)
 	}
 }
 
-func TestVertexCutAdjacentST(t *testing.T) {
-	edges := [][2]int{{0, 1}}
-	if _, _, err := VertexCut(2, edges, nil, 0, 1); err == nil {
-		t.Fatal("expected error when s,t adjacent")
+// No path from s to t: no flow, empty cut.
+func TestNodeSplitCutDisconnected(t *testing.T) {
+	cut, flow := nodeSplitCut(3, nil, 0, 2)
+	if flow != 0 || len(cut) != 0 {
+		t.Fatalf("cut=%v flow=%d, want empty", cut, flow)
 	}
 }
 
-func TestVertexCutDisconnected(t *testing.T) {
-	cut, total, err := VertexCut(3, nil, nil, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 0 || len(cut) != 0 {
-		t.Fatalf("cut=%v total=%d want empty", cut, total)
+// An edge s -> t leaves no finite vertex cut: the flow reaches Inf (the
+// signal the fusion pass reads as "no feasible partition") without
+// overflowing.
+func TestNodeSplitCutAdjacentTerminals(t *testing.T) {
+	if _, flow := nodeSplitCut(3, [][2]int{{0, 2}, {0, 1}, {1, 2}}, 0, 2); flow < Inf || flow > 2*Inf {
+		t.Fatalf("flow = %d, want at least Inf = %d", flow, Inf)
 	}
 }
 
@@ -201,9 +277,9 @@ func bruteVertexCut(n int, edges [][2]int, s, t int) int {
 	return best
 }
 
-// Property: on random graphs without a direct s-t edge, VertexCut matches
-// brute force and actually disconnects s from t.
-func TestVertexCutPropertyMatchesBruteForce(t *testing.T) {
+// Property: on random graphs without a direct s-t edge, the node-split
+// cut matches brute force and actually disconnects s from t.
+func TestNodeSplitCutMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(5) // small enough for brute force
@@ -219,117 +295,16 @@ func TestVertexCutPropertyMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		cut, total, err := VertexCut(n, edges, nil, s, tt)
-		if err != nil {
-			return false
-		}
-		if int64(len(cut)) != total {
+		cut, flow := nodeSplitCut(n, edges, s, tt)
+		if int64(len(cut)) != flow {
 			return false
 		}
 		if !verifyCutDisconnects(n, edges, cut, s, tt) {
 			return false
 		}
-		return int(total) == bruteVertexCut(n, edges, s, tt)
+		return int(flow) == bruteVertexCut(n, edges, s, tt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: max-flow equals min edge cut value (weak duality check on
-// random unit-capacity graphs).
-func TestMaxFlowMinCutProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(8)
-		var edges [][2]int
-		for i := 0; i < n*2; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				edges = append(edges, [2]int{u, v})
-			}
-		}
-		cutIdx, total, err := EdgeCut(n, edges, nil, 0, n-1)
-		if err != nil {
-			return false
-		}
-		if int64(len(cutIdx)) != total {
-			return false
-		}
-		// Removing the cut edges must disconnect s from t.
-		keep := make(map[int]bool)
-		for _, i := range cutIdx {
-			keep[i] = true
-		}
-		adj := make([][]int, n)
-		for i, e := range edges {
-			if !keep[i] {
-				adj[e[0]] = append(adj[e[0]], e[1])
-			}
-		}
-		seen := make([]bool, n)
-		seen[0] = true
-		q := []int{0}
-		for len(q) > 0 {
-			u := q[0]
-			q = q[1:]
-			for _, v := range adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					q = append(q, v)
-				}
-			}
-		}
-		return !seen[n-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVertexCutRejectsInvalidInput(t *testing.T) {
-	cases := []struct {
-		name   string
-		n      int
-		edges  [][2]int
-		weight []int64
-		s, t   int
-	}{
-		{"negative n", -1, nil, nil, 0, 1},
-		{"s out of range", 3, nil, nil, 5, 1},
-		{"t out of range", 3, nil, nil, 0, 7},
-		{"s equals t", 3, nil, nil, 1, 1},
-		{"weight length", 3, nil, []int64{1}, 0, 2},
-		{"negative weight", 3, nil, []int64{1, -1, 1}, 0, 2},
-		{"edge out of range", 3, [][2]int{{0, 9}}, nil, 0, 2},
-	}
-	for _, tc := range cases {
-		if _, _, err := VertexCut(tc.n, tc.edges, tc.weight, tc.s, tc.t); err == nil {
-			t.Errorf("%s: VertexCut accepted invalid input", tc.name)
-		}
-	}
-}
-
-func TestEdgeCutRejectsInvalidInput(t *testing.T) {
-	edges := [][2]int{{0, 1}, {1, 2}}
-	cases := []struct {
-		name  string
-		n     int
-		edges [][2]int
-		cap   []int64
-		s, t  int
-	}{
-		{"negative n", -1, nil, nil, 0, 1},
-		{"s out of range", 3, edges, nil, -1, 2},
-		{"t out of range", 3, edges, nil, 0, 3},
-		{"s equals t", 3, edges, nil, 2, 2},
-		{"cap length", 3, edges, []int64{1}, 0, 2},
-		{"negative cap", 3, edges, []int64{1, -1}, 0, 2},
-		{"edge out of range", 3, [][2]int{{0, 4}}, nil, 0, 2},
-	}
-	for _, tc := range cases {
-		if _, _, err := EdgeCut(tc.n, tc.edges, tc.cap, tc.s, tc.t); err == nil {
-			t.Errorf("%s: EdgeCut accepted invalid input", tc.name)
-		}
 	}
 }

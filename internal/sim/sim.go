@@ -209,11 +209,6 @@ func (h *Hierarchy) StoreSite(addr int64, size int, site uint32) {
 	h.forEachLine(0, addr, size, true, site)
 }
 
-// TouchSite is Touch tagged with the attribution site causing the access.
-func (h *Hierarchy) TouchSite(addr int64, size int, write bool, site uint32) {
-	h.forEachLine(0, addr, size, write, site)
-}
-
 // AddFlops adds floating-point operations to the counter.
 func (h *Hierarchy) AddFlops(n int64) {
 	h.Flops += n
