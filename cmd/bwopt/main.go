@@ -70,8 +70,6 @@ import (
 
 	"repro/internal/balance"
 	"repro/internal/bounds"
-	"repro/internal/exec"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/report"
@@ -201,26 +199,15 @@ func main() {
 	}
 
 	// One run per program attaches the lower bound and whichever of
-	// attribution and the reuse-distance analysis was asked for.
+	// attribution and the reuse-distance analysis was asked for. The
+	// optimized program must observe what the original did, within the
+	// verification tolerance; anything beyond it is a miscompile.
 	opts := balance.Options{Bounds: balance.BoundsFull, Profile: *profile, MRC: *mrcFlag}
-	measure := func(p *ir.Program) *balance.Report {
-		reps, err := balance.Measure(ctx, p, []machine.Spec{spec}, opts)
-		if err != nil {
-			fatal(err)
-		}
-		return reps[0]
+	pair, err := balance.MeasurePair(ctx, p, q, outcome.Snapshots, []machine.Spec{spec}, opts, *tol)
+	if err != nil {
+		fatal(err)
 	}
-	before, after := measure(p), measure(q)
-	var deltas []balance.PassDelta
-	if *profile && len(outcome.Snapshots) > 0 {
-		snaps := make([]balance.ProgramSnapshot, len(outcome.Snapshots))
-		for i, s := range outcome.Snapshots {
-			snaps[i] = balance.ProgramSnapshot{Pass: s.Pass, Program: s.Program}
-		}
-		if deltas, err = balance.PassDeltas(ctx, before, after, snaps, spec, exec.Limits{}); err != nil {
-			fatal(err)
-		}
-	}
+	before, after, deltas := pair.Before[0], pair.After[0], pair.Deltas
 	if tr != nil {
 		root.End()
 		if err := writeTrace(tr, *traceOut); err != nil {
@@ -271,12 +258,6 @@ func main() {
 			fmt.Println("--- miss-ratio curves ---")
 			fmt.Print(balance.MRCText(before.MRC, after.MRC))
 		}
-	}
-
-	// The optimized program must observe what the original did, within
-	// the verification tolerance; anything beyond it is a miscompile.
-	if err := verify.CompareResults(before.Result, after.Result, *tol); err != nil {
-		fatal(fmt.Errorf("optimized program diverges from the original: %w", err))
 	}
 }
 

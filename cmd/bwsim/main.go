@@ -34,7 +34,9 @@
 // specs bwopt accepts: "pipeline", "fuse", "reduce-storage",
 // "interchange:<nest>:<var>", ...) run before measurement, so one
 // command answers "what would this pipeline do to my program's
-// bandwidth?". A pass that fails is a fatal error.
+// bandwidth?". A pass that fails is a fatal error. The original program
+// is measured as well, and a transformed program whose prints differ
+// from the original's is refused (exit 1, naming the divergence).
 //
 // The input file uses the language documented in internal/lang (see
 // also the examples/ directory). The balance report lists per-channel
@@ -51,6 +53,7 @@ import (
 	"os"
 
 	"repro/internal/balance"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/report"
@@ -114,6 +117,7 @@ func main() {
 		ctx = trace.NewContext(ctx, root)
 	}
 
+	var orig *ir.Program
 	if *passes != "" {
 		q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, transform.Config{Pipeline: *passes, Verify: mode})
 		if err == nil && len(outcome.Skipped) > 0 {
@@ -129,7 +133,7 @@ func main() {
 		for _, a := range outcome.Actions {
 			fmt.Println(" ", a)
 		}
-		p = q
+		orig, p = p, q
 	}
 
 	spec, err := machine.Resolve(*machineName, *scale)
@@ -142,9 +146,19 @@ func main() {
 	}
 	// The report's last line is the data-movement lower bound and
 	// optimality gap; attribution and the reuse-distance analysis ride
-	// on the same run when asked for.
-	reps, err := balance.Measure(ctx, p, []machine.Spec{spec},
-		balance.Options{Bounds: balance.BoundsFull, Profile: *profile, MRC: *mrcFlag})
+	// on the same run when asked for. With -passes the original is
+	// measured too, and the transformed program must print what it did.
+	specs := []machine.Spec{spec}
+	opts := balance.Options{Bounds: balance.BoundsFull, Profile: *profile, MRC: *mrcFlag}
+	var reps []*balance.Report
+	if orig != nil {
+		var pair *balance.Pair
+		if pair, err = balance.MeasurePair(ctx, orig, p, nil, specs, opts, verify.DefaultTol); err == nil {
+			reps = pair.After
+		}
+	} else {
+		reps, err = balance.Measure(ctx, p, specs, opts)
+	}
 	if err != nil {
 		fatal(err)
 	}

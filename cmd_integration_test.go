@@ -312,6 +312,25 @@ func TestBwsimPassesFlag(t *testing.T) {
 	}
 }
 
+// TestBwsimPassesFinalCheck: with -passes, bwsim measures the original
+// too and refuses a transformed program whose prints differ from it,
+// with the same divergence text bwopt gives.
+func TestBwsimPassesFinalCheck(t *testing.T) {
+	bin := buildTool(t, "cmd/bwsim")
+	prog := filepath.Join(t.TempDir(), "sibling.bw")
+	if err := os.WriteFile(prog, []byte(siblingLoops), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runTool(t, bin, "-passes", "pipeline", prog)
+	if err == nil {
+		t.Fatalf("miscompiled program exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "optimized program diverges from the original") ||
+		!strings.Contains(out, "print 0 diverged: original 24, transformed 36") {
+		t.Fatalf("exit without the divergence:\n%s", out)
+	}
+}
+
 // TestExamplesRun executes every example binary end-to-end and checks
 // for its headline output, so the examples cannot rot.
 func TestExamplesRun(t *testing.T) {

@@ -7,23 +7,24 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/balance"
-	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/transform"
 )
 
+// patient is one program with its diagnosis's remedy, a pass pipeline
+// spec (the same registry bwopt -passes and bwserved accept).
 type patient struct {
-	name   string
-	src    string
-	remedy string
-	apply  func(p *ir.Program) (*ir.Program, error)
+	name     string
+	src      string
+	remedy   string
+	pipeline string
 }
 
 var patients = []patient{
@@ -43,11 +44,8 @@ loop P3 {
   print s
 }
 `,
-		remedy: "fuse + contract + eliminate stores (the paper's pipeline)",
-		apply: func(p *ir.Program) (*ir.Program, error) {
-			q, _, err := transform.Optimize(p, transform.All())
-			return q, err
-		},
+		remedy:   "fuse + contract + eliminate stores (the paper's pipeline)",
+		pipeline: transform.DefaultPipelineSpec,
 	},
 	{
 		name: "row-first matrix walk",
@@ -63,10 +61,8 @@ loop Walk {
 }
 loop Out { print s }
 `,
-		remedy: "loop interchange (stride fix)",
-		apply: func(p *ir.Program) (*ir.Program, error) {
-			return transform.Interchange(p, "Walk", "i")
-		},
+		remedy:   "loop interchange (stride fix)",
+		pipeline: "interchange:Walk:i",
 	},
 	{
 		name: "parallel update streams",
@@ -87,10 +83,8 @@ loop U {
   }
 }
 `,
-		remedy: "inter-array data regrouping (one interleaved stream)",
-		apply: func(p *ir.Program) (*ir.Program, error) {
-			return transform.RegroupArrays(p, []string{"x", "y", "z"})
-		},
+		remedy:   "inter-array data regrouping (one interleaved stream)",
+		pipeline: "regroup:x+y+z",
 	},
 }
 
@@ -105,18 +99,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		before, err := core.Analyze(p, spec)
+		q, outcome, err := transform.OptimizeVerified(p, transform.Config{Pipeline: pt.pipeline})
+		if err == nil && len(outcome.Skipped) > 0 {
+			err = outcome.Skipped[0]
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		q, err := pt.apply(p)
+		pair, err := balance.MeasurePair(context.Background(), p, q, nil,
+			[]machine.Spec{spec}, balance.Options{}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		after, err := core.Analyze(q, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
+		before, after := pair.Before[0], pair.After[0]
 		t.AddRow(pt.name, before.Bottleneck,
 			fmt.Sprintf("%.0f%%", 100*before.CPUUtilizationBound),
 			pt.remedy, report.F(balance.Speedup(before, after), 2))

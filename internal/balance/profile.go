@@ -1,16 +1,12 @@
 package balance
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/bounds"
-	"repro/internal/exec"
 	"repro/internal/ir"
-	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/sim"
 )
@@ -275,13 +271,6 @@ func (a *Attribution) AnnotatedListing() string {
 
 // --- Pass-delta attribution ----------------------------------------------
 
-// ProgramSnapshot pairs a pass name with the program as it stood after
-// that pass committed (transform.Outcome.Snapshots maps onto it).
-type ProgramSnapshot struct {
-	Pass    string
-	Program *ir.Program
-}
-
 // ArrayDelta is one array's memory-traffic change across one pass.
 type ArrayDelta struct {
 	Array  string `json:"array"`
@@ -316,33 +305,6 @@ func DeltaRows(ds []PassDelta) []report.PassDeltaRow {
 		rows = append(rows, r)
 	}
 	return rows
-}
-
-// PassDeltas diffs per-array memory traffic step to step across the
-// committed-pass snapshots. The result reads as "fusion saved 1.9 MB on
-// array b" — the pass-delta view of attribution. before and after are
-// the caller's profiled reports of the base program and of the
-// optimized program, which is the last snapshot; only the snapshots in
-// between are measured here.
-func PassDeltas(ctx context.Context, before, after *Report, snaps []ProgramSnapshot, spec machine.Spec, lim exec.Limits) ([]PassDelta, error) {
-	if before.Attribution == nil || after.Attribution == nil {
-		return nil, errors.New("balance: pass deltas need profiled before and after reports")
-	}
-	prev := before
-	var out []PassDelta
-	for i, snap := range snaps {
-		cur := after
-		if i < len(snaps)-1 {
-			reps, err := Measure(ctx, snap.Program, []machine.Spec{spec}, Options{Limits: lim, Profile: true})
-			if err != nil {
-				return nil, fmt.Errorf("balance: pass-delta after %s: %w", snap.Pass, err)
-			}
-			cur = reps[0]
-		}
-		out = append(out, diffAttribution(snap.Pass, prev, cur))
-		prev = cur
-	}
-	return out, nil
 }
 
 func diffAttribution(pass string, before, after *Report) PassDelta {

@@ -10,8 +10,9 @@
 //	rep, _ := core.Analyze(p, machine.Origin2000())
 //	fmt.Println(rep)                       // balance, ratios, bound
 //	q, actions, _ := core.Optimize(p)      // the paper's strategy
-//	rep2, _ := core.Analyze(q, machine.Origin2000())
-//	fmt.Println(balance.Speedup(rep, rep2))
+//	pair, _ := balance.MeasurePair(ctx, p, q, nil,
+//		[]machine.Spec{machine.Origin2000()}, balance.Options{}, 0)
+//	fmt.Println(balance.Speedup(pair.Before[0], pair.After[0]))
 package core
 
 import (
@@ -28,16 +29,19 @@ import (
 // demand/supply ratios, CPU-utilization bound, predicted time and
 // effective memory bandwidth.
 func Analyze(p *ir.Program, spec machine.Spec) (*balance.Report, error) {
-	return measureOn(p, spec, balance.Options{})
-}
-
-// measureOn measures p on one machine.
-func measureOn(p *ir.Program, spec machine.Spec, opts balance.Options) (*balance.Report, error) {
-	reps, err := balance.Measure(context.Background(), p, []machine.Spec{spec}, opts)
+	reps, err := balance.Measure(context.Background(), p, []machine.Spec{spec}, balance.Options{})
 	if err != nil {
 		return nil, err
 	}
 	return reps[0], nil
+}
+
+// measurePair measures an original program and its optimized form on
+// every machine in specs, one run each, and fails if the optimized
+// program computes something else (balance.MeasurePair at the default
+// tolerance).
+func measurePair(orig, opt *ir.Program, specs []machine.Spec, opts balance.Options) (*balance.Pair, error) {
+	return balance.MeasurePair(context.Background(), orig, opt, nil, specs, opts, 0)
 }
 
 // Optimize applies the paper's full bandwidth-reduction strategy —
@@ -46,9 +50,4 @@ func measureOn(p *ir.Program, spec machine.Spec, opts balance.Options) (*balance
 // the actions taken.
 func Optimize(p *ir.Program) (*ir.Program, []transform.Action, error) {
 	return transform.Optimize(p, transform.All())
-}
-
-// Speedup compares two balance reports (before/after).
-func Speedup(before, after *balance.Report) float64 {
-	return balance.Speedup(before, after)
 }

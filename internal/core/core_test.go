@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/balance"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/report"
@@ -52,7 +53,7 @@ func TestAnalyzeAndOptimizeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := Speedup(before, after); s < 1.5 {
+	if s := balance.Speedup(before, after); s < 1.5 {
 		t.Fatalf("speedup = %.2f, want ~2", s)
 	}
 	// Semantics preserved.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/balance"
 	"repro/internal/exec"
 	"repro/internal/ir"
 	"repro/internal/kernels"
@@ -42,18 +43,15 @@ func RegroupStudy(cfg Config) (*report.Table, error) {
 		Title:   "Data regrouping vs the 3w6r conflict outlier (direct-mapped Exemplar)",
 		Headers: []string{"layout", "mem traffic", "predicted time", "speedup"},
 	}
-	before, err := Analyze(p, spec)
+	pair, err := measurePair(p, q, []machine.Spec{spec}, balance.Options{})
 	if err != nil {
 		return nil, err
 	}
-	after, err := Analyze(q, spec)
-	if err != nil {
-		return nil, err
-	}
+	before, after := pair.Before[0], pair.After[0]
 	t.AddRow("six separate arrays", report.Bytes(before.MemoryBytes),
 		report.Seconds(before.Time.Total), "1.00")
 	t.AddRow("one interleaved group", report.Bytes(after.MemoryBytes),
-		report.Seconds(after.Time.Total), report.F(Speedup(before, after), 2))
+		report.Seconds(after.Time.Total), report.F(balance.Speedup(before, after), 2))
 	t.AddNote("regrouping (Ding's dissertation, paper Section 4) turns six conflicting streams into one")
 	return t, nil
 }
@@ -143,30 +141,33 @@ func FutureBalanceStudy(cfg Config) (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, mult := range []float64{1, 2, 4, 8} {
+	mults := []float64{1, 2, 4, 8}
+	specs := make([]machine.Spec, len(mults))
+	for i, mult := range mults {
 		spec := cfg.streamOrigin()
 		spec.Name = spec.Name + "-cpu-x" + report.F(mult, 0)
 		spec.FlopRate *= mult
 		// Register and cache channels track the core clock; the memory
 		// channel does not — exactly the historical trend.
 		bw := append([]float64(nil), spec.ChannelBW...)
-		for i := 0; i < len(bw)-1; i++ {
-			bw[i] *= mult
+		for j := 0; j < len(bw)-1; j++ {
+			bw[j] *= mult
 		}
 		spec.ChannelBW = bw
-		before, err := Analyze(orig, spec)
-		if err != nil {
-			return nil, err
-		}
-		after, err := Analyze(optimized, spec)
-		if err != nil {
-			return nil, err
-		}
-		mb := spec.Balance()
+		specs[i] = spec
+	}
+	// The clock-scaled machines share one run of each program.
+	pair, err := measurePair(orig, optimized, specs, balance.Options{})
+	if err != nil {
+		return nil, err
+	}
+	for i, mult := range mults {
+		before := pair.Before[i]
+		mb := specs[i].Balance()
 		t.AddRow(report.F(mult, 0)+"x",
 			report.F(mb[len(mb)-1], 2)+" B/flop",
 			report.F(100*before.CPUUtilizationBound, 1)+"%",
-			report.F(Speedup(before, after), 2))
+			report.F(balance.Speedup(before, pair.After[i]), 2))
 	}
 	t.AddNote("the bandwidth gap widens with CPU speed; bandwidth reduction grows more valuable, not less")
 	return t, nil
@@ -205,14 +206,11 @@ loop Out { print s }
 	if err != nil {
 		return nil, err
 	}
-	before, err := Analyze(p, spec)
+	pair, err := measurePair(p, q, []machine.Spec{spec}, balance.Options{})
 	if err != nil {
 		return nil, err
 	}
-	after, err := Analyze(q, spec)
-	if err != nil {
-		return nil, err
-	}
+	before, after := pair.Before[0], pair.After[0]
 	t := &report.Table{
 		Title:   "Loop interchange: row-first vs column-first traversal (column-major array)",
 		Headers: []string{"order", "mem traffic", "mem B/flop", "predicted time", "speedup"},
@@ -222,7 +220,7 @@ loop Out { print s }
 		report.Seconds(before.Time.Total), "1.00")
 	t.AddRow("j outer (interchanged)", report.Bytes(after.MemoryBytes),
 		report.F(after.ProgramBalance[len(after.ProgramBalance)-1], 2),
-		report.Seconds(after.Time.Total), report.F(Speedup(before, after), 2))
+		report.Seconds(after.Time.Total), report.F(balance.Speedup(before, after), 2))
 	t.AddNote("stride-one access restores one-element-per-line-byte traffic")
 	return t, nil
 }
@@ -255,18 +253,15 @@ func RegisterBalanceStudy(cfg Config) (*report.Table, error) {
 		Title:   "Register balance: unroll-and-jam + scalar replacement on mm (jki)",
 		Headers: []string{"variant", "L1-Reg B/flop", "predicted time", "speedup"},
 	}
-	before, err := Analyze(p, spec)
+	pair, err := measurePair(p, sc, []machine.Spec{spec}, balance.Options{})
 	if err != nil {
 		return nil, err
 	}
-	after, err := Analyze(sc, spec)
-	if err != nil {
-		return nil, err
-	}
+	before, after := pair.Before[0], pair.After[0]
 	t.AddRow("jki (as written)", report.F(before.ProgramBalance[0], 2),
 		report.Seconds(before.Time.Total), "1.00")
 	t.AddRow("unroll-and-jam x4 + scalarize", report.F(after.ProgramBalance[0], 2),
-		report.Seconds(after.Time.Total), report.F(Speedup(before, after), 2))
+		report.Seconds(after.Time.Total), report.F(balance.Speedup(before, after), 2))
 	t.AddNote("paper: MIPSpro -O3 cut mm's register balance from 24 to 8.08 B/flop by the same transformations")
 	return t, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/balance"
@@ -37,28 +36,20 @@ func OptimalityGap(cfg Config) (*report.Table, error) {
 	// One run per program serves every machine's measurement and bound;
 	// the rows are then emitted machine by machine.
 	machines := cfg.machines()
-	measure := func(p *ir.Program) ([]*balance.Report, error) {
-		return balance.Measure(context.Background(), p, machines, balance.Options{Bounds: balance.BoundsFull})
-	}
-	before := make([][]*balance.Report, len(rows))
-	after := make([][]*balance.Report, len(rows))
+	pairs := make([]*balance.Pair, len(rows))
 	for i, k := range rows {
-		var err error
-		if before[i], err = measure(k.p); err != nil {
-			return nil, fmt.Errorf("%s: %w", k.name, err)
-		}
 		opt, _, err := Optimize(k.p)
 		if err != nil {
 			return nil, fmt.Errorf("optimize %s: %w", k.name, err)
 		}
-		if after[i], err = measure(opt); err != nil {
-			return nil, fmt.Errorf("%s (optimized): %w", k.name, err)
+		if pairs[i], err = measurePair(k.p, opt, machines, balance.Options{Bounds: balance.BoundsFull}); err != nil {
+			return nil, fmt.Errorf("%s: %w", k.name, err)
 		}
 	}
 	for mi, spec := range machines {
 		for i, k := range rows {
-			addGapRow(t, spec.Name, k.name, "original", before[i][mi])
-			addGapRow(t, spec.Name, k.name, "optimized", after[i][mi])
+			addGapRow(t, spec.Name, k.name, "original", pairs[i].Before[mi])
+			addGapRow(t, spec.Name, k.name, "optimized", pairs[i].After[mi])
 		}
 	}
 	t.AddNote("bound: max of compulsory live-in/live-out traffic and the red-blue pebbling S-partition bound")

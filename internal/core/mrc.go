@@ -6,6 +6,7 @@ import (
 	"repro/internal/balance"
 	"repro/internal/ir"
 	"repro/internal/kernels"
+	"repro/internal/machine"
 	"repro/internal/report"
 )
 
@@ -32,22 +33,23 @@ func MRCStudy(cfg Config) (*report.Table, error) {
 		{"fig6", kernels.Fig6Original(cfg.Fig6N)},
 		{"fig7", kernels.Fig7Original(cfg.Fig8N)},
 	}
+	optimized := make([]*ir.Program, len(rows))
+	for i, k := range rows {
+		var err error
+		if optimized[i], _, err = Optimize(k.p); err != nil {
+			return nil, fmt.Errorf("optimize %s: %w", k.name, err)
+		}
+	}
+	// The reuse-distance analysis rides on a measurement's primary
+	// machine, so each machine measures every pair once.
 	for _, spec := range cfg.machines() {
-		for _, k := range rows {
-			before, err := measureOn(k.p, spec, balance.Options{MRC: true})
+		for i, k := range rows {
+			pair, err := measurePair(k.p, optimized[i], []machine.Spec{spec}, balance.Options{MRC: true})
 			if err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", k.name, spec.Name, err)
 			}
-			opt, _, err := Optimize(k.p)
-			if err != nil {
-				return nil, fmt.Errorf("optimize %s: %w", k.name, err)
-			}
-			after, err := measureOn(opt, spec, balance.Options{MRC: true})
-			if err != nil {
-				return nil, fmt.Errorf("%s (optimized) on %s: %w", k.name, spec.Name, err)
-			}
-			kb := before.MRC.Knee(spec.Name)
-			ka := after.MRC.Knee(spec.Name)
+			kb := pair.Before[0].MRC.Knee(spec.Name)
+			ka := pair.After[0].MRC.Knee(spec.Name)
 			if kb == nil || ka == nil {
 				return nil, fmt.Errorf("%s on %s: no knee against own machine", k.name, spec.Name)
 			}

@@ -505,16 +505,6 @@ type resultKey struct {
 	Features features
 }
 
-// measure is the service's one measurement call: one balance.Measure,
-// one program run, counted and timed.
-func (s *Server) measure(ctx context.Context, p *ir.Program, specs []machine.Spec, opts balance.Options) ([]*balance.Report, error) {
-	s.programRuns.Inc()
-	begin := time.Now()
-	reps, err := balance.Measure(ctx, p, specs, opts)
-	s.stageSeconds.With("measure").Observe(time.Since(begin).Seconds())
-	return reps, err
-}
-
 // call is one resolved /v1/analyze or /v1/optimize request: its cache
 // address less the features, the features asked for, and the body.
 type call struct {
@@ -673,7 +663,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // target machine and every requested feature. Its answer is always
 // complete for eff, so always cacheable.
 func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, specs []machine.Spec, eff features) (response, bool, error) {
-	reps, err := s.measure(ctx, p, specs, eff.Options)
+	s.programRuns.Inc()
+	begin := time.Now()
+	reps, err := balance.Measure(ctx, p, specs, eff.Options)
+	s.stageSeconds.With("measure").Observe(time.Since(begin).Seconds())
 	if err != nil {
 		return nil, false, err
 	}
@@ -777,10 +770,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 // optimize is the optimize body: the verified pipeline under cfg, then
-// — when the rung affords executions — the before and after
-// measurements and the pass deltas. A structural-only run skipped
-// measurement, so it is incomplete for any address and not cacheable.
-// An empty cfg.Pipeline runs no pass (cfg sets no Options).
+// — when the rung affords executions — the checked before/after
+// measurement and the pass deltas (balance.MeasurePair). A
+// structural-only run skipped measurement, and with it the check that
+// the optimized program prints what the original did, so it is
+// incomplete for any address and not cacheable. An empty cfg.Pipeline
+// runs no pass (cfg sets no Options).
 func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spec machine.Spec, cfg transform.Config, eff features, measured bool) (response, bool, error) {
 	obegin := time.Now()
 	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, cfg)
@@ -811,43 +806,35 @@ func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spe
 		return resp, false, nil
 	}
 
-	// The bounds block describes the optimized program, so the before
-	// run computes a bound only for a profiled report.
-	bo := eff.Options
-	if !bo.Profile {
-		bo.Bounds = balance.BoundsNone
+	// Both programs run once, plus one profiled run per intermediate
+	// snapshot. A divergence fails the request (422), so it is never
+	// cached. The cache key carries the tolerance only under
+	// differential verification; elsewhere the check uses the default.
+	runs := 2
+	if n := len(outcome.Snapshots); n > 1 {
+		runs += n - 1
 	}
-	reps, err := s.measure(ctx, p, []machine.Spec{spec}, bo)
+	s.programRuns.Add(float64(runs))
+	tol := 0.0
+	if cfg.Verify == verify.ModeDifferential {
+		tol = cfg.Tol
+	}
+	begin := time.Now()
+	pair, err := balance.MeasurePair(ctx, p, q, outcome.Snapshots, []machine.Spec{spec}, eff.Options, tol)
+	s.stageSeconds.With("measure").Observe(time.Since(begin).Seconds())
 	if err != nil {
 		return nil, false, err
 	}
-	before := reps[0]
-	if reps, err = s.measure(ctx, q, []machine.Spec{spec}, eff.Options); err != nil {
-		return nil, false, err
-	}
-	after := reps[0]
+	before, after := pair.Before[0], pair.After[0]
 	resp.Before = summarize(before)
 	resp.After = summarize(after)
 	resp.Speedup = balance.Speedup(before, after)
 	resp.Bounds = boundsOf(after)
 	s.observeGap(kernel, spec.Name, resp.Bounds)
 	if eff.Profile {
-		// Attribute the pipeline's savings pass by pass from the
-		// committed snapshots; before and after are the two ends.
 		resp.Profile = after.Attribution.Summary()
 		s.observeProfile(kernel, resp.Profile)
-		if n := len(outcome.Snapshots); n > 0 {
-			snaps := make([]balance.ProgramSnapshot, n)
-			for i, sn := range outcome.Snapshots {
-				snaps[i] = balance.ProgramSnapshot{Pass: sn.Pass, Program: sn.Program}
-			}
-			s.programRuns.Add(float64(n - 1))
-			deltas, err := balance.PassDeltas(ctx, before, after, snaps, spec, s.limits())
-			if err != nil {
-				return nil, false, err
-			}
-			resp.PassDeltas = deltas
-		}
+		resp.PassDeltas = pair.Deltas
 	}
 	if eff.MRC {
 		resp.MRCBefore = before.MRC

@@ -213,3 +213,64 @@ func TestInlineSourceCanonicalKey(t *testing.T) {
 		}
 	}
 }
+
+// siblingLoops is contracted wrongly with verification off: the write
+// and the read of a[m,i] sit in sibling inner loops, and the scalar
+// that replaces a keeps only the last write. The original prints 24.
+const siblingLoops = `program sibling
+array a[2, 4]
+scalar s
+loop L {
+  for m = 0, 1 {
+    for i = 0, 3 { a[m, i] = m + i + 1 }
+    for i = 0, 3 { s = s + a[m, i] }
+  }
+  print s
+}
+`
+
+// TestOptimizeRefusesDivergence: an unverified optimize whose result
+// prints something else than the original is a 422 naming the
+// divergence, never cached; differential verification rolls the bad
+// contraction back and answers 200 with it listed as skipped.
+func TestOptimizeRefusesDivergence(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for i := 0; i < 2; i++ {
+		runs := s.programRuns.Value()
+		resp, body := postJSON(t, ts.URL+"/v1/optimize", map[string]any{"program": siblingLoops})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("request %d: status %d, want 422: %s", i, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "print 0 diverged: original 24, transformed 36") {
+			t.Fatalf("request %d: 422 does not name the divergence: %s", i, body)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Fatalf("request %d: X-Cache %q, want miss: a refused answer must not be cached", i, got)
+		}
+		if got := s.programRuns.Value() - runs; got != 2 {
+			t.Fatalf("request %d: bwserved_program_runs_total rose by %v, want 2", i, got)
+		}
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/optimize", map[string]any{"program": siblingLoops, "verify": "differential"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("differential: status %d: %s", resp.StatusCode, body)
+	}
+	var out OptimizeResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	contracted := false
+	for _, sk := range out.Verification.Skipped {
+		if sk.Pass == "contract" && strings.Contains(sk.Cause, "diverged") {
+			contracted = true
+		}
+	}
+	if !contracted || !strings.Contains(out.Verification.Text, "SKIPPED") {
+		t.Fatalf("differential run does not list the contraction as skipped: %+v\n%s",
+			out.Verification.Skipped, out.Verification.Text)
+	}
+	if out.Before == nil || out.After == nil {
+		t.Fatalf("differential run was not measured: %s", body)
+	}
+}

@@ -17,7 +17,7 @@ import (
 	"repro/internal/verify"
 )
 
-// Defaults for Config knobs left zero.
+// Defaults and budgets of the pass manager.
 const (
 	// DefaultTol is the relative tolerance for differential
 	// verification.
@@ -35,7 +35,7 @@ const (
 
 // Config controls the checkpointed pass manager: which passes run
 // (Options or an explicit Pipeline string), how each accepted
-// checkpoint is verified, and the iteration budgets that keep a
+// checkpoint is verified, and the execution limits that keep a
 // pathological input from hanging the pipeline.
 type Config struct {
 	Options
@@ -52,9 +52,6 @@ type Config struct {
 	// Tol is the relative tolerance for differential verification;
 	// non-positive means DefaultTol.
 	Tol float64
-	// MaxFixpointIters bounds the scans of each fixpoint loop;
-	// non-positive means DefaultMaxFixpointIters.
-	MaxFixpointIters int
 	// ExecLimits bounds every program execution the pipeline performs:
 	// the differential baseline and each checkpoint's verification run
 	// once per input vector, each run under its own budget. The zero
@@ -77,9 +74,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Tol <= 0 {
 		c.Tol = DefaultTol
-	}
-	if c.MaxFixpointIters <= 0 {
-		c.MaxFixpointIters = DefaultMaxFixpointIters
 	}
 	return c
 }
@@ -158,7 +152,7 @@ type Outcome struct {
 	Analysis analysis.Stats
 	// Snapshots holds the program after every pass that committed a
 	// checkpoint, in pipeline order. Populated only when
-	// Config.SnapshotPasses is set; balance.PassDeltas consumes it for
+	// Config.SnapshotPasses is set; balance.MeasurePair consumes it for
 	// per-pass traffic attribution.
 	Snapshots []PassSnapshot
 }
@@ -215,6 +209,10 @@ type manager struct {
 	blocked      map[string]bool // (pass,nest,array) steps that already failed once
 	stop         bool            // the run was canceled; abandon remaining work
 }
+
+// fixpointScans is the scan budget of every fixpoint loop,
+// DefaultMaxFixpointIters; tests shrink it to exercise exhaustion.
+var fixpointScans = DefaultMaxFixpointIters
 
 // testPostCommit, when non-nil, runs after every committed checkpoint
 // with the manager in its post-commit state. The cache-correctness
@@ -523,133 +521,119 @@ func (m *manager) fusePass() {
 	})
 }
 
-// storagePass iterates array contraction and shrinking to a fixpoint:
-// contracting one array can make another transformable. Every accepted
-// transformation is its own verified checkpoint, and the fixpoint
-// carries an explicit iteration budget. Liveness is requested once per
-// program version from the analysis cache, as is each candidate's
-// reuse classification.
-func (m *manager) storagePass() {
-	const pass = "reduce-storage"
-	iters := 0
-	for changed := true; changed && !m.canceled(); {
-		if iters++; iters > m.cfg.MaxFixpointIters {
-			m.skip(pass, "", "", fmt.Errorf("fixpoint iteration budget (%d scans) exhausted before convergence", m.cfg.MaxFixpointIters))
+// fixpoint drives one storage pass to convergence. Each scan fetches
+// the liveness summary for the current program version and offers
+// every (nest, array) candidate, in program order, to visit, which
+// reports whether it committed a step; the scan ends at the first
+// commit, and a scan without one ends the pass. Each scan commits at
+// most one transformation, so the scan budget (fixpointScans) and the
+// per-pass step limit keep a pathological input from looping forever;
+// exhausting either is recorded as a skip.
+func (m *manager) fixpoint(pass string, visit func(live *liveness.Info, ni int, nest, name string) bool) {
+	for scans := 0; !m.canceled(); scans++ {
+		if scans >= fixpointScans {
+			m.skip(pass, "", "", fmt.Errorf("fixpoint iteration budget (%d scans) exhausted before convergence", fixpointScans))
 			return
 		}
 		if m.steps >= DefaultMaxPassSteps {
 			m.skip(pass, "", "", fmt.Errorf("per-pass step limit (%d) reached", DefaultMaxPassSteps))
 			return
 		}
-		changed = false
 		live, err := m.am.Liveness()
 		if err != nil {
 			m.skip(pass, "", "", fmt.Errorf("liveness analysis failed: %w", err))
 			return
 		}
-		for ni := range m.cur.Nests {
-			nest := m.cur.Nests[ni].Label
-			for _, arr := range append([]*ir.Array(nil), m.cur.Arrays...) {
-				name := arr.Name
-				if live.LiveAfter(name, ni) || !usedOnlyIn(m.cur, ni, name) {
-					continue
-				}
-				cl := m.am.ReuseClass(ni, name)
-				switch cl.Kind {
-				case liveness.ScalarLike:
-					// Contraction removes the array's declaration and
-					// rewrites only that array's references, so every
-					// surviving array's nest-level read/write span — the
-					// facts the liveness summary serves — is untouched.
-					changed = m.stepPreserving(analysis.Preserve(analysis.NestIndexName, analysis.LivenessName),
-						"contract", nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
-							next, err := contractArrayCl(cur, ni, name, cl)
-							if err != nil {
-								return nil, nil, nil // not contractible here
-							}
-							return next, []Action{{Pass: "contract", Nest: nest, Array: name,
-								Note: "array replaced by a scalar"}}, nil
-						})
-				case liveness.CarryOne:
-					changed = m.runStep("shrink", nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
-						next, err := shrinkArrayCl(cur, ni, name, cl)
-						if err != nil {
-							return nil, nil, nil // not shrinkable here
-						}
-						return next, []Action{{Pass: "shrink", Nest: nest, Array: name,
-							Note: fmt.Sprintf("carry-1 along %s: scalar + buffer", cl.CarryVar)}}, nil
-					})
-				}
-				if changed {
-					break
-				}
-			}
-			if changed {
-				break
-			}
+		if !m.scan(live, visit) {
+			return
 		}
 	}
 }
 
-// storeElimPass removes dead writebacks, one verified checkpoint per
-// eliminated array, under the same fixpoint budget. The liveness
-// summary is requested once per program version (not once per
-// candidate array, as the pre-manager code did), and candidate
-// filtering runs on the cached reuse classifications.
-func (m *manager) storeElimPass() {
-	const pass = "store-elim"
-	iters := 0
-	for changed := true; changed && !m.canceled(); {
-		if iters++; iters > m.cfg.MaxFixpointIters {
-			m.skip(pass, "", "", fmt.Errorf("fixpoint iteration budget (%d scans) exhausted before convergence", m.cfg.MaxFixpointIters))
-			return
-		}
-		if m.steps >= DefaultMaxPassSteps {
-			m.skip(pass, "", "", fmt.Errorf("per-pass step limit (%d) reached", DefaultMaxPassSteps))
-			return
-		}
-		changed = false
-		live, err := m.am.Liveness()
-		if err != nil {
-			m.skip(pass, "", "", fmt.Errorf("liveness analysis failed: %w", err))
-			return
-		}
-		for ni := range m.cur.Nests {
-			nest := m.cur.Nests[ni].Label
-			for _, arr := range append([]*ir.Array(nil), m.cur.Arrays...) {
-				name := arr.Name
-				cl := m.am.ReuseClass(ni, name)
-				if cl.Kind != liveness.ForwardOnly && cl.Kind != liveness.ScalarLike {
-					continue // elimination provably inapplicable; skip without a step
-				}
-				if live.LiveAfter(name, ni) {
-					continue
-				}
-				// A forward-only elimination keeps the array's pre-store
-				// loads, so its nest-level read span — and every other
-				// array's — survives the rewrite; the liveness summary
-				// stays exact. A scalar-like elimination forwards every
-				// read and so removes the array's last loads while its
-				// declaration remains: liveness must recompute.
-				pres := analysis.Preserve(analysis.NestIndexName)
-				if cl.Kind == liveness.ForwardOnly {
-					pres = analysis.Preserve(analysis.NestIndexName, analysis.LivenessName)
-				}
-				changed = m.stepPreserving(pres, pass, nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
-					next, err := eliminateStoresWith(cur, ni, name, cl, live)
-					if err != nil {
-						return nil, nil, nil // no eliminable stores here
-					}
-					return next, []Action{{Pass: pass, Nest: nest, Array: name,
-						Note: "writeback removed, value forwarded"}}, nil
-				})
-				if changed {
-					break
-				}
-			}
-			if changed {
-				break
+// scan is one fixpoint scan: it reports whether visit committed.
+func (m *manager) scan(live *liveness.Info, visit func(live *liveness.Info, ni int, nest, name string) bool) bool {
+	for ni := range m.cur.Nests {
+		nest := m.cur.Nests[ni].Label
+		for _, arr := range append([]*ir.Array(nil), m.cur.Arrays...) {
+			if visit(live, ni, nest, arr.Name) {
+				return true
 			}
 		}
 	}
+	return false
+}
+
+// storagePass iterates array contraction and shrinking to a fixpoint:
+// contracting one array can make another transformable. Every accepted
+// transformation is its own verified checkpoint. Liveness is requested
+// once per program version from the analysis cache, as is each
+// candidate's reuse classification.
+func (m *manager) storagePass() {
+	m.fixpoint("reduce-storage", func(live *liveness.Info, ni int, nest, name string) bool {
+		if live.LiveAfter(name, ni) || !usedOnlyIn(m.cur, ni, name) {
+			return false
+		}
+		cl := m.am.ReuseClass(ni, name)
+		switch cl.Kind {
+		case liveness.ScalarLike:
+			// Contraction removes the array's declaration and rewrites
+			// only that array's references, so every surviving array's
+			// nest-level read/write span — the facts the liveness
+			// summary serves — is untouched.
+			return m.stepPreserving(analysis.Preserve(analysis.NestIndexName, analysis.LivenessName),
+				"contract", nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
+					next, err := contractArrayCl(cur, ni, name, cl)
+					if err != nil {
+						return nil, nil, nil // not contractible here
+					}
+					return next, []Action{{Pass: "contract", Nest: nest, Array: name,
+						Note: "array replaced by a scalar"}}, nil
+				})
+		case liveness.CarryOne:
+			return m.runStep("shrink", nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
+				next, err := shrinkArrayCl(cur, ni, name, cl)
+				if err != nil {
+					return nil, nil, nil // not shrinkable here
+				}
+				return next, []Action{{Pass: "shrink", Nest: nest, Array: name,
+					Note: fmt.Sprintf("carry-1 along %s: scalar + buffer", cl.CarryVar)}}, nil
+			})
+		}
+		return false
+	})
+}
+
+// storeElimPass removes dead writebacks, one verified checkpoint per
+// eliminated array, under the same fixpoint driver. The liveness
+// summary is requested once per program version, and candidate
+// filtering runs on the cached reuse classifications.
+func (m *manager) storeElimPass() {
+	const pass = "store-elim"
+	m.fixpoint(pass, func(live *liveness.Info, ni int, nest, name string) bool {
+		cl := m.am.ReuseClass(ni, name)
+		if cl.Kind != liveness.ForwardOnly && cl.Kind != liveness.ScalarLike {
+			return false // elimination provably inapplicable; skip without a step
+		}
+		if live.LiveAfter(name, ni) {
+			return false
+		}
+		// A forward-only elimination keeps the array's pre-store loads,
+		// so its nest-level read span — and every other array's —
+		// survives the rewrite; the liveness summary stays exact. A
+		// scalar-like elimination forwards every read and so removes the
+		// array's last loads while its declaration remains: liveness
+		// must recompute.
+		pres := analysis.Preserve(analysis.NestIndexName)
+		if cl.Kind == liveness.ForwardOnly {
+			pres = analysis.Preserve(analysis.NestIndexName, analysis.LivenessName)
+		}
+		return m.stepPreserving(pres, pass, nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
+			next, err := eliminateStoresWith(cur, ni, name, cl, live)
+			if err != nil {
+				return nil, nil, nil // no eliminable stores here
+			}
+			return next, []Action{{Pass: pass, Nest: nest, Array: name,
+				Note: "writeback removed, value forwarded"}}, nil
+		})
+	})
 }

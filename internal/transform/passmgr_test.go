@@ -138,10 +138,11 @@ func TestDivergentResultIsRolledBack(t *testing.T) {
 func TestFixpointBudgetExhaustion(t *testing.T) {
 	p := twoTemps(8)
 	want := mustRun(t, p)
+	defer func(n int) { fixpointScans = n }(fixpointScans)
+	fixpointScans = 1
 	q, out, err := OptimizeVerified(p, Config{
-		Options:          Options{ReduceStorage: true},
-		Verify:           verify.ModeDifferential,
-		MaxFixpointIters: 1,
+		Options: Options{ReduceStorage: true},
+		Verify:  verify.ModeDifferential,
 	})
 	if err != nil {
 		t.Fatal(err)
