@@ -228,6 +228,48 @@ func TestBwoptPassesFlag(t *testing.T) {
 	}
 }
 
+// TestBwoptProfileSingleNest: on dmxpy's single nest fusion leaves the
+// program unchanged, which is no checkpoint, so -profile -json reports
+// no fuse row, and the pass deltas still add up to the whole saving.
+func TestBwoptProfileSingleNest(t *testing.T) {
+	bin := buildTool(t, "cmd/bwopt")
+	out, err := runTool(t, bin, "-profile", "-json", "testdata/dmxpy.bw")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	type side struct {
+		Profile struct {
+			MemoryBytes int64 `json:"memory_bytes"`
+		} `json:"profile"`
+	}
+	var doc struct {
+		Before     side `json:"before"`
+		After      side `json:"after"`
+		PassDeltas []struct {
+			Pass         string `json:"pass"`
+			MemoryBefore int64  `json:"memory_before"`
+			MemoryAfter  int64  `json:"memory_after"`
+		} `json:"pass_deltas"`
+	}
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	saving := doc.Before.Profile.MemoryBytes - doc.After.Profile.MemoryBytes
+	if len(doc.PassDeltas) == 0 || saving <= 0 {
+		t.Fatalf("%d pass deltas for a saving of %d bytes; want a committed pass that saves", len(doc.PassDeltas), saving)
+	}
+	var sum int64
+	for _, d := range doc.PassDeltas {
+		if d.Pass == "fuse" {
+			t.Errorf("fuse row for a single-nest program: %+v", d)
+		}
+		sum += d.MemoryBefore - d.MemoryAfter
+	}
+	if sum != saving {
+		t.Errorf("pass deltas sum to %d bytes, want the whole saving %d", sum, saving)
+	}
+}
+
 // TestBwbenchJSON checks the machine-readable output mode: one JSON
 // document whose results mirror what the text tables report.
 func TestBwbenchJSON(t *testing.T) {

@@ -918,6 +918,12 @@ func (c *compiler) expr(x ir.Expr) fExpr {
 }
 
 func (c *compiler) binExpr(x *ir.Bin) fExpr {
+	switch x.Op {
+	case ir.Add, ir.Sub, ir.Mul, ir.Div:
+		if f := c.fusedArith(x); f != nil {
+			return f
+		}
+	}
 	l, r := c.expr(x.L), c.expr(x.R)
 	switch x.Op {
 	// Short-circuit logical operators.
@@ -949,6 +955,66 @@ func (c *compiler) binExpr(x *ir.Bin) fExpr {
 	}
 	c.errorf("unknown operator %v", x.Op)
 	return func(*cenv) float64 { return 0 }
+}
+
+// fusedArith compiles arithmetic with a fast array operand read inline
+// instead of through that operand's load closure, which saves a closure
+// call per operand per evaluation. The order is the unfused one: the
+// left operand's access (or fault), the right's, then the flop. It
+// returns nil when neither operand is a fast array read.
+func (c *compiler) fusedArith(x *ir.Bin) fExpr {
+	op := x.Op
+	lr, rr := c.fastRef(x.L), c.fastRef(x.R)
+	switch {
+	case lr != nil && rr != nil:
+		return func(env *cenv) float64 {
+			a := lr.read(env, lr.fastOffset(env.ivars))
+			b := rr.read(env, rr.fastOffset(env.ivars))
+			env.flop(1)
+			return arith(op, a, b)
+		}
+	case lr != nil:
+		r := c.expr(x.R)
+		return func(env *cenv) float64 {
+			a := lr.read(env, lr.fastOffset(env.ivars))
+			b := r(env)
+			env.flop(1)
+			return arith(op, a, b)
+		}
+	case rr != nil:
+		l := c.expr(x.L)
+		return func(env *cenv) float64 {
+			a := l(env)
+			b := rr.read(env, rr.fastOffset(env.ivars))
+			env.flop(1)
+			return arith(op, a, b)
+		}
+	}
+	return nil
+}
+
+// fastRef returns the compiled reference of x when x reads an array on
+// the fast path, and nil otherwise.
+func (c *compiler) fastRef(x ir.Expr) *cref {
+	if r, ok := x.(*ir.Ref); ok && !r.IsScalar() {
+		if cr := c.ref(r); cr.fast {
+			return cr
+		}
+	}
+	return nil
+}
+
+// arith applies one of the four arithmetic operators.
+func arith(op ir.Op, a, b float64) float64 {
+	switch op {
+	case ir.Add:
+		return a + b
+	case ir.Sub:
+		return a - b
+	case ir.Mul:
+		return a * b
+	}
+	return a / b
 }
 
 func (env *cenv) flop(n int64) {

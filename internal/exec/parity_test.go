@@ -3,6 +3,8 @@ package exec_test
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,27 +16,24 @@ import (
 	"repro/internal/sim"
 )
 
-// TestEngineParity runs each program on both engines against an
-// Origin2000 hierarchy with per-site profiling and requires the same
-// outcome: the same prints, scalars and flops on success, the same
-// error text on failure, and in both cases the same hierarchy counters
-// and per-site attribution, so the engines issued the same accesses in
-// the same order up to the end or the fault. The programs cover the
-// compiled engine's affine fast path (rank one and two), its loop over
-// dimensions (rank three, several loop variables in one subscript) and
-// its general path (a scalar-driven subscript). It lives in package
-// exec_test because machine imports exec.
-func TestEngineParity(t *testing.T) {
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	cases := []struct {
-		name    string
-		src     string
-		ctx     context.Context
-		lim     exec.Limits
-		wantErr string // a substring of both engines' error; "" for success
-	}{
-		{name: "scaled and reversed subscripts", src: `
+// parityCase is one program both engines must run to the same
+// outcome; wantErr is a substring of both engines' error, or "" for
+// success.
+type parityCase struct {
+	name     string
+	src      string
+	canceled bool // run under an already-canceled context
+	lim      exec.Limits
+	wantErr  string
+}
+
+// parityCases cover the compiled engine's affine fast path (rank one
+// and two), its loop over dimensions (rank three, several loop
+// variables in one subscript), its general path (a scalar-driven
+// subscript) and its fused arithmetic, which reads fast operands
+// inline, with a fault in either operand.
+var parityCases = []parityCase{
+	{name: "scaled and reversed subscripts", src: `
 program t
 const N = 64
 array a[2*N]
@@ -51,7 +50,7 @@ loop L1 {
   print a[2*N-1] + b[3]
 }
 `},
-		{name: "constant subscripts", src: `
+	{name: "constant subscripts", src: `
 program t
 const N = 8
 array a[N]
@@ -63,7 +62,7 @@ loop L1 {
   print m[0, N-1] + m[2, 5]
 }
 `},
-		{name: "rank three and multi-variable subscripts", src: `
+	{name: "rank three and multi-variable subscripts", src: `
 program t
 const N = 6
 array u[N, N, N]
@@ -84,7 +83,7 @@ loop L1 {
   print s
 }
 `},
-		{name: "scalar-driven subscript beside an affine one", src: `
+	{name: "scalar-driven subscript beside an affine one", src: `
 program t
 const N = 16
 array a[N]
@@ -101,7 +100,7 @@ loop L1 {
   print s
 }
 `},
-		{name: "out of bounds in the second dimension late", wantErr: "nest L2: index 10 out of bounds [0,10) in m[", src: `
+	{name: "out of bounds in the second dimension late", wantErr: "nest L2: index 10 out of bounds [0,10) in m[", src: `
 program t
 const N = 10
 array m[N, N]
@@ -121,7 +120,7 @@ loop L2 {
   }
 }
 `},
-		{name: "both subscripts out of bounds", wantErr: "index 10 out of bounds [0,10) in w[", src: `
+	{name: "both subscripts out of bounds", wantErr: "index 10 out of bounds [0,10) in w[", src: `
 program t
 const N = 10
 array w[N, N+1]
@@ -132,7 +131,7 @@ loop L1 {
   }
 }
 `},
-		{name: "affine bounds check before a general subscript's fault", wantErr: "index 4 out of bounds [0,4) in m[", src: `
+	{name: "affine bounds check before a general subscript's fault", wantErr: "index 4 out of bounds [0,4) in m[", src: `
 program t
 const N = 4
 array m[N, N]
@@ -143,7 +142,87 @@ loop L1 {
   for i = 0, N - 1 { print m[i+N, z] }
 }
 `},
-		{name: "step budget exhausted mid-nest", lim: exec.Limits{MaxSteps: 300}, wantErr: "nest L1: exec: step budget exhausted (limit 300 iterations)", src: `
+	{name: "fused arithmetic on fast operands", src: `
+program t
+const N = 12
+array a[N]
+array b[N]
+array m[N, N]
+array u[N, N, 2]
+scalar s
+scalar r = 3
+loop L1 {
+  for i = 0, N - 1 {
+    read a[i]
+    read b[i]
+  }
+  for j = 0, N - 1 {
+    for i = 0, N - 1 {
+      m[i, j] = m[i, j] + a[i] * b[j]
+      u[i, j, 1] = a[i] - m[i, j] / b[j]
+      s = s + a[N-1-i] * m[j, i] - u[i, j, 1] * b[i]
+      s = s / b[j] + m[i, r] + (s - a[i])
+    }
+  }
+  print s
+  print m[N-1, N-1] * 2 + a[0]
+}
+`},
+	{name: "fused Mul faults in its left operand", wantErr: "nest L1: index 8 out of bounds [0,8) in m[", src: `
+program t
+const N = 8
+array a[N]
+array m[N, N]
+scalar s
+loop L1 {
+  for i = 0, N - 1 { read a[i] }
+  for j = 0, N - 1 {
+    for i = 0, N - 1 { s = s + m[i, j+3] * a[i] }
+  }
+  print s
+}
+`},
+	{name: "fused Mul faults in its right operand", wantErr: "nest L1: index 8 out of bounds [0,8) in a[", src: `
+program t
+const N = 8
+array a[N]
+array m[N, N]
+scalar s
+loop L1 {
+  for i = 0, N - 1 { read a[i] }
+  for j = 0, N - 1 {
+    for i = 0, N - 1 { s = s + m[i, j] * a[i+j] }
+  }
+  print s
+}
+`},
+	{name: "fused Add faults in its left operand", wantErr: "nest L1: index 8 out of bounds [0,8) in a[", src: `
+program t
+const N = 8
+array a[N]
+array b[N]
+loop L1 {
+  for i = 0, N - 1 { read a[i] }
+  for i = 0, N - 1 { b[i] = a[2*i] + b[i] }
+  print b[0]
+}
+`},
+	{name: "fused Add faults in its right operand", wantErr: "nest L1: index -1 out of bounds [0,8) in a[", src: `
+program t
+const N = 8
+array a[N]
+array b[N]
+scalar s
+loop L1 {
+  for i = 0, N - 1 { read a[i] }
+  for i = 0, N - 1 {
+    b[i] = s + a[N-2-i]
+    s = b[i] + a[i]
+  }
+  print s
+}
+`},
+	{name: "step budget exhausted mid-nest", lim: exec.Limits{MaxSteps: 300}, wantErr: "nest L1: exec: step budget exhausted (limit 300 iterations)", src: `
 program t
 const N = 100
 array a[N]
@@ -157,7 +236,7 @@ loop L1 {
   print s
 }
 `},
-		{name: "cancellation mid-nest", ctx: canceled, wantErr: "nest L1: exec: run canceled after 1024 iterations: context canceled", src: `
+	{name: "cancellation mid-nest", canceled: true, wantErr: "nest L1: exec: run canceled after 1024 iterations: context canceled", src: `
 program t
 const N = 4000
 array a[N]
@@ -168,43 +247,139 @@ loop L1 {
   print s
 }
 `},
-	}
-	spec := machine.Origin2000()
-	for _, tc := range cases {
+}
+
+// TestEngineParity runs each parity case on both engines against an
+// Origin2000 hierarchy with per-site profiling and requires the same
+// outcome (see checkParity). It lives in package exec_test because
+// machine imports exec.
+func TestEngineParity(t *testing.T) {
+	for _, tc := range parityCases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := tc.ctx
-			if ctx == nil {
-				ctx = context.Background()
+			ctx := context.Background()
+			if tc.canceled {
+				canceled, cancel := context.WithCancel(ctx)
+				cancel()
+				ctx = canceled
 			}
-			p := lang.MustParse(tc.src)
-			ir.AssignSites(p)
-			hi, hc := spec.NewHierarchy(), spec.NewHierarchy()
-			hi.EnableProfiling()
-			hc.EnableProfiling()
-			ri, erri := exec.RunCtx(ctx, p, hi, tc.lim)
-			cp, err := exec.Compile(p)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			rc, errc := cp.RunCtx(ctx, hc, tc.lim)
+			res, err := checkParity(t, ctx, lang.MustParse(tc.src), tc.lim)
 			switch {
 			case tc.wantErr != "":
-				if erri == nil || errc == nil || !strings.Contains(erri.Error(), tc.wantErr) {
-					t.Fatalf("want both engines to fail with %q: interp %v, compiled %v", tc.wantErr, erri, errc)
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("want both engines to fail with %q, got %v", tc.wantErr, err)
 				}
-				if erri.Error() != errc.Error() {
-					t.Fatalf("error text diverged:\ninterp:   %v\ncompiled: %v", erri, errc)
-				}
-			case erri != nil || errc != nil:
-				t.Fatalf("interp %v, compiled %v", erri, errc)
-			case !sameValues(ri.Prints, rc.Prints) || len(ri.Prints) == 0:
-				t.Fatalf("prints: interp %v, compiled %v", ri.Prints, rc.Prints)
-			case !reflect.DeepEqual(ri.Scalars, rc.Scalars) || ri.Flops != rc.Flops:
-				t.Fatalf("scalars/flops: interp %v %d, compiled %v %d", ri.Scalars, ri.Flops, rc.Scalars, rc.Flops)
+			case err != nil:
+				t.Fatal(err)
+			case len(res.Prints) == 0:
+				t.Fatal("the program printed nothing to compare")
 			}
-			sameHierarchy(t, hi, hc)
 		})
 	}
+}
+
+// fuzzMaxElems bounds the arrays of a program FuzzEngineParity runs,
+// and fuzzLimits bounds each run, so a fuzzed infinite loop ends in
+// exec.ErrStepBudget on both engines.
+const fuzzMaxElems = 1 << 21
+
+var fuzzLimits = exec.Limits{MaxSteps: 1 << 16}
+
+// FuzzEngineParity runs every program that parses, and whose arrays
+// are small enough, on both engines and requires the same outcome (see
+// checkParity). It is seeded with the parity cases and the programs in
+// testdata.
+func FuzzEngineParity(f *testing.F) {
+	for _, tc := range parityCases {
+		f.Add(tc.src)
+	}
+	files, err := filepath.Glob("../../testdata/*.bw")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no testdata programs: %v", err)
+	}
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := lang.Parse(src)
+		if err != nil || elems(p) > fuzzMaxElems {
+			return
+		}
+		checkParity(t, context.Background(), p, fuzzLimits)
+	})
+}
+
+// elems counts the elements of all of p's arrays, saturating past
+// fuzzMaxElems.
+func elems(p *ir.Program) int {
+	total := 0
+	for _, a := range p.Arrays {
+		n := 1
+		for _, d := range a.Dims {
+			if d > fuzzMaxElems {
+				return d
+			}
+			if n *= d; n > fuzzMaxElems {
+				return n
+			}
+		}
+		if total += n; total > fuzzMaxElems {
+			return total
+		}
+	}
+	return total
+}
+
+// checkParity runs p on both engines against an Origin2000 hierarchy
+// with per-site profiling and fails t unless the outcomes are the
+// same: the same prints, scalars and flops on success, the same error
+// text on failure, and in both cases the same hierarchy counters and
+// per-site attribution, so the engines issued the same accesses in the
+// same order up to the end or the fault. It returns the interpreter's
+// outcome.
+func checkParity(t *testing.T, ctx context.Context, p *ir.Program, lim exec.Limits) (*exec.Result, error) {
+	t.Helper()
+	ir.AssignSites(p)
+	spec := machine.Origin2000()
+	hi, hc := spec.NewHierarchy(), spec.NewHierarchy()
+	hi.EnableProfiling()
+	hc.EnableProfiling()
+	ri, erri := exec.RunCtx(ctx, p, hi, lim)
+	cp, err := exec.Compile(p)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	rc, errc := cp.RunCtx(ctx, hc, lim)
+	switch {
+	case (erri == nil) != (errc == nil):
+		t.Fatalf("engines disagree on failure:\ninterp:   %v\ncompiled: %v", erri, errc)
+	case erri != nil:
+		if erri.Error() != errc.Error() {
+			t.Fatalf("error text diverged:\ninterp:   %v\ncompiled: %v", erri, errc)
+		}
+	case !sameValues(ri.Prints, rc.Prints):
+		t.Fatalf("prints: interp %v, compiled %v", ri.Prints, rc.Prints)
+	case !sameScalars(ri.Scalars, rc.Scalars) || ri.Flops != rc.Flops:
+		t.Fatalf("scalars/flops: interp %v %d, compiled %v %d", ri.Scalars, ri.Flops, rc.Scalars, rc.Flops)
+	}
+	sameHierarchy(t, hi, hc)
+	return ri, erri
+}
+
+// sameScalars is map equality that also matches NaN with NaN.
+func sameScalars(a, b map[string]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, v := range a {
+		if w, ok := b[name]; !ok || !sameValues([]float64{v}, []float64{w}) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameValues(a, b []float64) bool {

@@ -247,33 +247,33 @@ func fuseGroup(p *ir.Program, group []int) (*ir.Nest, error) {
 
 // FuseGreedily builds the fusion graph, runs the recursive-bisection
 // heuristic, applies the result, and returns the fused program with the
-// partitioning used. It is the one-call entry point used by the
-// compiler pipeline.
+// partitioning used.
 func FuseGreedily(p *ir.Program) (*ir.Program, Partition, error) {
 	g, err := Build(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	return FuseGreedilyFromCtx(context.Background(), p, g)
-}
-
-// FuseGreedilyFromCtx runs the recursive-bisection heuristic and
-// applies its partitioning, starting from an already-built fusion graph
-// of the same program (for callers holding the graph in an analysis
-// cache). Trace spans are parented at ctx: one for the partitioning
-// heuristic (with nested min-cut spans) and one for the IR rewrite that
-// realizes the chosen partitioning.
-func FuseGreedilyFromCtx(ctx context.Context, p *ir.Program, g *Graph) (*ir.Program, Partition, error) {
-	parts, err := g.HeuristicCtx(ctx)
+	parts, err := g.Heuristic()
 	if err != nil {
 		return nil, nil, err
 	}
+	fused, err := applyWith(p, g, parts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fused, parts, nil
+}
+
+// ApplyCtx is Apply starting from an already-built fusion graph of the
+// same program (for callers holding the graph in an analysis cache),
+// under a fusion.apply trace span parented at ctx.
+func ApplyCtx(ctx context.Context, p *ir.Program, g *Graph, parts Partition) (*ir.Program, error) {
 	_, span := trace.StartSpan(ctx, "fusion.apply", trace.Int("partitions", int64(len(parts))))
 	fused, err := applyWith(p, g, parts)
 	if err != nil {
 		span.End(trace.String("error", err.Error()))
-		return nil, nil, err
+		return nil, err
 	}
 	span.End(trace.Int("nests", int64(len(fused.Nests))))
-	return fused, parts, nil
+	return fused, nil
 }

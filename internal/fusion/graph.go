@@ -234,6 +234,17 @@ func BuildWith(p *ir.Program, inf *deps.Info) (*Graph, error) {
 // into one loop, groups execute in sequence.
 type Partition [][]int
 
+// Identity reports whether the partition leaves the program as it is:
+// every group a single nest, in program order.
+func (parts Partition) Identity() bool {
+	for i, group := range parts {
+		if len(group) != 1 || group[0] != i {
+			return false
+		}
+	}
+	return true
+}
+
 // normalize sorts nodes within each group.
 func (parts Partition) normalize() {
 	for _, g := range parts {

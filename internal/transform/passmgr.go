@@ -499,25 +499,37 @@ func (m *manager) stepPreserving(pres analysis.Preserved, pass, nest, array stri
 	return m.runStep(pass, nest, array, fn)
 }
 
+// fusePartition picks the partition fusePass realizes: the
+// recursive-bisection heuristic. Tests replace it to force one.
+var fusePartition = (*fusion.Graph).HeuristicCtx
+
 // fusePass runs bandwidth-minimal loop fusion as one checkpointed step,
 // reusing the cached fusion graph (and, through it, the cached
-// dependence summary) for the current program version.
+// dependence summary) for the current program version. A partition
+// that neither fuses nor reorders nests is not applicable: an
+// unchanged program is no checkpoint.
 func (m *manager) fusePass() {
 	m.runStep("fuse", "", "", func(cur *ir.Program) (*ir.Program, []Action, error) {
 		g, err := m.am.FusionGraph()
 		if err != nil {
 			return nil, nil, err
 		}
-		fused, parts, err := fusion.FuseGreedilyFromCtx(m.stepCtx, cur, g)
+		parts, err := fusePartition(g, m.stepCtx)
 		if err != nil {
 			return nil, nil, err
 		}
-		var acts []Action
-		if len(parts) < len(cur.Nests) {
-			acts = append(acts, Action{Pass: "fuse",
-				Note: fmt.Sprintf("%d loops into %d partitions", len(cur.Nests), len(parts))})
+		if parts.Identity() {
+			return nil, nil, nil // nothing fused or reordered; no checkpoint
 		}
-		return fused, acts, nil
+		fused, err := fusion.ApplyCtx(m.stepCtx, cur, g, parts)
+		if err != nil {
+			return nil, nil, err
+		}
+		note := fmt.Sprintf("%d loops into %d partitions", len(cur.Nests), len(parts))
+		if len(parts) == len(cur.Nests) {
+			note = fmt.Sprintf("%d loops reordered", len(cur.Nests))
+		}
+		return fused, []Action{{Pass: "fuse", Note: note}}, nil
 	})
 }
 

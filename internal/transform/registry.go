@@ -208,6 +208,9 @@ func buildRegistry() map[string]*PassInfo {
 						if err != nil {
 							return nil, nil, err
 						}
+						if n == 0 {
+							return nil, nil, nil // nothing promoted; no checkpoint
+						}
 						return next, []Action{{Pass: "scalarize",
 							Note: fmt.Sprintf("%d element groups promoted", n)}}, nil
 					})
