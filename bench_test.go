@@ -21,11 +21,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fusion"
+	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/transform"
+	"repro/internal/verify"
 )
 
 func cell(tab *report.Table, rowKey string, col int) float64 {
@@ -330,6 +332,49 @@ func BenchmarkMeasureAttributed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMeasureSweep runs the largest sizes of perfbench's
+// measure-sweep workload: fig7 and conv, original and optimized, at
+// n=1<<20 on Origin2000 and n=1<<19 on SkylakeSP, one plain balance
+// measurement each per op. It reports ns/access, the wall time of the
+// measurements (execution and simulation) per simulated L1 access, so
+// the simulator's rate stays readable without the benchmark harness.
+func BenchmarkMeasureSweep(b *testing.B) {
+	type entry struct {
+		p    *ir.Program
+		spec machine.Spec
+	}
+	var entries []entry
+	for _, build := range []func(int) *ir.Program{kernels.Fig7Original, kernels.Convolution} {
+		for _, m := range []struct {
+			spec machine.Spec
+			n    int
+		}{{machine.Origin2000(), 1 << 20}, {machine.SkylakeSP(), 1 << 19}} {
+			orig := build(m.n)
+			opt, _, err := transform.OptimizeVerified(orig,
+				transform.Config{Pipeline: transform.DefaultPipelineSpec, Verify: verify.ModeStructural})
+			if err != nil {
+				b.Fatal(err)
+			}
+			entries = append(entries, entry{orig, m.spec}, entry{opt, m.spec})
+		}
+	}
+	ctx := context.Background()
+	var accesses int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range entries {
+			reps, err := balance.Measure(ctx, e.p, []machine.Spec{e.spec}, balance.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := reps[0].LevelStats[0]
+			accesses += st.Reads + st.Writes
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
 }
 
 // BenchmarkExecutor measures interpreter throughput on a simple

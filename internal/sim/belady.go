@@ -176,7 +176,7 @@ func replayTrace(ctx context.Context, t *Trace, belady bool) (Stats, []Stats, er
 	if cfg.Policy != WriteBack || cfg.NoWriteAllocate {
 		return Stats{}, nil, fmt.Errorf("sim: replay supports write-back write-allocate caches")
 	}
-	nsets := int64(cfg.Size / cfg.LineSize / cfg.Assoc)
+	g := newGeometry(cfg)
 	ls := int64(cfg.LineSize)
 
 	// Pre-compute next-use chains: nextUse[i] = index of the next
@@ -199,10 +199,14 @@ func replayTrace(ctx context.Context, t *Trace, belady bool) (Stats, []Stats, er
 		used  int    // last access index (LRU)
 		site  uint32 // last dirtier; owns the eventual writeback
 	}
-	sets := make([][]line, nsets)
+	// Every set back to back, as in Hierarchy: set s is
+	// lines[s*assoc : s*assoc+fill[s]], filled in arrival order.
+	assoc := cfg.Assoc
+	lines := make([]line, g.nsets*int64(assoc))
+	fill := make([]int, g.nsets)
 	var st Stats
 	// Per-site buckets, grown on demand; same owner-pays accounting as
-	// Hierarchy.access, so per-site sums equal st field-by-field.
+	// the Hierarchy, so per-site sums equal st field-by-field.
 	var bySite []Stats
 	bucket := func(site uint32) *Stats {
 		if int(site) >= len(bySite) {
@@ -229,16 +233,17 @@ func replayTrace(ctx context.Context, t *Trace, belady bool) (Stats, []Stats, er
 			st.Reads++
 			ps.Reads++
 		}
-		set := addr / ls % nsets
+		s := g.setIndex(addr >> g.shift)
+		set := lines[int(s)*assoc : int(s)*assoc+fill[s]]
 		hit := false
-		for k := range sets[set] {
-			if sets[set][k].addr == addr {
+		for k := range set {
+			if set[k].addr == addr {
 				hit = true
-				sets[set][k].next = nextUse[i]
-				sets[set][k].used = i
+				set[k].next = nextUse[i]
+				set[k].used = i
 				if write {
-					sets[set][k].dirty = true
-					sets[set][k].site = site
+					set[k].dirty = true
+					set[k].site = site
 				}
 				break
 			}
@@ -256,37 +261,38 @@ func replayTrace(ctx context.Context, t *Trace, belady bool) (Stats, []Stats, er
 		st.BytesIn += ls
 		ps.BytesIn += ls
 		nl := line{addr: addr, dirty: write, next: nextUse[i], used: i, site: site}
-		if len(sets[set]) < cfg.Assoc {
-			sets[set] = append(sets[set], nl)
+		if len(set) < assoc {
+			lines[int(s)*assoc+len(set)] = nl
+			fill[s]++
 			continue
 		}
 		// Choose a victim: farthest next use (Belady) or least recently
 		// used (LRU).
 		victim := 0
-		for k := 1; k < len(sets[set]); k++ {
+		for k := 1; k < len(set); k++ {
 			if belady {
-				if sets[set][k].next > sets[set][victim].next {
+				if set[k].next > set[victim].next {
 					victim = k
 				}
 			} else {
-				if sets[set][k].used < sets[set][victim].used {
+				if set[k].used < set[victim].used {
 					victim = k
 				}
 			}
 		}
-		if sets[set][victim].dirty {
+		if set[victim].dirty {
 			st.Writebacks++
 			st.BytesOut += ls
-			vs := bucket(sets[set][victim].site)
+			vs := bucket(set[victim].site)
 			vs.Writebacks++
 			vs.BytesOut += ls
 		}
-		sets[set][victim] = nl
+		set[victim] = nl
 	}
 	// Final flush of dirty lines, charged to their last writers
 	// (Recorder.Flush records nothing; see its contract).
-	for _, set := range sets {
-		for _, l := range set {
+	for s, n := range fill {
+		for _, l := range lines[s*assoc : s*assoc+n] {
 			if l.dirty {
 				st.Writebacks++
 				st.BytesOut += ls

@@ -234,9 +234,9 @@ func (h *mrcHist) eval(assoc int64, ls int64, policy WritePolicy) Stats {
 
 // mrcLevel holds the reuse-distance state of one cache level.
 type mrcLevel struct {
+	geometry
 	cfg   CacheConfig
 	ls    int64
-	nsets int64
 	sets  map[int64]*mrcSet
 	total mrcHist
 	sites map[uint32]*mrcHist
@@ -252,7 +252,7 @@ func (l *mrcLevel) site(id uint32) *mrcHist {
 }
 
 func (l *mrcLevel) record(tag int64, write bool, site uint32) {
-	si := tag % l.nsets
+	si := l.setIndex(tag)
 	set := l.sets[si]
 	if set == nil {
 		set = newMrcSet()
@@ -499,28 +499,38 @@ type MRCRecorder struct {
 // does not update recency, so whether it installs depends on the
 // capacity under study and the one-pass stack property breaks.
 func (h *Hierarchy) EnableMRC() error {
-	r := &MRCRecorder{}
-	for _, l := range h.levels {
-		if l.cfg.NoWriteAllocate {
-			return fmt.Errorf("sim: mrc: level %s uses no-write-allocate; reuse-distance analysis requires write-allocate", l.cfg.Name)
-		}
-		r.levels = append(r.levels, &mrcLevel{
-			cfg:   l.cfg,
-			ls:    int64(l.cfg.LineSize),
-			nsets: l.nsets,
-			sets:  make(map[int64]*mrcSet),
-			sites: make(map[uint32]*mrcHist),
-		})
+	r, err := newMRCRecorder(h.configs())
+	if err != nil {
+		return err
 	}
-	r.epochs = newMrcEpochs(int64(h.levels[len(h.levels)-1].cfg.LineSize))
 	h.mrc = r
 	return nil
+}
+
+// newMRCRecorder builds a recorder over the given level geometries,
+// processor side first.
+func newMRCRecorder(cfgs []CacheConfig) (*MRCRecorder, error) {
+	r := &MRCRecorder{}
+	for _, cfg := range cfgs {
+		if cfg.NoWriteAllocate {
+			return nil, fmt.Errorf("sim: mrc: level %s uses no-write-allocate; reuse-distance analysis requires write-allocate", cfg.Name)
+		}
+		r.levels = append(r.levels, &mrcLevel{
+			geometry: newGeometry(cfg),
+			cfg:      cfg,
+			ls:       int64(cfg.LineSize),
+			sets:     make(map[int64]*mrcSet),
+			sites:    make(map[uint32]*mrcHist),
+		})
+	}
+	r.epochs = newMrcEpochs(int64(cfgs[len(cfgs)-1].LineSize))
+	return r, nil
 }
 
 // MRC returns the attached recorder, or nil when recording is off.
 func (h *Hierarchy) MRC() *MRCRecorder { return h.mrc }
 
-// record is the per-level hook called from Hierarchy.access for every
+// record is the per-level hook the Hierarchy calls for every
 // line-granular access a cache level observes.
 func (r *MRCRecorder) record(lvl int, tag int64, write bool, site uint32) {
 	r.levels[lvl].record(tag, write, site)

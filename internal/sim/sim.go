@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -90,38 +91,126 @@ func (s Stats) Misses() int64 { return s.ReadMisses + s.WriteMisses }
 // Traffic returns total bytes crossing the channel below this level.
 func (s Stats) Traffic() int64 { return s.BytesIn + s.BytesOut }
 
-type line struct {
-	tag  int64
-	used int64 // LRU timestamp
+// geometry maps byte addresses to line tags and tags to sets. The
+// hierarchy, the reuse-distance recorder and the trace replay share it,
+// so all three agree on where a line lives.
+type geometry struct {
+	shift uint  // log2 of the line size
+	nsets int64 // sets per cache
+	mask  int64 // nsets-1 when nsets is a power of two, else -1
+}
+
+func newGeometry(cfg CacheConfig) geometry {
+	nsets := int64(cfg.Size / cfg.LineSize / cfg.Assoc)
+	g := geometry{shift: uint(bits.TrailingZeros(uint(cfg.LineSize))), nsets: nsets, mask: -1}
+	if nsets&(nsets-1) == 0 {
+		g.mask = nsets - 1
+	}
+	return g
+}
+
+// setIndex returns the set of a line tag: a mask for a power-of-two set
+// count (every registered machine), the modulo otherwise.
+func (g geometry) setIndex(tag int64) int64 {
+	if g.mask >= 0 {
+		return tag & g.mask
+	}
+	return tag % g.nsets
+}
+
+// lineState is the part of a line the lookup does not read.
+type lineState struct {
 	// site is the attribution site that last dirtied the line; its
 	// eventual writeback is charged to that site (owner-pays), which is
 	// what makes per-site byte counts sum exactly to the level totals.
 	site  uint32
-	valid bool
 	dirty bool
 }
 
+// memoSize is the number of entries in each level's line memo.
+const memoSize = 16
+
+// memoEntry says that line idx of its level is valid and holds tag. A
+// tag of -1 marks an empty entry.
+type memoEntry struct {
+	tag int64
+	idx int
+}
+
+// level is one cache. Its lines are stored as parallel flat slices,
+// every set back to back: line j of set s has index s*assoc+j. A lookup
+// reads only tags, and the victim choice only used.
 type level struct {
-	cfg   CacheConfig
-	sets  [][]line
-	nsets int64
+	geometry
+	cfg CacheConfig
+	ls  int64
+	// tags holds each line's tag; -1 marks a line never filled (the
+	// simulated addresses, and so their tags, are non-negative).
+	tags []int64
+	// used holds each line's LRU stamp, the level's clock at its last
+	// access. A line never filled has stamp 0 and every filled line a
+	// distinct positive one, so the least stamp of a set picks its first
+	// empty way if there is one and its least recently used line if not.
+	used  []int64
+	state []lineState
+	// memo remembers where recently found lines sit, keyed on the low
+	// bits of the tag. It is exact: a tag is unique within its set, an
+	// entry is written only for a filled line holding its tag, and the
+	// entry is cleared when that line is evicted.
+	memo  [memoSize]memoEntry
 	clock int64
 	stats Stats
 }
 
-func newLevel(cfg CacheConfig) *level {
-	n := cfg.Size / cfg.LineSize / cfg.Assoc
-	sets := make([][]line, n)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Assoc)
+func newLevel(cfg CacheConfig) level {
+	g := newGeometry(cfg)
+	n := g.nsets * int64(cfg.Assoc)
+	l := level{
+		geometry: g,
+		cfg:      cfg,
+		ls:       int64(cfg.LineSize),
+		tags:     make([]int64, n),
+		used:     make([]int64, n),
+		state:    make([]lineState, n),
 	}
-	return &level{cfg: cfg, sets: sets, nsets: int64(n)}
+	for i := range l.tags {
+		l.tags[i] = -1
+	}
+	for i := range l.memo {
+		l.memo[i].tag = -1
+	}
+	return l
+}
+
+// find returns the index of the line holding tag, or -1 on a miss. A
+// line the set scan finds replaces the memo entry.
+func (l *level) find(tag int64) int {
+	e := &l.memo[tag&(memoSize-1)]
+	if e.tag == tag {
+		return e.idx
+	}
+	base := int(l.setIndex(tag)) * l.cfg.Assoc
+	for i, t := range l.tags[base : base+l.cfg.Assoc] {
+		if t == tag {
+			e.tag, e.idx = tag, base+i
+			return base + i
+		}
+	}
+	return -1
+}
+
+// memoLine reports whether the access [addr, addr+size) lies in one
+// line the memo knows, and if so that line's index and tag.
+func (l *level) memoLine(addr int64, size int) (int, int64, bool) {
+	tag := addr >> l.shift
+	e := &l.memo[tag&(memoSize-1)]
+	return e.idx, tag, e.tag == tag && (addr+int64(size)-1)>>l.shift == tag
 }
 
 // Hierarchy is a stack of cache levels over an infinite memory.
 // Level 0 is closest to the processor.
 type Hierarchy struct {
-	levels []*level
+	levels []level
 	// Register-channel byte counters: every executor load/store moves
 	// data between registers and the top cache level.
 	RegLoadBytes  int64
@@ -175,6 +264,15 @@ func (h *Hierarchy) LevelStats(i int) Stats { return h.levels[i].stats }
 // LevelConfig returns the configuration of level i.
 func (h *Hierarchy) LevelConfig(i int) CacheConfig { return h.levels[i].cfg }
 
+// configs returns every level's configuration, processor side first.
+func (h *Hierarchy) configs() []CacheConfig {
+	out := make([]CacheConfig, len(h.levels))
+	for i := range h.levels {
+		out[i] = h.levels[i].cfg
+	}
+	return out
+}
+
 // Load simulates a processor load of size bytes at addr.
 func (h *Hierarchy) Load(addr int64, size int) {
 	h.LoadSite(addr, size, 0)
@@ -186,13 +284,21 @@ func (h *Hierarchy) Store(addr int64, size int) {
 }
 
 // LoadSite is Load tagged with the attribution site causing the access.
+//
+// An access that lies in one L1 line the memo knows is a hit found
+// without a set lookup; any other is split into lines. LoadSite and
+// StoreSite each make that test themselves instead of sharing a helper:
+// the engine calls them once per simulated access, and the extra call
+// cost about 5% of BenchmarkMeasureSweep.
 func (h *Hierarchy) LoadSite(addr int64, size int, site uint32) {
 	h.RegLoadBytes += int64(size)
-	if h.prof != nil {
-		h.prof.addReg(site, int64(size))
+	if h.prof != nil || h.mrc != nil {
+		h.observe(addr, size, site)
 	}
-	if h.mrc != nil {
-		h.mrc.epochs.tick(addr, size)
+	l := &h.levels[0]
+	if i, tag, ok := l.memoLine(addr, size); ok {
+		h.hit(l, 0, i, tag, false, site)
+		return
 	}
 	h.forEachLine(0, addr, size, false, site)
 }
@@ -200,13 +306,26 @@ func (h *Hierarchy) LoadSite(addr int64, size int, site uint32) {
 // StoreSite is Store tagged with the attribution site causing the access.
 func (h *Hierarchy) StoreSite(addr int64, size int, site uint32) {
 	h.RegStoreBytes += int64(size)
+	if h.prof != nil || h.mrc != nil {
+		h.observe(addr, size, site)
+	}
+	l := &h.levels[0]
+	if i, tag, ok := l.memoLine(addr, size); ok {
+		h.hit(l, 0, i, tag, true, site)
+		return
+	}
+	h.forEachLine(0, addr, size, true, site)
+}
+
+// observe passes one processor access to the profile's register bytes
+// and to the reuse-distance timeline, whichever is on.
+func (h *Hierarchy) observe(addr int64, size int, site uint32) {
 	if h.prof != nil {
 		h.prof.addReg(site, int64(size))
 	}
 	if h.mrc != nil {
 		h.mrc.epochs.tick(addr, size)
 	}
-	h.forEachLine(0, addr, size, true, site)
 }
 
 // AddFlops adds floating-point operations to the counter.
@@ -222,84 +341,107 @@ func (h *Hierarchy) AddFlops(n int64) {
 // which accepts any granularity in one transfer.
 func (h *Hierarchy) forEachLine(lvl int, addr int64, size int, write bool, site uint32) {
 	if lvl == len(h.levels) {
-		h.access(lvl, addr, write, site)
+		h.memory(write, site)
 		return
 	}
-	ls := int64(h.levels[lvl].cfg.LineSize)
-	first := addr &^ (ls - 1)
-	last := (addr + int64(size) - 1) &^ (ls - 1)
-	for a := first; a <= last; a += ls {
-		h.access(lvl, a, write, site)
+	l := &h.levels[lvl]
+	last := (addr + int64(size) - 1) >> l.shift
+	for tag := addr >> l.shift; tag <= last; tag++ {
+		if i := l.find(tag); i >= 0 {
+			h.hit(l, lvl, i, tag, write, site)
+		} else {
+			h.miss(l, lvl, tag, write, site)
+		}
 	}
 }
 
-// access performs one line-granular access at the given level,
-// recursing to lower levels on misses, write-throughs and writebacks.
-//
-// Attribution policy (owner-pays): fills, write-through propagation and
-// no-write-allocate forwards are charged to the accessing site;
-// writebacks — eviction and Flush alike — are charged to the site that
-// last dirtied the line. Every byte the level counters see is charged
-// to exactly one site, so per-site sums equal the totals at each level.
-func (h *Hierarchy) access(lvl int, addr int64, write bool, site uint32) {
-	if lvl == len(h.levels) {
-		// Memory: infinite, always hits.
-		if write {
-			h.MemWrites++
-		} else {
-			h.MemReads++
-		}
-		if h.mrc != nil {
-			h.mrc.epochs.mem(site)
-		}
-		return
+// memory is an access that reached the infinite memory: it always hits.
+func (h *Hierarchy) memory(write bool, site uint32) {
+	if write {
+		h.MemWrites++
+	} else {
+		h.MemReads++
 	}
-	l := h.levels[lvl]
-	ls := int64(l.cfg.LineSize)
-	lineAddr := addr &^ (ls - 1)
-	tag := lineAddr / ls
-	set := l.sets[tag%l.nsets]
-	l.clock++
 	if h.mrc != nil {
-		h.mrc.record(lvl, tag, write, site)
+		h.mrc.epochs.mem(site)
 	}
+}
+
+// count advances the level's LRU clock and counts one line-granular
+// access, hit or miss.
+func (l *level) count(write bool) {
+	l.clock++
 	if write {
 		l.stats.Writes++
 	} else {
 		l.stats.Reads++
 	}
-	var ps *Stats // per-site bucket; nil when profiling is off
-	if h.prof != nil {
-		ps = h.prof.siteStats(lvl, site)
-		if write {
-			ps.Writes++
-		} else {
-			ps.Reads++
-		}
-	}
+}
 
-	// Hit?
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = l.clock
-			if write {
-				if l.cfg.Policy == WriteThrough {
-					// Propagate the store downward at this level's line size.
-					l.stats.BytesOut += ls
-					if ps != nil {
-						ps.BytesOut += ls
-					}
-					h.forEachLine(lvl+1, lineAddr, int(ls), true, site)
-				} else {
-					set[i].dirty = true
-					set[i].site = site // last dirtier owns the writeback
-				}
-			}
-			return
-		}
+// observeLine passes one line-granular access at level lvl to the
+// reuse-distance recorder and counts it in the site's bucket, which it
+// returns (nil when profiling is off). Hits and misses call it when the
+// profile or the recorder is on.
+func (h *Hierarchy) observeLine(lvl int, tag int64, write bool, site uint32) *Stats {
+	if h.mrc != nil {
+		h.mrc.record(lvl, tag, write, site)
 	}
+	if h.prof == nil {
+		return nil
+	}
+	ps := h.prof.siteStats(lvl, site)
+	if write {
+		ps.Writes++
+	} else {
+		ps.Reads++
+	}
+	return ps
+}
 
-	// Miss.
+// hit completes a line-granular access whose line sits at index i of
+// level lvl: it counts the access, refreshes the line's LRU stamp and,
+// for a store, marks the line dirty (write-back) or propagates the
+// store down (write-through).
+//
+// Attribution policy (owner-pays), here and in miss: fills,
+// write-through propagation and no-write-allocate forwards are charged
+// to the accessing site; writebacks — eviction and Flush alike — are
+// charged to the site that last dirtied the line. Every byte the level
+// counters see is charged to exactly one site, so per-site sums equal
+// the totals at each level.
+func (h *Hierarchy) hit(l *level, lvl, i int, tag int64, write bool, site uint32) {
+	l.count(write)
+	l.used[i] = l.clock
+	var ps *Stats
+	if h.prof != nil || h.mrc != nil {
+		ps = h.observeLine(lvl, tag, write, site)
+	}
+	if !write {
+		return
+	}
+	if l.cfg.Policy == WriteThrough {
+		// Propagate the store downward at this level's line size.
+		l.stats.BytesOut += l.ls
+		if ps != nil {
+			ps.BytesOut += l.ls
+		}
+		h.forEachLine(lvl+1, tag<<l.shift, int(l.ls), true, site)
+		return
+	}
+	l.state[i] = lineState{site: site, dirty: true} // last dirtier owns the writeback
+}
+
+// miss completes a line-granular access to a tag level lvl does not
+// hold, recursing to lower levels for the fill, write-throughs and the
+// victim's writeback.
+func (h *Hierarchy) miss(l *level, lvl int, tag int64, write bool, site uint32) {
+	l.count(write)
+	var ps *Stats
+	if h.prof != nil || h.mrc != nil {
+		ps = h.observeLine(lvl, tag, write, site)
+	}
+	ls := l.ls
+	lineAddr := tag << l.shift
 	if write {
 		l.stats.WriteMisses++
 		if ps != nil {
@@ -321,31 +463,34 @@ func (h *Hierarchy) access(lvl int, addr int64, write bool, site uint32) {
 		}
 	}
 
-	// Choose a victim (invalid first, else LRU).
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
+	// Choose a victim: the first empty way, else the least recently used.
+	base := int(l.setIndex(tag)) * l.cfg.Assoc
+	victim, oldest := base, l.used[base]
+	for i, u := range l.used[base+1 : base+l.cfg.Assoc] {
+		if u < oldest {
+			victim, oldest = base+1+i, u
 		}
 	}
-	if set[victim].valid && set[victim].dirty {
-		// Writeback the victim line to the next level, charged to the
-		// site that dirtied it.
-		l.stats.Writebacks++
-		l.stats.BytesOut += ls
-		if h.prof != nil {
-			vs := h.prof.siteStats(lvl, set[victim].site)
-			vs.Writebacks++
-			vs.BytesOut += ls
-			// siteStats may have grown the level's bucket slice;
-			// re-resolve the accessor's bucket before touching it again.
-			ps = h.prof.siteStats(lvl, site)
+	if old := l.tags[victim]; old >= 0 {
+		if e := &l.memo[old&(memoSize-1)]; e.tag == old {
+			e.tag = -1
 		}
-		h.forEachLine(lvl+1, set[victim].tag*ls, int(ls), true, set[victim].site)
+		if v := l.state[victim]; v.dirty {
+			// Writeback the victim line to the next level, charged to
+			// the site that dirtied it.
+			l.stats.Writebacks++
+			l.stats.BytesOut += ls
+			if h.prof != nil {
+				vs := h.prof.siteStats(lvl, v.site)
+				vs.Writebacks++
+				vs.BytesOut += ls
+				// siteStats may have grown the level's bucket slice;
+				// re-resolve the accessor's bucket before touching it
+				// again.
+				ps = h.prof.siteStats(lvl, site)
+			}
+			h.forEachLine(lvl+1, old<<l.shift, int(ls), true, v.site)
+		}
 	}
 
 	// Fetch the line from the next level (write-allocate fetches too:
@@ -357,7 +502,9 @@ func (h *Hierarchy) access(lvl int, addr int64, write bool, site uint32) {
 	}
 	h.forEachLine(lvl+1, lineAddr, int(ls), false, site)
 
-	set[victim] = line{tag: tag, valid: true, dirty: false, used: l.clock, site: site}
+	l.tags[victim], l.used[victim] = tag, l.clock
+	l.state[victim] = lineState{site: site}
+	l.memo[tag&(memoSize-1)] = memoEntry{tag: tag, idx: victim}
 	if write {
 		if l.cfg.Policy == WriteThrough {
 			l.stats.BytesOut += ls
@@ -366,7 +513,7 @@ func (h *Hierarchy) access(lvl int, addr int64, write bool, site uint32) {
 			}
 			h.forEachLine(lvl+1, lineAddr, int(ls), true, site)
 		} else {
-			set[victim].dirty = true
+			l.state[victim].dirty = true
 		}
 	}
 }
@@ -375,22 +522,20 @@ func (h *Hierarchy) access(lvl int, addr int64, write bool, site uint32) {
 // The paper's writeback accounting includes these final writebacks.
 // Each writeback is charged to the site that last dirtied the line.
 func (h *Hierarchy) Flush() {
-	for lvl, l := range h.levels {
-		ls := int64(l.cfg.LineSize)
-		for si := range l.sets {
-			for wi := range l.sets[si] {
-				ln := &l.sets[si][wi]
-				if ln.valid && ln.dirty {
-					l.stats.Writebacks++
-					l.stats.BytesOut += ls
-					if h.prof != nil {
-						os := h.prof.siteStats(lvl, ln.site)
-						os.Writebacks++
-						os.BytesOut += ls
-					}
-					h.forEachLine(lvl+1, ln.tag*ls, int(ls), true, ln.site)
-					ln.dirty = false
+	for lvl := range h.levels {
+		l := &h.levels[lvl]
+		for i := range l.state {
+			st := &l.state[i]
+			if st.dirty {
+				l.stats.Writebacks++
+				l.stats.BytesOut += l.ls
+				if h.prof != nil {
+					os := h.prof.siteStats(lvl, st.site)
+					os.Writebacks++
+					os.BytesOut += l.ls
 				}
+				h.forEachLine(lvl+1, l.tags[i]<<l.shift, int(l.ls), true, st.site)
+				st.dirty = false
 			}
 		}
 	}
@@ -403,8 +548,8 @@ func (h *Hierarchy) Flush() {
 // (for excluding warm-up phases from measurements). Per-site profiling
 // counters, when enabled, are cleared too.
 func (h *Hierarchy) ResetCounters() {
-	for _, l := range h.levels {
-		l.stats = Stats{}
+	for i := range h.levels {
+		h.levels[i].stats = Stats{}
 	}
 	h.RegLoadBytes, h.RegStoreBytes = 0, 0
 	h.Flops = 0
@@ -427,8 +572,8 @@ func (h *Hierarchy) ResetCounters() {
 func (h *Hierarchy) ChannelBytes() []int64 {
 	out := make([]int64, len(h.levels)+1)
 	out[0] = h.RegLoadBytes + h.RegStoreBytes
-	for i, l := range h.levels {
-		out[i+1] = l.stats.Traffic()
+	for i := range h.levels {
+		out[i+1] = h.levels[i].stats.Traffic()
 	}
 	return out
 }
@@ -444,10 +589,10 @@ func (h *Hierarchy) MemoryBytes() int64 {
 func (h *Hierarchy) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "flops=%d regLoad=%dB regStore=%dB\n", h.Flops, h.RegLoadBytes, h.RegStoreBytes)
-	for _, l := range h.levels {
-		s := l.stats
+	for i := range h.levels {
+		s := h.levels[i].stats
 		fmt.Fprintf(&b, "%s: reads=%d writes=%d rmiss=%d wmiss=%d wb=%d in=%dB out=%dB\n",
-			l.cfg.Name, s.Reads, s.Writes, s.ReadMisses, s.WriteMisses, s.Writebacks, s.BytesIn, s.BytesOut)
+			h.levels[i].cfg.Name, s.Reads, s.Writes, s.ReadMisses, s.WriteMisses, s.Writebacks, s.BytesIn, s.BytesOut)
 	}
 	fmt.Fprintf(&b, "mem: reads=%d writes=%d", h.MemReads, h.MemWrites)
 	return b.String()
