@@ -484,7 +484,28 @@ func BenchmarkCompiledExecutor(b *testing.B) {
 // per-iteration cost of one vector.
 func BenchmarkCompiledVerifyMatmul(b *testing.B) {
 	const n = 128
-	cp, err := exec.Compile(kernels.MatmulJKI(n))
+	benchVerify(b, kernels.MatmulJKI(n), n+n*n+n*n*n)
+}
+
+// BenchmarkCompiledVerifySec21 is BenchmarkCompiledVerifyMatmul on the
+// Section 2.1 pair at n = 100000: an update sweep, then a reduction.
+func BenchmarkCompiledVerifySec21(b *testing.B) {
+	const n = 100_000
+	benchVerify(b, kernels.Sec21Pair(n), 2*n)
+}
+
+// BenchmarkCompiledVerifyConv is BenchmarkCompiledVerifyMatmul on the
+// three-point convolution at n = 100000, a stencil.
+func BenchmarkCompiledVerifyConv(b *testing.B) {
+	const n = 100_000
+	benchVerify(b, kernels.Convolution(n), n-2)
+}
+
+// benchVerify times RunVectors over both input vectors of p, which
+// executes iters loop-body iterations per vector, and reports wall ns
+// per iteration.
+func benchVerify(b *testing.B, p *ir.Program, iters int) {
+	cp, err := exec.Compile(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -496,8 +517,7 @@ func BenchmarkCompiledVerifyMatmul(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	iters := float64(2 * (n + n*n + n*n*n))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*iters), "ns/iter")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(2*iters)), "ns/iter")
 }
 
 // BenchmarkCompiledExecutorWithSim includes the cache simulator, the

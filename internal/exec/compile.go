@@ -47,6 +47,13 @@ type Compiled struct {
 	arrayOrder []*ir.Array
 	bases      []int64 // byte address of each array in arrayOrder
 	elems      int     // total elements of all arrays: one run's storage
+	nivars     int     // loop-variable slots a run needs
+
+	// The batched loops (batch.go) are planned on the first run with no
+	// machine, from src, which is dropped once they are.
+	batchOnce sync.Once
+	src       *batchSource
+	batch     batchPlans
 }
 
 // cenv is the mutable state of one compiled execution.
@@ -63,6 +70,13 @@ type cenv struct {
 	res      *Result
 	flops    int64
 	inputSeq int64
+
+	// batch is non-nil only in a run with no machine: the plan of each
+	// loop that may run a chunk of iterations at a time, indexed by the
+	// loop's batch id, and bufs holds their chunk buffers.
+	batch   []*batchLoop
+	bufs    []float64
+	batched []int64 // per batch id, the loop's batched executions; nil outside tests
 }
 
 // runFault carries a run-time error from the closure that detects it
@@ -82,9 +96,14 @@ func (env *cenv) tick() {
 		fail("%w (limit %d iterations)", ErrStepBudget, env.lim.MaxSteps)
 	}
 	if env.steps&pollMask == 0 {
-		if err := env.ctx.Err(); err != nil {
-			fail("%w after %d iterations: %v", ErrCanceled, env.steps, err)
-		}
+		env.poll()
+	}
+}
+
+// poll fails the run once its context is done.
+func (env *cenv) poll() {
+	if err := env.ctx.Err(); err != nil {
+		fail("%w after %d iterations: %v", ErrCanceled, env.steps, err)
 	}
 }
 
@@ -106,6 +125,11 @@ func Compile(p *ir.Program) (*Compiled, error) {
 		scalIdx:  map[string]int{},
 		ivarIdx:  map[string]int{},
 	}
+	var src *batchSource
+	if loops, refs := batchCounts(p); loops > 0 {
+		src = &batchSource{loops: make([]batchSite, loops), crefs: make([]*cref, refs)}
+		c.loops, c.crefs = src.loops, src.crefs
+	}
 	for i, a := range p.Arrays {
 		c.arrayIdx[a.Name] = i
 	}
@@ -113,7 +137,8 @@ func Compile(p *ir.Program) (*Compiled, error) {
 		c.scalIdx[s.Name] = i
 	}
 	var nests []func(env *cenv) error
-	for _, n := range p.Nests {
+	for i, n := range p.Nests {
+		c.nest = i
 		body := c.stmts(n.Body)
 		if err != nil {
 			return nil, fmt.Errorf("exec: compile nest %s: %w", n.Label, err)
@@ -128,7 +153,15 @@ func Compile(p *ir.Program) (*Compiled, error) {
 		}
 		return nil
 	}
-	cp := &Compiled{prog: p, run: run, arrayOrder: p.Arrays, bases: make([]int64, len(p.Arrays))}
+	cp := &Compiled{prog: p, run: run, arrayOrder: p.Arrays, bases: make([]int64, len(p.Arrays)),
+		nivars: max(len(c.ivarIdx), 1)}
+	if src != nil {
+		src.ivars = make([]string, len(c.ivarIdx))
+		for name, slot := range c.ivarIdx {
+			src.ivars[slot] = name
+		}
+		cp.src = src
+	}
 	var next int64
 	for i, a := range p.Arrays {
 		cp.bases[i] = next
@@ -177,22 +210,25 @@ func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	env := &cenv{
-		mach:    h,
-		smach:   siteMachine(h),
-		lim:     lim,
-		arrays:  cp.layout(make([]float64, cp.elems)),
-		scalars: make([]float64, len(cp.prog.Scalars)),
-		ivars:   make([]int64, ivarSlots(cp.prog)),
+	env := cp.newEnv(make([]float64, cp.elems), lim)
+	if h == nil {
+		env.useBatch(cp.plans(), nil)
+	} else {
+		env.mach, env.smach = h, siteMachine(h)
 	}
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err
 	}
+	return cp.withArrays(env), nil
+}
+
+// withArrays returns env's result carrying its final arrays.
+func (cp *Compiled) withArrays(env *cenv) *Result {
 	env.res.arrays = make(map[string][]float64, len(cp.arrayOrder))
 	for i, a := range cp.arrayOrder {
 		env.res.arrays[a.Name] = env.arrays[i].data
 	}
-	return env.res, nil
+	return env.res
 }
 
 // runOnce executes the program once in env, whose arrays and loop
@@ -225,6 +261,29 @@ func (cp *Compiled) runOnce(ctx context.Context, env *cenv, attrs ...trace.Attr)
 	env.res.Flops = env.flops
 	span.End(trace.Int("steps", env.steps), trace.Int("flops", env.flops))
 	return nil
+}
+
+// newEnv returns the state of a run with no machine, whose arrays are
+// carved out of slab and whose loops all run per iteration.
+func (cp *Compiled) newEnv(slab []float64, lim Limits) *cenv {
+	return &cenv{
+		lim:     lim,
+		arrays:  cp.layout(slab),
+		scalars: make([]float64, len(cp.prog.Scalars)),
+		ivars:   make([]int64, cp.nivars),
+	}
+}
+
+// useBatch lets env's loops run batched where b plans them, with chunk
+// buffers in bufs, or in fresh ones when bufs is too short.
+func (env *cenv) useBatch(b *batchPlans, bufs []float64) {
+	if b.loops == nil {
+		return
+	}
+	if len(bufs) < b.bufLen {
+		bufs = make([]float64, b.bufLen)
+	}
+	env.batch, env.bufs = b.loops, bufs
 }
 
 // layout carves every array's storage out of slab, which holds at
@@ -327,15 +386,13 @@ func (cp *Compiled) runVector(ctx context.Context, v int, lim Limits) (r vectorR
 	}()
 	slab := getSlab(cp.elems)
 	defer putSlab(slab)
-	env := &cenv{
-		lim:      lim,
-		arrays:   cp.layout(*slab),
-		scalars:  make([]float64, len(cp.prog.Scalars)),
-		ivars:    make([]int64, ivarSlots(cp.prog)),
-		inputSeq: int64(v) << vectorShift,
-	}
-	for i, a := range cp.arrayOrder {
-		fillVector(env.arrays[i].data, a.Name, v)
+	env := cp.vectorEnv(*slab, v, lim)
+	// The chunk buffers are a slab of their own, so they never push the
+	// arrays' slab into a larger size class.
+	if b := cp.plans(); b.loops != nil {
+		bufs := getSlab(b.bufLen)
+		defer putSlab(bufs)
+		env.useBatch(b, *bufs)
 	}
 	if err := cp.runOnce(ctx, env, trace.Int("vector", int64(v))); err != nil {
 		return vectorRun{err: err}
@@ -343,9 +400,22 @@ func (cp *Compiled) runVector(ctx context.Context, v int, lim Limits) (r vectorR
 	return vectorRun{res: env.res}
 }
 
-// slabPools holds RunVectors' array storage between runs: slabPools[k]
-// holds slabs of 1<<k elements. A slab's stale contents never leak into
-// a run, because fillVector overwrites every element it hands out.
+// vectorEnv returns the state of input vector v's run over slab, with
+// the arrays filled for v.
+func (cp *Compiled) vectorEnv(slab []float64, v int, lim Limits) *cenv {
+	env := cp.newEnv(slab, lim)
+	env.inputSeq = int64(v) << vectorShift
+	for i, a := range cp.arrayOrder {
+		fillVector(env.arrays[i].data, a.Name, v)
+	}
+	return env
+}
+
+// slabPools holds RunVectors' array storage and chunk buffers between
+// runs: slabPools[k] holds slabs of 1<<k elements. A slab's stale
+// contents never leak into a run, because fillVector overwrites every
+// array element, and a batched loop writes each chunk buffer before it
+// reads it.
 var slabPools [bits.UintSize]sync.Pool
 
 // getSlab returns a slab of at least n elements.
@@ -384,31 +454,6 @@ func fillVector(data []float64, name string, v int) {
 	}
 }
 
-// ivarSlots counts the loop-variable slots a run needs: one per
-// distinct variable name, as the compiler assigns them, and at least
-// one, since a constant subscript on the fast path reads slot 0 times
-// zero.
-func ivarSlots(p *ir.Program) int {
-	names := map[string]bool{}
-	var visit func([]ir.Stmt)
-	visit = func(ss []ir.Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *ir.For:
-				names[s.Var] = true
-				visit(s.Body)
-			case *ir.If:
-				visit(s.Then)
-				visit(s.Else)
-			}
-		}
-	}
-	for _, n := range p.Nests {
-		visit(n.Body)
-	}
-	return max(len(names), 1)
-}
-
 // compiler holds the name resolution of one Compile call. The first
 // compile-time error sticks in *err; later compile steps still return
 // closures, which are discarded.
@@ -418,6 +463,18 @@ type compiler struct {
 	scalIdx  map[string]int
 	ivarIdx  map[string]int // loop variable -> slot
 	err      *error         // Compile's error; see errorf
+	nest     int            // index of the nest being compiled
+
+	// The loops that may batch, by batch id, and the compiled references
+	// of their bodies, which ref records while recording is set. Compile
+	// sizes both slices beforehand and the compiler only stores into
+	// them: were it to append, escape analysis would move its maps to
+	// the heap.
+	loops     []batchSite
+	crefs     []*cref
+	nloops    int
+	ncrefs    int
+	recording bool
 }
 
 type fExpr func(env *cenv) float64
@@ -467,11 +524,22 @@ func (c *compiler) stmt(s ir.Stmt) stmtF {
 		// The slot must be assigned before compiling the body so inner
 		// references resolve to it.
 		slot := c.ivarSlot(s.Var)
+		bid := c.batchSite(s, slot)
 		body := c.stmts(s.Body)
+		if bid >= 0 {
+			c.loops[bid].refs[1] = int32(c.ncrefs)
+			c.recording = false
+		}
 		step := int64(s.StepOr1())
 		return func(env *cenv) {
 			l := lo(env)
 			h := hi(env)
+			if bid >= 0 && env.batch != nil && env.batch[bid] != nil && env.batch[bid].run(env, l, h) {
+				if env.batched != nil {
+					env.batched[bid]++
+				}
+				return
+			}
 			for v := l; v <= h; v += step {
 				env.steps++
 				if env.steps > env.stepCap || env.steps&pollMask == 0 {
@@ -658,7 +726,7 @@ type cdim struct {
 type fast2 struct {
 	c0, k0, n0     int64
 	c1, k1, n1, st int64
-	s0, s1         int
+	s0, s1         int32
 }
 
 // at returns the offset and whether both subscripts are in bounds. On
@@ -669,7 +737,19 @@ func (f *fast2) at(ivars []int64) (int64, bool) {
 	return v0 + v1*f.st, uint64(v0) < uint64(f.n0) && uint64(v1) < uint64(f.n1)
 }
 
+// ref compiles an array reference. The compiler compiles each reference
+// once; in the body of a loop that may batch, it keeps the result for
+// the loop's plan.
 func (c *compiler) ref(r *ir.Ref) *cref {
+	cr := c.newRef(r)
+	if c.recording && c.ncrefs < len(c.crefs) {
+		c.crefs[c.ncrefs] = cr
+		c.ncrefs++
+	}
+	return cr
+}
+
+func (c *compiler) newRef(r *ir.Ref) *cref {
 	ai, ok := c.arrayIdx[r.Name]
 	if !ok {
 		c.errorf("unknown array %q", r.Name)
@@ -700,12 +780,12 @@ func (c *compiler) ref(r *ir.Ref) *cref {
 	f := &cr.f
 	f.c0, f.n0, f.n1 = forms[0].c, int64(decl.Dims[0]), 1
 	if t := forms[0].terms; len(t) == 1 {
-		f.k0, f.s0 = t[0].coef, t[0].slot
+		f.k0, f.s0 = t[0].coef, int32(t[0].slot)
 	}
 	if len(forms) == 2 {
 		f.c1, f.n1, f.st = forms[1].c, int64(decl.Dims[1]), int64(decl.Dims[0])
 		if t := forms[1].terms; len(t) == 1 {
-			f.k1, f.s1 = t[0].coef, t[0].slot
+			f.k1, f.s1 = t[0].coef, int32(t[0].slot)
 		}
 	}
 	return cr
@@ -760,8 +840,7 @@ func (r *cref) boundsErr(v, n int64) error {
 
 // load compiles an array read. A fast reference gets its own closure,
 // into which fastOffset inlines.
-func (c *compiler) load(x *ir.Ref) fExpr {
-	r := c.ref(x)
+func (c *compiler) load(r *cref) fExpr {
 	if r.fast {
 		return func(env *cenv) float64 { return r.read(env, r.fastOffset(env.ivars)) }
 	}
@@ -903,7 +982,7 @@ func (c *compiler) expr(x ir.Expr) fExpr {
 			si := c.scalar(x.Name)
 			return func(env *cenv) float64 { return env.scalars[si] }
 		}
-		return c.load(x)
+		return c.load(c.ref(x))
 	case *ir.Neg:
 		f := c.expr(x.X)
 		return func(env *cenv) float64 { return -f(env) }
@@ -918,11 +997,8 @@ func (c *compiler) expr(x ir.Expr) fExpr {
 }
 
 func (c *compiler) binExpr(x *ir.Bin) fExpr {
-	switch x.Op {
-	case ir.Add, ir.Sub, ir.Mul, ir.Div:
-		if f := c.fusedArith(x); f != nil {
-			return f
-		}
+	if x.Op.IsArith() {
+		return c.arithExpr(x)
 	}
 	l, r := c.expr(x.L), c.expr(x.R)
 	switch x.Op {
@@ -931,15 +1007,6 @@ func (c *compiler) binExpr(x *ir.Bin) fExpr {
 		return func(env *cenv) float64 { return b2f(l(env) != 0 && r(env) != 0) }
 	case ir.Or:
 		return func(env *cenv) float64 { return b2f(l(env) != 0 || r(env) != 0) }
-	// Arithmetic counts its flop once both operands are evaluated.
-	case ir.Add:
-		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a + b }
-	case ir.Sub:
-		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a - b }
-	case ir.Mul:
-		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a * b }
-	case ir.Div:
-		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a / b }
 	case ir.Lt:
 		return func(env *cenv) float64 { return b2f(l(env) < r(env)) }
 	case ir.Le:
@@ -957,14 +1024,15 @@ func (c *compiler) binExpr(x *ir.Bin) fExpr {
 	return func(*cenv) float64 { return 0 }
 }
 
-// fusedArith compiles arithmetic with a fast array operand read inline
-// instead of through that operand's load closure, which saves a closure
-// call per operand per evaluation. The order is the unfused one: the
-// left operand's access (or fault), the right's, then the flop. It
-// returns nil when neither operand is a fast array read.
-func (c *compiler) fusedArith(x *ir.Bin) fExpr {
+// arithExpr compiles +, -, * or /, which counts its flop once both
+// operands are evaluated. A fast array operand is read inline instead
+// of through a load closure, which saves a closure call per operand per
+// evaluation. The order is the unfused one: the left operand's access
+// (or fault), the right's, then the flop.
+func (c *compiler) arithExpr(x *ir.Bin) fExpr {
 	op := x.Op
-	lr, rr := c.fastRef(x.L), c.fastRef(x.R)
+	lr, l := c.operand(x.L)
+	rr, r := c.operand(x.R)
 	switch {
 	case lr != nil && rr != nil:
 		return func(env *cenv) float64 {
@@ -974,7 +1042,6 @@ func (c *compiler) fusedArith(x *ir.Bin) fExpr {
 			return arith(op, a, b)
 		}
 	case lr != nil:
-		r := c.expr(x.R)
 		return func(env *cenv) float64 {
 			a := lr.read(env, lr.fastOffset(env.ivars))
 			b := r(env)
@@ -982,7 +1049,6 @@ func (c *compiler) fusedArith(x *ir.Bin) fExpr {
 			return arith(op, a, b)
 		}
 	case rr != nil:
-		l := c.expr(x.L)
 		return func(env *cenv) float64 {
 			a := l(env)
 			b := rr.read(env, rr.fastOffset(env.ivars))
@@ -990,18 +1056,28 @@ func (c *compiler) fusedArith(x *ir.Bin) fExpr {
 			return arith(op, a, b)
 		}
 	}
-	return nil
+	switch op {
+	case ir.Add:
+		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a + b }
+	case ir.Sub:
+		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a - b }
+	case ir.Mul:
+		return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a * b }
+	}
+	return func(env *cenv) float64 { a, b := l(env), r(env); env.flop(1); return a / b }
 }
 
-// fastRef returns the compiled reference of x when x reads an array on
-// the fast path, and nil otherwise.
-func (c *compiler) fastRef(x ir.Expr) *cref {
+// operand compiles an arithmetic operand: a fast array read to its
+// reference, anything else to a closure.
+func (c *compiler) operand(x ir.Expr) (*cref, fExpr) {
 	if r, ok := x.(*ir.Ref); ok && !r.IsScalar() {
-		if cr := c.ref(r); cr.fast {
-			return cr
+		cr := c.ref(r)
+		if cr.fast {
+			return cr, nil
 		}
+		return nil, c.load(cr)
 	}
-	return nil
+	return nil, c.expr(x)
 }
 
 // arith applies one of the four arithmetic operators.
@@ -1024,6 +1100,51 @@ func (env *cenv) flop(n int64) {
 	}
 }
 
+type callFn uint8
+
+const (
+	callF callFn = iota
+	callG
+	callSqrt
+	callSin
+	callCos
+	callAbs
+	callMin
+	callMax
+)
+
+// callFns maps every intrinsic but mod, which can fault, to its code
+// and flop cost.
+var callFns = map[string]struct {
+	fn    callFn
+	flops int64
+}{
+	"f": {callF, 2}, "g": {callG, 2}, "sqrt": {callSqrt, 1}, "sin": {callSin, 1},
+	"cos": {callCos, 1}, "abs": {callAbs, 0}, "min": {callMin, 0}, "max": {callMax, 0},
+}
+
+// callValue computes an intrinsic other than mod. f and g are the
+// paper's opaque example functions (Figure 6).
+func callValue(fn callFn, u, v float64) float64 {
+	switch fn {
+	case callF:
+		return 0.5*u + 0.25*v
+	case callG:
+		return u*0.75 + v
+	case callSqrt:
+		return math.Sqrt(math.Abs(u))
+	case callSin:
+		return math.Sin(u)
+	case callCos:
+		return math.Cos(u)
+	case callAbs:
+		return math.Abs(u)
+	case callMin:
+		return math.Min(u, v)
+	}
+	return math.Max(u, v)
+}
+
 func (c *compiler) callExpr(x *ir.Call) fExpr {
 	// Compile has validated the program, so each call has its
 	// intrinsic's argument count, and none takes more than two.
@@ -1032,30 +1153,31 @@ func (c *compiler) callExpr(x *ir.Call) fExpr {
 		args[i] = c.expr(a)
 	}
 	a, b := args[0], args[1]
-	switch x.Fn {
-	case "f":
-		return func(env *cenv) float64 { u, v := a(env), b(env); env.flop(2); return 0.5*u + 0.25*v }
-	case "g":
-		return func(env *cenv) float64 { u, v := a(env), b(env); env.flop(2); return u*0.75 + v }
-	case "sqrt":
-		return func(env *cenv) float64 { u := a(env); env.flop(1); return math.Sqrt(math.Abs(u)) }
-	case "sin":
-		return func(env *cenv) float64 { u := a(env); env.flop(1); return math.Sin(u) }
-	case "cos":
-		return func(env *cenv) float64 { u := a(env); env.flop(1); return math.Cos(u) }
-	case "abs":
-		return func(env *cenv) float64 { return math.Abs(a(env)) }
-	case "min":
-		return func(env *cenv) float64 { return math.Min(a(env), b(env)) }
-	case "max":
-		return func(env *cenv) float64 { return math.Max(a(env), b(env)) }
-	case "mod":
+	if x.Fn == "mod" {
 		return func(env *cenv) float64 {
 			u, v := a(env), b(env)
 			if v == 0 {
 				fail("mod by zero")
 			}
 			return math.Mod(u, v)
+		}
+	}
+	if fn, ok := callFns[x.Fn]; ok {
+		if b == nil {
+			return func(env *cenv) float64 {
+				u := a(env)
+				if fn.flops > 0 {
+					env.flop(fn.flops)
+				}
+				return callValue(fn.fn, u, 0)
+			}
+		}
+		return func(env *cenv) float64 {
+			u, v := a(env), b(env)
+			if fn.flops > 0 {
+				env.flop(fn.flops)
+			}
+			return callValue(fn.fn, u, v)
 		}
 	}
 	c.errorf("unknown intrinsic %q", x.Fn) // unreachable: Validate rejects unknown intrinsics
