@@ -5,13 +5,17 @@ import (
 	"slices"
 
 	"repro/internal/ir"
+	"repro/internal/sim"
 )
 
-// Batched loops: a run with no machine executes an innermost loop whose
-// body qualifies a chunk of iterations at a time. Each expression node
-// fills one buffer per chunk, so the loop makes no closure call per
-// iteration. A machine needs the interleaved order of every access, so
-// a run with one keeps the per-iteration closures.
+// Batched loops: a run with no machine, or against a plain hierarchy
+// (batchHierarchy), executes an innermost loop whose body qualifies a
+// chunk of iterations at a time. Each expression node fills one buffer
+// per chunk, so the loop makes no closure call per iteration. Under a
+// hierarchy, each chunk then hands its accesses to Hierarchy.Strides in
+// one call, which simulates them in the per-iteration engine's order:
+// iteration by iteration, the body's references in evaluation order.
+// Any other machine keeps the per-iteration closures.
 //
 // A loop qualifies at plan time (batchPlan) when its body holds only
 // assignments and reads, every array reference is on the fast path,
@@ -167,8 +171,9 @@ func (pl *planner) scalar(name string) (int, bool) {
 
 // batchPlans are a program's batched loops.
 type batchPlans struct {
-	loops  []*batchLoop // by batch id; nil where the loop runs per iteration
-	bufLen int          // chunk-buffer elements the largest plan needs
+	loops   []*batchLoop // by batch id; nil where the loop runs per iteration
+	bufLen  int          // chunk-buffer elements the largest plan needs
+	maxRefs int          // references of the plan with the most
 }
 
 // plans returns the program's batched loops, planning them on first use.
@@ -211,6 +216,7 @@ func (cp *Compiled) plans() *batchPlans {
 			}
 			loops[id] = b
 			cp.batch.bufLen = max(cp.batch.bufLen, (b.stack+len(b.privs))*batchChunk)
+			cp.batch.maxRefs = max(cp.batch.maxRefs, len(b.refs))
 		}
 		cp.batch.loops = loops
 	})
@@ -230,7 +236,10 @@ type batchLoop struct {
 	reads int64   // input reads per iteration
 }
 
-// bref is an array reference of a batched loop.
+// bref is an array reference of a batched loop. A loop's refs are in
+// evaluation order: each statement's right-hand side left to right,
+// then its target. That is the order of the per-iteration engine's
+// accesses, in which Hierarchy.Strides simulates them.
 type bref struct {
 	cr    *cref
 	delta int64 // element offset from one iteration to the next
@@ -570,6 +579,10 @@ func (b *batchLoop) run(env *cenv, l, h int64) bool {
 		}
 	}
 	ch := chunk{env: env, b: b}
+	var acc []sim.Stride
+	if env.hier != nil {
+		acc = b.strides(env, l)
+	}
 	for done := int64(0); done < trip; {
 		first := env.steps + 1
 		if first&pollMask == 0 {
@@ -586,6 +599,13 @@ func (b *batchLoop) run(env *cenv, l, h int64) bool {
 		for p, si := range b.privs {
 			env.scalars[si] = ch.buf(int32(-1 - p))[n-1]
 		}
+		if acc != nil {
+			env.hier.Strides(acc, int(n))
+			env.hier.AddFlops(n * b.flops)
+			for i := range acc {
+				acc[i].Addr += n * acc[i].Step
+			}
+		}
 		env.steps = first - 1 + n
 		env.flops += n * b.flops
 		env.inputSeq += n * b.reads
@@ -593,6 +613,20 @@ func (b *batchLoop) run(env *cenv, l, h int64) bool {
 	}
 	iv[slot] = last
 	return true
+}
+
+// strides returns the loop's accesses from loop variable value l on, in
+// env.strides.
+func (b *batchLoop) strides(env *cenv, l int64) []sim.Stride {
+	env.ivars[b.site.slot] = l
+	acc := env.strides[:len(b.refs)]
+	for i := range b.refs {
+		r := &b.refs[i]
+		off, _ := r.cr.f.at(env.ivars)
+		acc[i] = sim.Stride{Addr: env.arrays[r.cr.ai].base + off*ir.ElemSize, Step: r.delta * ir.ElemSize,
+			Size: ir.ElemSize, Write: r.write, Site: r.cr.site}
+	}
+	return acc
 }
 
 // chunk is one chunk of a batched loop: n iterations from loop variable

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,6 +12,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/lang"
+	"repro/internal/machine"
 )
 
 // batchCase is one program the interpreter and the compiled engine run
@@ -397,11 +396,11 @@ func TestBatchParity(t *testing.T) {
 
 // TestBatchCoverage names the loops of the paper's kernels that run a
 // chunk at a time with no machine, and how often, so a change cannot
-// silently send differential verification back to the per-iteration
-// engine. A loop that is absent must run per iteration: SP's sweeps
-// read a neighbour of the element they write (XFwd's rhs1[i-1,j]),
-// sweep3d writes edgeI[j], which does not move with i, and fig6b's
-// fused loop is guarded. Each kernel also runs to the same outcome on
+// silently send differential verification, or a plain measurement,
+// back to the per-iteration engine. A loop that is absent must run per
+// iteration: SP's sweeps read a neighbour of the element they write
+// (XFwd's rhs1[i-1,j]), sweep3d writes edgeI[j], which does not move
+// with i, and fig6b's fused loop is guarded. Each kernel also runs to the same outcome on
 // both engines.
 func TestBatchCoverage(t *testing.T) {
 	sp := map[string]int64{"Pinvr/i": 10}
@@ -446,22 +445,50 @@ loop Init_Update_Sum {
 			if _, err := checkBatchParity(t, context.Background(), tc.p, exec.Limits{}); err != nil {
 				t.Fatal(err)
 			}
-			if got := batchedLoops(t, tc.p, exec.Limits{}); !reflect.DeepEqual(got, tc.want) {
+			if got := batchedLoops(t, tc.p, nil, exec.Limits{}); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("batched executions per loop:\ngot  %v\nwant %v", got, tc.want)
 			}
 		})
 	}
+	// A plain hierarchy batches the same loops, as balance.Measure runs
+	// them; one recording reuse distances keeps them per iteration.
+	for _, tc := range []struct {
+		name string
+		p    func() *ir.Program
+		want map[string]int64
+	}{
+		{"fig7", func() *ir.Program { return kernels.Fig7Original(300) }, map[string]int64{"Init/i": 1, "Update/i": 1, "Sum/i": 1}},
+		{"conv", func() *ir.Program { return kernels.Convolution(300) }, map[string]int64{"Conv/i": 1}},
+	} {
+		for _, spec := range []machine.Spec{machine.Origin2000(), machine.SkylakeSP()} {
+			t.Run(tc.name+"/"+spec.Name, func(t *testing.T) {
+				if got := batchedLoops(t, tc.p(), spec.NewHierarchy(), exec.Limits{}); !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("batched executions per loop under a plain hierarchy:\ngot  %v\nwant %v", got, tc.want)
+				}
+				h := spec.NewHierarchy()
+				if err := h.EnableMRC(); err != nil {
+					t.Fatal(err)
+				}
+				got := batchedLoops(t, tc.p(), h, exec.Limits{})
+				for name := range tc.want {
+					if got[name] != 0 {
+						t.Errorf("loop %s ran batched %d times under a reuse-distance recorder", name, got[name])
+					}
+				}
+			})
+		}
+	}
 }
 
-// batchedLoops runs p with no machine and returns how many times each
-// loop that qualifies for batching ran a chunk at a time.
-func batchedLoops(t *testing.T, p *ir.Program, lim exec.Limits) map[string]int64 {
+// batchedLoops runs p against h, which may be nil, and returns how many
+// times each loop that qualifies for batching ran a chunk at a time.
+func batchedLoops(t *testing.T, p *ir.Program, h exec.Machine, lim exec.Limits) map[string]int64 {
 	t.Helper()
 	cp, err := exec.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.BatchedLoops(context.Background(), cp, lim)
+	got, err := exec.BatchedLoops(context.Background(), cp, h, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +499,7 @@ func batchedLoops(t *testing.T, p *ir.Program, lim exec.Limits) map[string]int64
 // time, and no loop in perIter to have.
 func checkBatched(t *testing.T, p *ir.Program, lim exec.Limits, batch, perIter []string) {
 	t.Helper()
-	got := batchedLoops(t, p, lim)
+	got := batchedLoops(t, p, nil, lim)
 	for _, name := range batch {
 		if got[name] == 0 {
 			t.Errorf("loop %s did not run batched; batched executions: %v", name, got)
@@ -496,16 +523,8 @@ func FuzzBatchParity(f *testing.F) {
 	for _, tc := range batchCases {
 		f.Add(tc.src)
 	}
-	files, err := filepath.Glob("../../testdata/*.bw")
-	if err != nil || len(files) == 0 {
-		f.Fatalf("no testdata programs: %v", err)
-	}
-	for _, name := range files {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(src))
+	for _, file := range testdataSources(f) {
+		f.Add(file[1])
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := lang.Parse(src)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/ir"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -49,8 +50,8 @@ type Compiled struct {
 	elems      int     // total elements of all arrays: one run's storage
 	nivars     int     // loop-variable slots a run needs
 
-	// The batched loops (batch.go) are planned on the first run with no
-	// machine, from src, which is dropped once they are.
+	// The batched loops (batch.go) are planned on the first run that may
+	// batch, from src, which is dropped once they are.
 	batchOnce sync.Once
 	src       *batchSource
 	batch     batchPlans
@@ -71,11 +72,15 @@ type cenv struct {
 	flops    int64
 	inputSeq int64
 
-	// batch is non-nil only in a run with no machine: the plan of each
-	// loop that may run a chunk of iterations at a time, indexed by the
-	// loop's batch id, and bufs holds their chunk buffers.
+	// batch is non-nil only in a run that may batch (see batchHierarchy):
+	// the plan of each loop that may run a chunk of iterations at a
+	// time, indexed by the loop's batch id, and bufs holds their chunk
+	// buffers. In such a run against a hierarchy, hier is that hierarchy
+	// and strides holds a batched loop's accesses for Hierarchy.Strides.
 	batch   []*batchLoop
 	bufs    []float64
+	hier    *sim.Hierarchy
+	strides []sim.Stride
 	batched []int64 // per batch id, the loop's batched executions; nil outside tests
 }
 
@@ -211,10 +216,8 @@ func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result,
 		return nil, err
 	}
 	env := cp.newEnv(make([]float64, cp.elems), lim)
-	if h == nil {
-		env.useBatch(cp.plans(), nil)
-	} else {
-		env.mach, env.smach = h, siteMachine(h)
+	if bufs := cp.attach(env, h); bufs != nil {
+		defer putSlab(bufs)
 	}
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err
@@ -274,16 +277,46 @@ func (cp *Compiled) newEnv(slab []float64, lim Limits) *cenv {
 	}
 }
 
-// useBatch lets env's loops run batched where b plans them, with chunk
-// buffers in bufs, or in fresh ones when bufs is too short.
-func (env *cenv) useBatch(b *batchPlans, bufs []float64) {
+// attach sets env up to run against h, which may be nil. When the run
+// may batch (batchHierarchy) and the program has batched loops, their
+// chunk buffers come from the slab pool, and attach returns the slab,
+// which the caller puts back once the run is over; otherwise it returns
+// nil. The buffers are a slab of their own, so they never push the
+// arrays' slab into a larger size class.
+func (cp *Compiled) attach(env *cenv, h Machine) *[]float64 {
+	if h != nil {
+		env.mach, env.smach = h, siteMachine(h)
+	}
+	hier, ok := batchHierarchy(h)
+	if !ok {
+		return nil
+	}
+	b := cp.plans()
 	if b.loops == nil {
-		return
+		return nil
 	}
-	if len(bufs) < b.bufLen {
-		bufs = make([]float64, b.bufLen)
+	bufs := getSlab(b.bufLen)
+	env.batch, env.bufs = b.loops, *bufs
+	if hier != nil {
+		env.hier, env.strides = hier, make([]sim.Stride, b.maxRefs)
 	}
-	env.batch, env.bufs = b.loops, bufs
+	return bufs
+}
+
+// batchHierarchy reports whether a run against h may batch its loops,
+// and returns the hierarchy to hand their accesses to. A run with no
+// machine may, and so may one against a hierarchy with no reuse-distance
+// recorder: Hierarchy.Strides gives it the accesses in the order the
+// per-iteration engine would. A recorder charges flops to the epoch
+// current between accesses, which a chunk's flops, added at once, would
+// not match, and any other machine sees each access through its own
+// LoadSite or Load.
+func batchHierarchy(h Machine) (*sim.Hierarchy, bool) {
+	if h == nil {
+		return nil, true
+	}
+	hier, ok := h.(*sim.Hierarchy)
+	return hier, ok && hier.MRC() == nil
 }
 
 // layout carves every array's storage out of slab, which holds at
@@ -387,12 +420,8 @@ func (cp *Compiled) runVector(ctx context.Context, v int, lim Limits) (r vectorR
 	slab := getSlab(cp.elems)
 	defer putSlab(slab)
 	env := cp.vectorEnv(*slab, v, lim)
-	// The chunk buffers are a slab of their own, so they never push the
-	// arrays' slab into a larger size class.
-	if b := cp.plans(); b.loops != nil {
-		bufs := getSlab(b.bufLen)
+	if bufs := cp.attach(env, nil); bufs != nil {
 		defer putSlab(bufs)
-		env.useBatch(b, *bufs)
 	}
 	if err := cp.runOnce(ctx, env, trace.Int("vector", int64(v))); err != nil {
 		return vectorRun{err: err}
@@ -411,11 +440,11 @@ func (cp *Compiled) vectorEnv(slab []float64, v int, lim Limits) *cenv {
 	return env
 }
 
-// slabPools holds RunVectors' array storage and chunk buffers between
-// runs: slabPools[k] holds slabs of 1<<k elements. A slab's stale
-// contents never leak into a run, because fillVector overwrites every
-// array element, and a batched loop writes each chunk buffer before it
-// reads it.
+// slabPools holds RunVectors' array storage, and every run's chunk
+// buffers, between runs: slabPools[k] holds slabs of 1<<k elements. A
+// slab's stale contents never leak into a run, because fillVector
+// overwrites every array element, and a batched loop writes each chunk
+// buffer before it reads it.
 var slabPools [bits.UintSize]sync.Pool
 
 // getSlab returns a slab of at least n elements.

@@ -2,12 +2,16 @@ package exec
 
 import "context"
 
-// BatchedLoops runs cp once with no machine and returns, per loop that
-// may run a chunk at a time, named "nest/var", how many of its
-// executions did. A loop missing from the map never qualified.
-func BatchedLoops(ctx context.Context, cp *Compiled, lim Limits) (map[string]int64, error) {
+// BatchedLoops runs cp once against h, which may be nil, and returns,
+// per loop that may run a chunk at a time, named "nest/var", how many
+// of its executions did. A loop missing from the map never qualified;
+// under a machine that keeps every loop per iteration, the map is
+// empty.
+func BatchedLoops(ctx context.Context, cp *Compiled, h Machine, lim Limits) (map[string]int64, error) {
 	env := cp.newEnv(make([]float64, cp.elems), lim)
-	env.useBatch(cp.plans(), nil)
+	if bufs := cp.attach(env, h); bufs != nil {
+		defer putSlab(bufs)
+	}
 	env.batched = make([]int64, len(env.batch))
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err
@@ -27,7 +31,9 @@ func BatchedLoops(ctx context.Context, cp *Compiled, lim Limits) (map[string]int
 func RunVector(ctx context.Context, cp *Compiled, v int, lim Limits, batched bool) (*Result, error) {
 	env := cp.vectorEnv(make([]float64, cp.elems), v, lim)
 	if batched {
-		env.useBatch(cp.plans(), nil)
+		if bufs := cp.attach(env, nil); bufs != nil {
+			defer putSlab(bufs)
+		}
 	}
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err

@@ -3,8 +3,6 @@ package exec_test
 import (
 	"context"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -292,16 +290,8 @@ func FuzzEngineParity(f *testing.F) {
 	for _, tc := range parityCases {
 		f.Add(tc.src)
 	}
-	files, err := filepath.Glob("../../testdata/*.bw")
-	if err != nil || len(files) == 0 {
-		f.Fatalf("no testdata programs: %v", err)
-	}
-	for _, name := range files {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(src))
+	for _, file := range testdataSources(f) {
+		f.Add(file[1])
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := lang.Parse(src)
@@ -334,19 +324,27 @@ func elems(p *ir.Program) int {
 }
 
 // checkParity runs p on both engines against an Origin2000 hierarchy
-// with per-site profiling and fails t unless the outcomes are the
-// same: the same prints, scalars and flops on success, the same error
-// text on failure, and in both cases the same hierarchy counters and
-// per-site attribution, so the engines issued the same accesses in the
-// same order up to the end or the fault. It returns the interpreter's
-// outcome.
+// with per-site profiling (see checkParityOn).
 func checkParity(t *testing.T, ctx context.Context, p *ir.Program, lim exec.Limits) (*exec.Result, error) {
 	t.Helper()
+	return checkParityOn(t, ctx, p, lim, func() *sim.Hierarchy {
+		h := machine.Origin2000().NewHierarchy()
+		h.EnableProfiling()
+		return h
+	})
+}
+
+// checkParityOn runs p on both engines, each against its own hierarchy
+// from newH, and fails t unless the outcomes are the same: the same
+// prints, scalars and flops on success, the same error text on
+// failure, and in both cases the same hierarchy counters and per-site
+// attribution, so the engines issued the same accesses in the same
+// order up to the end or the fault. It returns the interpreter's
+// outcome.
+func checkParityOn(t *testing.T, ctx context.Context, p *ir.Program, lim exec.Limits, newH func() *sim.Hierarchy) (*exec.Result, error) {
+	t.Helper()
 	ir.AssignSites(p)
-	spec := machine.Origin2000()
-	hi, hc := spec.NewHierarchy(), spec.NewHierarchy()
-	hi.EnableProfiling()
-	hc.EnableProfiling()
+	hi, hc := newH(), newH()
 	ri, erri := exec.RunCtx(ctx, p, hi, lim)
 	cp, err := exec.Compile(p)
 	if err != nil {
@@ -395,12 +393,16 @@ func sameValues(a, b []float64) bool {
 }
 
 // sameHierarchy requires identical counters, channel traffic and
-// per-site attribution at every level.
+// per-site attribution at every level. Unprofiled hierarchies have no
+// attribution, and compare equal on it.
 func sameHierarchy(t *testing.T, hi, hc *sim.Hierarchy) {
 	t.Helper()
 	if hi.Flops != hc.Flops || hi.RegLoadBytes != hc.RegLoadBytes || hi.RegStoreBytes != hc.RegStoreBytes {
 		t.Fatalf("register counters: interp %d/%d/%d, compiled %d/%d/%d",
 			hi.Flops, hi.RegLoadBytes, hi.RegStoreBytes, hc.Flops, hc.RegLoadBytes, hc.RegStoreBytes)
+	}
+	if hi.MemReads != hc.MemReads || hi.MemWrites != hc.MemWrites {
+		t.Fatalf("memory transfers: interp %d/%d, compiled %d/%d", hi.MemReads, hi.MemWrites, hc.MemReads, hc.MemWrites)
 	}
 	if !reflect.DeepEqual(hi.ChannelBytes(), hc.ChannelBytes()) {
 		t.Fatalf("channel bytes: interp %v, compiled %v", hi.ChannelBytes(), hc.ChannelBytes())

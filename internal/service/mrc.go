@@ -18,16 +18,22 @@ import (
 // vice versa.
 
 // observeMRC feeds one reuse-distance result into telemetry and the
-// dashboard: the per-kernel bwserved_ws_knee_bytes gauges (only
-// kernel-named requests have a stable identity to label a metric
-// with), and the most recent curve per kernel behind the /debug/dash
-// MRC panel.
+// dashboard: the kernel's bwserved_ws_knee_bytes gauge for the machine
+// it ran on (only kernel-named requests have a stable identity to label
+// a metric with), and the most recent curve per kernel behind the
+// /debug/dash MRC panel. The result's other knees rate other machines'
+// balance against the measured machine's geometry, not their own, so
+// they set no gauge: a row labelled with another machine would carry
+// this one's geometry.
 func (s *Server) observeMRC(kernel string, m *balance.MRCResult) {
 	if m == nil || kernel == "" {
 		return
 	}
 	for i := range m.Knees {
 		k := &m.Knees[i]
+		if k.Machine != m.Machine {
+			continue
+		}
 		v := float64(-1) // demand never meets this machine's balance
 		if k.Met {
 			v = float64(k.KneeBytes)

@@ -51,6 +51,7 @@ func TestAnalyzeMRC(t *testing.T) {
 	if got := s.wsKnee.With("dmxpy", ar.MRC.Machine).Value(); got == 0 {
 		t.Fatalf("bwserved_ws_knee_bytes{dmxpy,%s} unset after an mrc run", ar.MRC.Machine)
 	}
+	kneeRows(t, ts.URL, ar.MRC.Machine)
 
 	// Identical request: cache hit with the block intact.
 	resp, b = postJSON(t, ts.URL+"/v1/analyze", body)
@@ -188,5 +189,56 @@ func TestMRCTimeout504(t *testing.T) {
 		// control shed it first. Both are clean refusals.
 	default:
 		t.Fatalf("status %d, want 504 or 503: %s", resp.StatusCode, b)
+	}
+}
+
+// TestMRCKneeGaugeOwnMachine: an Origin2000 mrc request sets the knee
+// gauge of Origin2000 only. Its other knees are read off Origin2000's
+// geometry, so a {dmxpy, SkylakeSP} row would carry the wrong machine.
+func TestMRCKneeGaugeOwnMachine(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := map[string]any{"kernel": "dmxpy", "n": 96, "mrc": true, "machine": "Origin2000"}
+	resp, b := postJSON(t, ts.URL+"/v1/analyze", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
+	var ar AnalyzeResponse
+	if err := json.Unmarshal(b, &ar); err != nil {
+		t.Fatal(err)
+	}
+	if ar.MRC == nil || ar.MRC.Machine != "Origin2000" {
+		t.Fatalf("want an Origin2000 mrc block, got %s", b)
+	}
+	var skylake bool
+	for _, k := range ar.MRC.Knees {
+		skylake = skylake || k.Machine == "SkylakeSP"
+	}
+	if !skylake {
+		t.Fatal("the mrc block rates no SkylakeSP knee; the test proves nothing")
+	}
+	kneeRows(t, ts.URL, "Origin2000")
+}
+
+// kneeRows requires /metrics to carry exactly one dmxpy row of
+// bwserved_ws_knee_bytes, labelled with machine.
+func kneeRows(t *testing.T, url, machine string) {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "bwserved_ws_knee_bytes{") && strings.Contains(line, `"dmxpy"`) {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) != 1 || !strings.Contains(rows[0], `machine="`+machine+`"`) {
+		t.Fatalf("want one dmxpy knee row, for %s; got %q", machine, rows)
 	}
 }

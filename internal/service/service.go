@@ -300,7 +300,7 @@ func New(cfg Config) *Server {
 			"Latest attributed channel bytes per built-in kernel, array and cache level (profiled requests only).",
 			"kernel", "array", "level"),
 		wsKnee: reg.NewGaugeVec("bwserved_ws_knee_bytes",
-			"Latest working-set capacity knee per built-in kernel and machine balance target, in bytes (-1 = the kernel's demand never meets that machine's balance; mrc requests only).",
+			"Latest working-set capacity knee per built-in kernel and the machine it was measured on, in bytes (-1 = the kernel's demand never meets that machine's balance; mrc requests only).",
 			"kernel", "machine"),
 		bestGaps:     map[string]float64{},
 		lastProfiles: map[string]*balance.ProfileSummary{},

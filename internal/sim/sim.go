@@ -317,6 +317,49 @@ func (h *Hierarchy) StoreSite(addr int64, size int, site uint32) {
 	h.forEachLine(0, addr, size, true, site)
 }
 
+// Stride is one access of a loop body whose address moves by a fixed
+// step: iteration t accesses Size bytes at Addr + t*Step.
+type Stride struct {
+	Addr  int64
+	Step  int64
+	Size  int
+	Write bool
+	Site  uint32
+}
+
+// Strides simulates n iterations of a loop body whose accesses are acc:
+// iteration by iteration, and within one in the order of acc, it makes
+// exactly the accesses the matching LoadSite and StoreSite calls make,
+// with the same profile attribution. It counts no flops: the caller
+// adds them with AddFlops. With a reuse-distance recorder on, the
+// flops then fall in a later epoch than per-access calls would put
+// them in, so a caller that wants exact epochs keeps to LoadSite and
+// StoreSite.
+func (h *Hierarchy) Strides(acc []Stride, n int) {
+	for i := range acc {
+		if acc[i].Write {
+			h.RegStoreBytes += int64(n) * int64(acc[i].Size)
+		} else {
+			h.RegLoadBytes += int64(n) * int64(acc[i].Size)
+		}
+	}
+	l := &h.levels[0]
+	for t := range int64(n) {
+		for i := range acc {
+			a := &acc[i]
+			addr := a.Addr + t*a.Step
+			if h.prof != nil || h.mrc != nil {
+				h.observe(addr, a.Size, a.Site)
+			}
+			if li, tag, ok := l.memoLine(addr, a.Size); ok {
+				h.hit(l, 0, li, tag, a.Write, a.Site)
+				continue
+			}
+			h.forEachLine(0, addr, a.Size, a.Write, a.Site)
+		}
+	}
+}
+
 // observe passes one processor access to the profile's register bytes
 // and to the reuse-distance timeline, whichever is on.
 func (h *Hierarchy) observe(addr int64, size int, site uint32) {

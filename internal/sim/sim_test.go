@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -340,5 +341,55 @@ func TestFilteringProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStridesMatchesPerAccess: Strides makes exactly the accesses of
+// the LoadSite and StoreSite calls it stands for, iteration by
+// iteration, on write-back and on write-through, no-write-allocate
+// levels, with accesses that span lines, steps of either sign and
+// profiling on.
+func TestStridesMatchesPerAccess(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	builds := []func() *Hierarchy{tiny, func() *Hierarchy {
+		return MustHierarchy(
+			CacheConfig{Name: "L1", Size: 96 * 3, LineSize: 32, Assoc: 3, Policy: WriteThrough, NoWriteAllocate: true},
+			CacheConfig{Name: "L2", Size: 64 * 2 * 5, LineSize: 64, Assoc: 2},
+		)
+	}}
+	for round := 0; round < 200; round++ {
+		acc := make([]Stride, 1+rng.Intn(4))
+		for i := range acc {
+			acc[i] = Stride{Addr: 4096 + rng.Int63n(4096), Step: rng.Int63n(129) - 64,
+				Size: []int{1, 4, 8, 12, 40}[rng.Intn(5)], Write: rng.Intn(3) == 0, Site: uint32(1 + rng.Intn(5))}
+		}
+		n := 1 + rng.Intn(50)
+		build := builds[round%len(builds)]
+		hs, hp := build(), build()
+		hs.EnableProfiling()
+		hp.EnableProfiling()
+		hs.Strides(acc, n)
+		for it := int64(0); it < int64(n); it++ {
+			for _, a := range acc {
+				if a.Write {
+					hp.StoreSite(a.Addr+it*a.Step, a.Size, a.Site)
+				} else {
+					hp.LoadSite(a.Addr+it*a.Step, a.Size, a.Site)
+				}
+			}
+		}
+		hs.Flush()
+		hp.Flush()
+		if hs.String() != hp.String() {
+			t.Fatalf("round %d: Strides\n%s\nper access\n%s", round, hs, hp)
+		}
+		for lvl := 0; lvl < hs.Levels(); lvl++ {
+			if !reflect.DeepEqual(hs.Profile().SiteStats(lvl), hp.Profile().SiteStats(lvl)) {
+				t.Fatalf("round %d: level %d per-site stats differ", round, lvl)
+			}
+		}
+		if !reflect.DeepEqual(hs.Profile().RegBytes(), hp.Profile().RegBytes()) {
+			t.Fatalf("round %d: per-site register bytes differ", round)
+		}
 	}
 }
