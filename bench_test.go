@@ -325,7 +325,7 @@ func BenchmarkMeasure(b *testing.B) {
 func BenchmarkMeasureAttributed(b *testing.B) {
 	p := kernels.Dmxpy(64)
 	specs := []machine.Spec{machine.Origin2000()}
-	opts := balance.Options{Bounds: balance.BoundsFull, Profile: true}
+	opts := balance.Options{Bounds: true, Profile: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := balance.Measure(context.Background(), p, specs, opts); err != nil {

@@ -202,7 +202,7 @@ func main() {
 	// attribution and the reuse-distance analysis was asked for. The
 	// optimized program must observe what the original did, within the
 	// verification tolerance; anything beyond it is a miscompile.
-	opts := balance.Options{Bounds: balance.BoundsFull, Profile: *profile, MRC: *mrcFlag}
+	opts := balance.Options{Bounds: true, Profile: *profile, MRC: *mrcFlag}
 	pair, err := balance.MeasurePair(ctx, p, q, outcome.Snapshots, []machine.Spec{spec}, opts, *tol)
 	if err != nil {
 		fatal(err)

@@ -149,7 +149,7 @@ func main() {
 	// on the same run when asked for. With -passes the original is
 	// measured too, and the transformed program must print what it did.
 	specs := []machine.Spec{spec}
-	opts := balance.Options{Bounds: balance.BoundsFull, Profile: *profile, MRC: *mrcFlag}
+	opts := balance.Options{Bounds: true, Profile: *profile, MRC: *mrcFlag}
 	var reps []*balance.Report
 	if orig != nil {
 		var pair *balance.Pair

@@ -90,22 +90,6 @@ type Report struct {
 // Gap returns the optimality gap, or 0 when no bound was attached.
 func (r *Report) Gap() float64 { return r.OptimalityGap }
 
-// BoundsMode selects how much of the data-movement lower bound
-// (internal/bounds) a measurement attaches. The modes are ordered: each
-// computes strictly more than the one before it.
-type BoundsMode int
-
-const (
-	// BoundsNone attaches no bound.
-	BoundsNone BoundsMode = iota
-	// BoundsNoPebble attaches the compulsory floor only, marked
-	// PebblingSkipped (the degraded service mode).
-	BoundsNoPebble
-	// BoundsFull attaches the tighter of the compulsory and pebbling
-	// bounds.
-	BoundsFull
-)
-
 // Options selects what one measurement observes beyond the balance
 // report. The zero value is the plain measurement.
 type Options struct {
@@ -114,8 +98,9 @@ type Options struct {
 	// service worker even when the caller forgot a budget.
 	Limits exec.Limits
 	// Bounds attaches the lower bound at every machine's fast-memory
-	// capacity, and the optimality gap against it.
-	Bounds BoundsMode
+	// capacity, the tighter of the compulsory floor and the pebbling
+	// bound, and the optimality gap against it.
+	Bounds bool
 	// Profile attaches the per-site, per-nest and per-array traffic
 	// Attribution; with Bounds set, every array carries its own
 	// compulsory floor and gap.
@@ -177,7 +162,7 @@ func MeasureCtx(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.
 }
 
 func MeasureProfiled(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
-	return primary(Measure(ctx, p, []machine.Spec{spec}, Options{Limits: lim, Bounds: BoundsFull, Profile: true}))
+	return primary(Measure(ctx, p, []machine.Spec{spec}, Options{Limits: lim, Bounds: true, Profile: true}))
 }
 
 func MeasureMRC(ctx context.Context, p *ir.Program, spec machine.Spec, lim exec.Limits) (*Report, error) {
@@ -218,7 +203,7 @@ func measure(ctx context.Context, span *trace.Span, p *ir.Program, specs []machi
 		}
 	}
 	var fp *bounds.FootprintRecorder
-	if opts.Bounds != BoundsNone {
+	if opts.Bounds {
 		var err error
 		if fp, err = bounds.NewFootprintRecorder(p); err != nil {
 			return nil, fmt.Errorf("balance: lower bound for %s: %w", p.Name, err)
@@ -273,11 +258,7 @@ func measure(ctx context.Context, span *trace.Span, p *ir.Program, specs []machi
 	if fp != nil {
 		// One footprint and one pebbling structure serve every
 		// machine's capacity.
-		foot := fp.Footprint()
-		var pb *bounds.Pebble
-		if opts.Bounds == BoundsFull {
-			pb = bounds.ComputePebble(p)
-		}
+		foot, pb := fp.Footprint(), bounds.ComputePebble(p)
 		for i, r := range reps {
 			r.Bound = bounds.Assemble(p.Name, bounds.FastCapacity(specs[i]), foot, pb)
 			r.OptimalityGap = bounds.Gap(r.MemoryBytes, r.Bound.Best)
@@ -348,10 +329,7 @@ func newReport(p *ir.Program, spec machine.Spec, h *sim.Hierarchy, res *exec.Res
 
 // tee fans one access stream out to several observers, so one execution
 // feeds every consumer of a measurement.
-type tee []exec.SiteMachine
-
-func (t tee) Load(addr int64, size int)  { t.LoadSite(addr, size, 0) }
-func (t tee) Store(addr int64, size int) { t.StoreSite(addr, size, 0) }
+type tee []exec.Machine
 
 func (t tee) LoadSite(addr int64, size int, site uint32) {
 	for _, m := range t {

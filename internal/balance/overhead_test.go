@@ -27,7 +27,7 @@ func TestProfilingOffPathInert(t *testing.T) {
 	if r.Attribution != nil {
 		t.Fatal("MeasureCtx produced an attribution without profiling")
 	}
-	rp, err := measureOn(p, machine.Origin2000(), Options{Bounds: BoundsFull, Profile: true})
+	rp, err := measureOn(p, machine.Origin2000(), Options{Bounds: true, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestProfilingOnOverheadGuard(t *testing.T) {
 		return err
 	})
 	profiled := median(func() error {
-		_, err := measureOn(p, spec, Options{Bounds: BoundsFull, Profile: true})
+		_, err := measureOn(p, spec, Options{Bounds: true, Profile: true})
 		return err
 	})
 	if plain <= 0 {

@@ -60,7 +60,7 @@ func optimizeDefault(t *testing.T, src string) (*ir.Program, *ir.Program, []tran
 // program is refused with the divergence, however loose the options.
 func TestMeasurePairRefusesDivergence(t *testing.T) {
 	p, q, snaps := optimizeDefault(t, siblingLoops)
-	for _, opts := range []Options{{}, {Bounds: BoundsFull, Profile: true}} {
+	for _, opts := range []Options{{}, {Bounds: true, Profile: true}} {
 		pair, err := MeasurePair(context.Background(), p, q, snaps, []machine.Spec{machine.Origin2000()}, opts, 0)
 		if pair != nil || err == nil {
 			t.Fatalf("opts %+v: miscompile measured: %+v", opts, pair)
@@ -85,7 +85,7 @@ func TestMeasurePairRunsEachProgramOnce(t *testing.T) {
 	} {
 		tr := trace.New()
 		root := tr.Start(nil, "test")
-		pair, err := MeasurePair(trace.NewContext(context.Background(), root), p, q, nil, specs, Options{Bounds: BoundsFull}, 0)
+		pair, err := MeasurePair(trace.NewContext(context.Background(), root), p, q, nil, specs, Options{Bounds: true}, 0)
 		root.End()
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestMeasurePairDeltasOnlyWhenProfiled(t *testing.T) {
 		t.Fatalf("%d snapshots, want at least 2 for the chain to mean something", len(snaps))
 	}
 	specs := []machine.Spec{machine.Origin2000()}
-	plain, err := MeasurePair(context.Background(), p, q, snaps, specs, Options{Bounds: BoundsFull}, 0)
+	plain, err := MeasurePair(context.Background(), p, q, snaps, specs, Options{Bounds: true}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,14 +83,11 @@ type Analysis struct {
 	// Compulsory is the live-in/live-out floor (always present).
 	Compulsory Bound `json:"compulsory"`
 	// Pebbling is the S-partition bound, nil when no nest matched the
-	// detector or when pebbling was skipped.
+	// detector.
 	Pebbling *Bound `json:"pebbling,omitempty"`
 	// Best is the tighter of the two (max — both are sound, so their
 	// max is sound).
 	Best Bound `json:"best"`
-	// PebblingSkipped records that the pebbling pass was deliberately
-	// not run (degraded service mode), as opposed to not matching.
-	PebblingSkipped bool `json:"pebbling_skipped,omitempty"`
 	// Footprint is the census behind the compulsory bound, including its
 	// per-array decomposition (used for per-array optimality gaps).
 	Footprint *Footprint `json:"footprint,omitempty"`
@@ -133,24 +130,19 @@ func Analyze(ctx context.Context, p *ir.Program, fastBytes int64, lim exec.Limit
 
 // Assemble combines a program's footprint and pebbling structure into
 // its Analysis at one capacity. Both inputs are per-program facts, so
-// one footprint and one pebbling structure serve every capacity. A nil
-// pb skips the pebbling bound (degraded mode): only the compulsory
-// floor is reported, and the result is marked PebblingSkipped.
+// one footprint and one pebbling structure serve every capacity.
 func Assemble(prog string, fastBytes int64, fp *Footprint, pb *Pebble) *Analysis {
 	a := &Analysis{
-		Program:         prog,
-		FastBytes:       fastBytes,
-		Compulsory:      fp.Bound(),
-		PebblingSkipped: pb == nil,
-		Footprint:       fp,
+		Program:    prog,
+		FastBytes:  fastBytes,
+		Compulsory: fp.Bound(),
+		Footprint:  fp,
 	}
 	a.Best = a.Compulsory
-	if pb != nil {
-		if b, ok := pb.Bound(fastBytes); ok {
-			a.Pebbling = &b
-			if b.Bytes > a.Best.Bytes {
-				a.Best = b
-			}
+	if b, ok := pb.Bound(fastBytes); ok {
+		a.Pebbling = &b
+		if b.Bytes > a.Best.Bytes {
+			a.Best = b
 		}
 	}
 	return a

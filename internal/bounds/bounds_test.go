@@ -236,8 +236,7 @@ func TestBoundSoundVsMeasured(t *testing.T) {
 }
 
 // TestAssemble: one footprint and one pebbling structure assemble the
-// full analysis, the degraded (no-pebble) form skips pebbling without
-// losing the floor, and both agree with the one-call Analyze.
+// analysis, and it agrees with the one-call Analyze.
 func TestAssemble(t *testing.T) {
 	p := kernels.MatmulJKI(64)
 	spec := machine.Scaled(machine.Origin2000(), 1024)
@@ -254,17 +253,6 @@ func TestAssemble(t *testing.T) {
 	if want := max(full.Pebbling.Bytes, full.Compulsory.Bytes); full.Best.Bytes != want {
 		t.Fatalf("best %d is not the max of pebbling %d and compulsory %d",
 			full.Best.Bytes, full.Pebbling.Bytes, full.Compulsory.Bytes)
-	}
-	if full.PebblingSkipped {
-		t.Fatal("full analysis marked skipped")
-	}
-
-	degraded := bounds.Assemble(p.Name, s, fp, nil)
-	if degraded.Pebbling != nil || !degraded.PebblingSkipped {
-		t.Fatalf("degraded analysis still has pebbling: %+v", degraded)
-	}
-	if degraded.Compulsory.Bytes != full.Compulsory.Bytes || degraded.Best.Kind != bounds.KindCompulsory {
-		t.Fatalf("degraded floor wrong: %+v", degraded)
 	}
 
 	direct, err := bounds.Analyze(context.Background(), p, s, exec.Limits{})

@@ -60,10 +60,10 @@ func (f *Footprint) Bound() Bound {
 	}
 }
 
-// FootprintRecorder implements exec.SiteMachine, recording per-element
+// FootprintRecorder implements exec.Machine, recording per-element
 // first-access direction instead of simulating caches. Element state is
-// a dense byte array over the compiled engine's address space (arrays
-// laid out back to back with alignment padding), indexed by addr/8.
+// a dense byte array over the engines' address space (exec.Layout),
+// indexed by addr/8.
 // It observes any compiled run of its program — alone, or next to the
 // cache hierarchies of a balance measurement — and Footprint reads the
 // census once the run has finished.
@@ -88,27 +88,19 @@ const (
 // element, so 2 GiB of simulated arrays -> 256 MiB of state).
 const maxFootprintBytes = int64(2) << 30
 
-// NewFootprintRecorder lays out the arrays exactly as the compiled
-// engine does (exec.Compiled.RunCtx): consecutive, each rounded up to
-// the 128-byte alignment plus one guard line. The layouts must agree so
-// per-array attribution of the addresses the engine emits is exact; the
-// totals are layout-independent.
+// NewFootprintRecorder lays out the arrays exactly as the engines do
+// (exec.Layout), so per-array attribution of the addresses they emit is
+// exact; the totals are layout-independent.
 func NewFootprintRecorder(p *ir.Program) (*FootprintRecorder, error) {
-	const align = 128
-	m := &FootprintRecorder{}
-	var next int64
+	bases, end := exec.Layout(p.Arrays)
+	if end > maxFootprintBytes {
+		return nil, fmt.Errorf("bounds: program arrays span %d bytes, above the %d footprint cap", end, maxFootprintBytes)
+	}
+	m := &FootprintRecorder{state: make([]uint8, end/ElemSize+1)}
 	for i, a := range p.Arrays {
-		lo := next
-		next += a.Bytes()
-		m.bounds = append(m.bounds, arrayRange{lo: lo, hi: next, idx: i})
+		m.bounds = append(m.bounds, arrayRange{lo: bases[i], hi: bases[i] + a.Bytes(), idx: i})
 		m.per = append(m.per, ArrayFootprint{Array: a.Name})
-		next = (next + align - 1) &^ (align - 1)
-		next += align
 	}
-	if next > maxFootprintBytes {
-		return nil, fmt.Errorf("bounds: program arrays span %d bytes, above the %d footprint cap", next, maxFootprintBytes)
-	}
-	m.state = make([]uint8, next/ElemSize+1)
 	return m, nil
 }
 
@@ -156,17 +148,14 @@ func (m *FootprintRecorder) arrayAt(addr int64) int {
 	return -1
 }
 
-func (m *FootprintRecorder) Load(addr int64, size int)  { m.access(addr, size, false) }
-func (m *FootprintRecorder) Store(addr int64, size int) { m.access(addr, size, true) }
-func (m *FootprintRecorder) AddFlops(n int64)           {}
-func (m *FootprintRecorder) Flush()                     {}
+var _ exec.Machine = (*FootprintRecorder)(nil)
 
-var _ exec.SiteMachine = (*FootprintRecorder)(nil)
-
-// LoadSite and StoreSite accept attribution-tagged accesses; the census
-// is per element, so the site is ignored.
+// LoadSite and StoreSite record one access; the census is per element,
+// so the site is ignored.
 func (m *FootprintRecorder) LoadSite(addr int64, size int, _ uint32)  { m.access(addr, size, false) }
 func (m *FootprintRecorder) StoreSite(addr int64, size int, _ uint32) { m.access(addr, size, true) }
+func (m *FootprintRecorder) AddFlops(n int64)                         {}
+func (m *FootprintRecorder) Flush()                                   {}
 
 // Footprint returns the census of the accesses recorded so far, arrays
 // that were never touched omitted.

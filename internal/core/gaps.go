@@ -42,7 +42,7 @@ func OptimalityGap(cfg Config) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("optimize %s: %w", k.name, err)
 		}
-		if pairs[i], err = measurePair(k.p, opt, machines, balance.Options{Bounds: balance.BoundsFull}); err != nil {
+		if pairs[i], err = measurePair(k.p, opt, machines, balance.Options{Bounds: true}); err != nil {
 			return nil, fmt.Errorf("%s: %w", k.name, err)
 		}
 	}

@@ -38,8 +38,8 @@ import (
 // loop variable is addressed inline by its load or store, and
 // bounds-checked in the interpreter's order. Any other reference keeps
 // a closure per dimension. Either way the machine sees the same
-// Load/Store/AddFlops calls, with the same addresses and sites, in the
-// same order as under the interpreter.
+// LoadSite/StoreSite/AddFlops calls, with the same addresses and sites,
+// in the same order as under the interpreter.
 
 // Compiled is a program prepared for repeated execution.
 type Compiled struct {
@@ -60,7 +60,6 @@ type Compiled struct {
 // cenv is the mutable state of one compiled execution.
 type cenv struct {
 	mach     Machine
-	smach    SiteMachine // non-nil when mach accepts attribution sites
 	ctx      context.Context
 	lim      Limits
 	stepCap  int64 // lim.MaxSteps, or MaxInt64 when the run is unlimited
@@ -158,8 +157,8 @@ func Compile(p *ir.Program) (*Compiled, error) {
 		}
 		return nil
 	}
-	cp := &Compiled{prog: p, run: run, arrayOrder: p.Arrays, bases: make([]int64, len(p.Arrays)),
-		nivars: max(len(c.ivarIdx), 1)}
+	bases, _ := Layout(p.Arrays)
+	cp := &Compiled{prog: p, run: run, arrayOrder: p.Arrays, bases: bases, nivars: max(len(c.ivarIdx), 1)}
 	if src != nil {
 		src.ivars = make([]string, len(c.ivarIdx))
 		for name, slot := range c.ivarIdx {
@@ -167,13 +166,8 @@ func Compile(p *ir.Program) (*Compiled, error) {
 		}
 		cp.src = src
 	}
-	var next int64
-	for i, a := range p.Arrays {
-		cp.bases[i] = next
+	for _, a := range p.Arrays {
 		cp.elems += a.Size()
-		next += a.Bytes()
-		next = (next + align - 1) &^ (align - 1)
-		next += align
 	}
 	return cp, nil
 }
@@ -284,9 +278,7 @@ func (cp *Compiled) newEnv(slab []float64, lim Limits) *cenv {
 // nil. The buffers are a slab of their own, so they never push the
 // arrays' slab into a larger size class.
 func (cp *Compiled) attach(env *cenv, h Machine) *[]float64 {
-	if h != nil {
-		env.mach, env.smach = h, siteMachine(h)
-	}
+	env.mach = h
 	hier, ok := batchHierarchy(h)
 	if !ok {
 		return nil
@@ -310,7 +302,7 @@ func (cp *Compiled) attach(env *cenv, h Machine) *[]float64 {
 // per-iteration engine would. A recorder charges flops to the epoch
 // current between accesses, which a chunk's flops, added at once, would
 // not match, and any other machine sees each access through its own
-// LoadSite or Load.
+// LoadSite or StoreSite.
 func batchHierarchy(h Machine) (*sim.Hierarchy, bool) {
 	if h == nil {
 		return nil, true
@@ -896,15 +888,10 @@ func (r *cref) write(env *cenv, o int64, v float64) {
 
 func (r *cref) access(env *cenv, o int64, store bool) {
 	addr := env.arrays[r.ai].base + o*ir.ElemSize
-	switch {
-	case env.smach != nil && store:
-		env.smach.StoreSite(addr, ir.ElemSize, r.site)
-	case env.smach != nil:
-		env.smach.LoadSite(addr, ir.ElemSize, r.site)
-	case store:
-		env.mach.Store(addr, ir.ElemSize)
-	default:
-		env.mach.Load(addr, ir.ElemSize)
+	if store {
+		env.mach.StoreSite(addr, ir.ElemSize, r.site)
+	} else {
+		env.mach.LoadSite(addr, ir.ElemSize, r.site)
 	}
 }
 

@@ -521,10 +521,10 @@ type panicMachine struct{}
 
 type machinePanic struct{}
 
-func (panicMachine) Load(int64, int)  { panic(machinePanic{}) }
-func (panicMachine) Store(int64, int) {}
-func (panicMachine) AddFlops(int64)   {}
-func (panicMachine) Flush()           {}
+func (panicMachine) LoadSite(int64, int, uint32)  { panic(machinePanic{}) }
+func (panicMachine) StoreSite(int64, int, uint32) {}
+func (panicMachine) AddFlops(int64)               {}
+func (panicMachine) Flush()                       {}
 
 // TestMachinePanicPropagates: the compiled engine recovers only its own
 // run-time faults. A panic raised by a Machine is not a fault of the

@@ -5,8 +5,8 @@
 // program balance is derived.
 //
 // Execution model: arrays live in a flat simulated byte address space in
-// column-major order; every array-element read issues a Load and every
-// array-element write issues a Store to the hierarchy. Scalars and loop
+// column-major order; every array-element read issues a LoadSite and
+// every array-element write a StoreSite to the hierarchy. Scalars and loop
 // variables are register-resident and free. Floating-point add, sub,
 // mul, div and intrinsic calls count flops; comparisons, logical
 // operators and integer index arithmetic are free.
@@ -24,9 +24,23 @@ import (
 	"repro/internal/trace"
 )
 
-// align is the allocation alignment (and inter-array padding) in bytes;
-// it is at least as large as any modelled cache line.
-const align = 128
+// Layout places a program's arrays in the simulated byte address space
+// the way both engines run them: consecutive in declaration order, each
+// rounded up to a 128-byte alignment (at least as large as any modelled
+// cache line) plus one guard line. It returns each array's base address
+// and the end of the layout. Observers that map addresses back to arrays
+// (bounds.FootprintRecorder) use it too, so their attribution is exact.
+func Layout(arrays []*ir.Array) (bases []int64, end int64) {
+	const align = 128
+	bases = make([]int64, len(arrays))
+	for i, a := range arrays {
+		bases[i] = end
+		end += a.Bytes()
+		end = (end + align - 1) &^ (align - 1)
+		end += align // one guard line between arrays
+	}
+	return bases, end
+}
 
 // ErrCanceled is returned (wrapped) when a run is abandoned because its
 // context was canceled or its deadline expired. Callers detect it with
@@ -73,43 +87,23 @@ func (r *Result) Checksum() float64 {
 	return s
 }
 
-// Machine is the subset of the simulator the executor needs; *sim.Hierarchy
-// implements it. A nil Machine runs the program functionally with no
-// traffic accounting (useful for fast semantic checks).
+// Machine observes a run: every array access, tagged with the
+// attribution site of the IR reference that issued it (ir.SiteID as a
+// raw uint32; 0 for references AssignSites has not visited), the flops,
+// and the end of the run. *sim.Hierarchy implements it. A nil Machine
+// runs the program functionally with no traffic accounting (useful for
+// fast semantic checks).
 type Machine interface {
-	Load(addr int64, size int)
-	Store(addr int64, size int)
+	LoadSite(addr int64, size int, site uint32)
+	StoreSite(addr int64, size int, site uint32)
 	AddFlops(n int64)
 	Flush()
 }
 
-var _ Machine = (*sim.Hierarchy)(nil)
-
-// SiteMachine is the optional extension a Machine implements to receive
-// per-reference attribution sites (ir.SiteID as a raw uint32) alongside
-// each access. Both engines resolve the interface once per run; plain
-// Machine implementations keep working unchanged and sited machines see
-// every access tagged with the site of the IR reference that issued it
-// (0 for references AssignSites has not visited).
-type SiteMachine interface {
-	Machine
-	LoadSite(addr int64, size int, site uint32)
-	StoreSite(addr int64, size int, site uint32)
-}
-
 var (
-	_ SiteMachine = (*sim.Hierarchy)(nil)
-	_ SiteMachine = (*sim.Recorder)(nil)
+	_ Machine = (*sim.Hierarchy)(nil)
+	_ Machine = (*sim.Recorder)(nil)
 )
-
-// siteMachine resolves the extension once, so the per-access check is a
-// nil test rather than a type assertion.
-func siteMachine(h Machine) SiteMachine {
-	if sm, ok := h.(SiteMachine); ok {
-		return sm
-	}
-	return nil
-}
 
 // Run executes the program. The hierarchy may be nil for a functional
 // run. Dirty cache lines are flushed at program end so writeback counts
@@ -133,7 +127,7 @@ func RunCtx(ctx context.Context, p *ir.Program, h Machine, lim Limits) (*Result,
 	}
 	ctx, span := trace.StartSpan(ctx, "exec.run", trace.String("program", p.Name),
 		trace.String("engine", "interp"))
-	e := &interp{prog: p, mach: h, smach: siteMachine(h), ctx: ctx, lim: lim,
+	e := &interp{prog: p, mach: h, ctx: ctx, lim: lim,
 		res: &Result{Scalars: map[string]float64{}, arrays: map[string][]float64{}}}
 	e.layout()
 	for _, n := range p.Nests {
@@ -181,7 +175,6 @@ type arrayState struct {
 type interp struct {
 	prog     *ir.Program
 	mach     Machine
-	smach    SiteMachine // non-nil when mach accepts attribution sites
 	ctx      context.Context
 	lim      Limits
 	steps    int64 // loop-body iterations executed
@@ -213,9 +206,9 @@ func (e *interp) layout() {
 	e.arrays = map[string]*arrayState{}
 	e.scalars = map[string]*float64{}
 	e.ivars = map[string]*int64{}
-	var next int64
-	for _, a := range e.prog.Arrays {
-		st := &arrayState{decl: a, base: next, data: make([]float64, a.Size())}
+	bases, _ := Layout(e.prog.Arrays)
+	for i, a := range e.prog.Arrays {
+		st := &arrayState{decl: a, base: bases[i], data: make([]float64, a.Size())}
 		// Column-major strides: stride[0]=1, stride[k]=stride[k-1]*dim[k-1].
 		s := int64(1)
 		for _, d := range a.Dims {
@@ -223,9 +216,6 @@ func (e *interp) layout() {
 			s *= int64(d)
 		}
 		e.arrays[a.Name] = st
-		next += a.Bytes()
-		next = (next + align - 1) &^ (align - 1)
-		next += align // one guard line between arrays
 	}
 	for _, s := range e.prog.Scalars {
 		v := s.Init
@@ -264,10 +254,8 @@ func (e *interp) loadRef(r *ir.Ref) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if e.smach != nil {
-		e.smach.LoadSite(a, ir.ElemSize, uint32(r.Site))
-	} else if e.mach != nil {
-		e.mach.Load(a, ir.ElemSize)
+	if e.mach != nil {
+		e.mach.LoadSite(a, ir.ElemSize, uint32(r.Site))
 	}
 	return st.data[off], nil
 }
@@ -284,10 +272,8 @@ func (e *interp) storeRef(r *ir.Ref, v float64) error {
 	if err != nil {
 		return err
 	}
-	if e.smach != nil {
-		e.smach.StoreSite(a, ir.ElemSize, uint32(r.Site))
-	} else if e.mach != nil {
-		e.mach.Store(a, ir.ElemSize)
+	if e.mach != nil {
+		e.mach.StoreSite(a, ir.ElemSize, uint32(r.Site))
 	}
 	st.data[off] = v
 	return nil

@@ -117,13 +117,11 @@ func (o CharacterizeOptions) withDefaults() CharacterizeOptions {
 // charge the memory channel one full array per pass even when the
 // working set is cache-resident and make the memory channel the
 // apparent bottleneck at every size. Steady-state measurement wants
-// only the traffic the traversals themselves cause.
-type noFlush struct{ h *sim.Hierarchy }
+// only the traffic the traversals themselves cause. The probe assigns
+// no attribution sites, so every access reaches the hierarchy as site 0.
+type noFlush struct{ *sim.Hierarchy }
 
-func (m noFlush) Load(addr int64, size int)  { m.h.Load(addr, size) }
-func (m noFlush) Store(addr int64, size int) { m.h.Store(addr, size) }
-func (m noFlush) AddFlops(n int64)           { m.h.AddFlops(n) }
-func (m noFlush) Flush()                     {}
+func (noFlush) Flush() {}
 
 // triadProgram builds the STREAM-triad probe a[i] = b[i] + q*c[i] over
 // arrays of n elements. Each array is padded by 16 elements so the

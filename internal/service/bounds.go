@@ -27,10 +27,6 @@ type BoundsSummary struct {
 	// means the program's traffic is provably minimal. 0 means the
 	// bound carries no information.
 	Gap float64 `json:"gap"`
-	// PebblingSkipped marks a degraded computation: the pebbling bound
-	// was deliberately not attempted under a tight deadline, so the
-	// reported bound may be weaker than full service would give.
-	PebblingSkipped bool `json:"pebbling_skipped,omitempty"`
 }
 
 // boundsOf projects a measurement's lower bound onto the response
@@ -41,13 +37,12 @@ func boundsOf(rep *balance.Report) *BoundsSummary {
 		return nil
 	}
 	return &BoundsSummary{
-		FastBytes:       a.FastBytes,
-		BoundBytes:      a.Best.Bytes,
-		Kind:            a.Best.Kind,
-		Assumptions:     a.Best.Assumptions,
-		MeasuredBytes:   rep.MemoryBytes,
-		Gap:             rep.OptimalityGap,
-		PebblingSkipped: a.PebblingSkipped,
+		FastBytes:     a.FastBytes,
+		BoundBytes:    a.Best.Bytes,
+		Kind:          a.Best.Kind,
+		Assumptions:   a.Best.Assumptions,
+		MeasuredBytes: rep.MemoryBytes,
+		Gap:           rep.OptimalityGap,
 	}
 }
 

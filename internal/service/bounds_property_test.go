@@ -19,12 +19,11 @@ import (
 // TestBoundSoundnessProperty is the property the whole optimality-gap
 // feature stands on: for every registered kernel, on every registered
 // machine, the lower bound is finite, positive, and never exceeds the
-// measured traffic (gap >= 1) — for the original program, for the
-// fully optimized program, and under both the full and the
-// degraded-ladder (pebbling-shed) bound computations. A violation
-// means the "lower bound" is not a bound and every reported gap is
-// meaningless. Iterating the registry means a newly registered machine
-// is subjected to the contract automatically.
+// measured traffic (gap >= 1) — for the original program and for the
+// fully optimized program. A violation means the "lower bound" is not
+// a bound and every reported gap is meaningless. Iterating the
+// registry means a newly registered machine is subjected to the
+// contract automatically.
 func TestBoundSoundnessProperty(t *testing.T) {
 	var machines []machine.Spec
 	for _, e := range machine.Entries() {
@@ -36,7 +35,7 @@ func TestBoundSoundnessProperty(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
 			// Cap the instantiation size so the full sweep (every kernel
-			// x machine x variant x mode) stays fast under -race. All
+			// x machine x variant) stays fast under -race. All
 			// caps here are powers of two, so the FFT constraint holds.
 			n := k.DefaultN
 			if n > 4096 {
@@ -53,31 +52,22 @@ func TestBoundSoundnessProperty(t *testing.T) {
 				t.Logf("optimize failed (original-only property): %v", err)
 			}
 			for variant, prog := range progs {
-				for _, nopebble := range []bool{false, true} {
-					mode := balance.BoundsFull
-					if nopebble {
-						mode = balance.BoundsNoPebble
+				reps, err := balance.Measure(ctx, prog, machines, balance.Options{Bounds: true})
+				if err != nil {
+					t.Fatalf("%s: measure: %v", variant, err)
+				}
+				for i, spec := range machines {
+					rep, a := reps[i], reps[i].Bound
+					label := fmt.Sprintf("%s/%s", spec.Name, variant)
+					if a.Best.Bytes <= 0 {
+						t.Fatalf("%s: bound %d bytes, want positive", label, a.Best.Bytes)
 					}
-					reps, err := balance.Measure(ctx, prog, machines, balance.Options{Bounds: mode})
-					if err != nil {
-						t.Fatalf("%s/nopebble=%v: measure: %v", variant, nopebble, err)
+					if a.Best.Bytes > rep.MemoryBytes {
+						t.Fatalf("%s: UNSOUND bound: %d bytes exceeds measured %d",
+							label, a.Best.Bytes, rep.MemoryBytes)
 					}
-					for i, spec := range machines {
-						rep, a := reps[i], reps[i].Bound
-						label := fmt.Sprintf("%s/%s/nopebble=%v", spec.Name, variant, nopebble)
-						if a.Best.Bytes <= 0 {
-							t.Fatalf("%s: bound %d bytes, want positive", label, a.Best.Bytes)
-						}
-						if a.Best.Bytes > rep.MemoryBytes {
-							t.Fatalf("%s: UNSOUND bound: %d bytes exceeds measured %d",
-								label, a.Best.Bytes, rep.MemoryBytes)
-						}
-						if g := bounds.Gap(rep.MemoryBytes, a.Best); g < 1 {
-							t.Fatalf("%s: gap %.4f < 1", label, g)
-						}
-						if nopebble && !a.PebblingSkipped {
-							t.Fatalf("%s: degraded analysis not marked PebblingSkipped", label)
-						}
+					if g := bounds.Gap(rep.MemoryBytes, a.Best); g < 1 {
+						t.Fatalf("%s: gap %.4f < 1", label, g)
 					}
 				}
 			}
@@ -106,9 +96,6 @@ func TestAnalyzeBoundsConsistency(t *testing.T) {
 	}
 	if b.BoundBytes <= 0 || b.Gap < 1 {
 		t.Fatalf("bounds block not sound: %+v", b)
-	}
-	if b.PebblingSkipped {
-		t.Fatalf("full-service bounds marked degraded: %+v", b)
 	}
 	// Best is whichever argument gives the larger bound — at this size
 	// either can win, but it must name one of the two.
@@ -185,10 +172,10 @@ func TestAnalyzeBoundsConsistency(t *testing.T) {
 }
 
 // TestDegradedBoundsCacheDiscipline extends the cache-poisoning rule to
-// the bounds dimension: a response computed with degraded (or absent)
-// bounds must never be served to a full-service request, because the
-// bounds mode is part of the cache address. Both endpoints share the
-// lifecycle that enforces it, so both are checked.
+// the bounds dimension: a response computed without the lower bound must
+// never be served to a full-service request, because the bounds switch
+// is part of the cache address. Both endpoints share the lifecycle that
+// enforces it, so both are checked.
 func TestDegradedBoundsCacheDiscipline(t *testing.T) {
 	for path, body := range map[string]map[string]any{
 		"/v1/analyze":  {"kernel": "dmxpy", "n": 96, "belady": true},
@@ -214,103 +201,78 @@ func testDegradedBoundsCacheDiscipline(t *testing.T, path string, body map[strin
 		}
 		return m
 	}
+	post := func(req map[string]any) boundsResponse {
+		t.Helper()
+		resp, b := postJSON(t, ts.URL+path, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, b)
+		}
+		var r boundsResponse
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 
 	// Force the ladder: write the cost estimate directly, then send a
-	// deadline in [est/2, est) — rung 1, which sheds the pebbling half
-	// of the bound but keeps measurement and the compulsory floor.
+	// deadline in [est/4, est/2) — rung 2, which sheds the lower bound
+	// but keeps the measurement.
 	s.pipeEWMABits.Store(math.Float64bits(1.0))
-	resp, b := postJSON(t, ts.URL+path, withTimeout(700))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("degraded request: status %d: %s", resp.StatusCode, b)
+	deg := post(withTimeout(400))
+	if deg.Degraded == nil || deg.Degraded.Level != 2 {
+		t.Fatalf("want rung-2 degradation, got %+v", deg.Degraded)
 	}
-	var deg boundsResponse
-	if err := json.Unmarshal(b, &deg); err != nil {
-		t.Fatal(err)
-	}
-	if deg.Degraded == nil || deg.Degraded.Level != 1 {
-		t.Fatalf("want rung-1 degradation, got %s", b)
-	}
-	if deg.Bounds == nil {
-		t.Fatalf("rung-1 response lost its bounds block entirely: %s", b)
-	}
-	if !deg.Bounds.PebblingSkipped {
-		t.Fatalf("rung-1 bounds not marked pebbling_skipped: %+v", deg.Bounds)
-	}
-	if deg.Bounds.Kind != "compulsory" {
-		t.Fatalf("rung-1 bound kind %q, want compulsory", deg.Bounds.Kind)
-	}
-	if deg.Bounds.Gap < 1 {
-		t.Fatalf("rung-1 gap %v < 1", deg.Bounds.Gap)
+	if deg.Bounds != nil {
+		t.Fatalf("rung-2 response kept the bounds block the rung sheds: %+v", deg.Bounds)
 	}
 
-	// Full-deadline follow-up: must recompute, not serve the weaker
-	// cached bounds.
+	// Full-deadline follow-up: must recompute, not serve the unbounded
+	// cached answer.
 	s.pipeEWMABits.Store(math.Float64bits(0.001))
-	resp, b = postJSON(t, ts.URL+path, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("full request: status %d: %s", resp.StatusCode, b)
-	}
-	var full boundsResponse
-	if err := json.Unmarshal(b, &full); err != nil {
-		t.Fatal(err)
-	}
+	full := post(body)
 	if full.Cached {
-		t.Fatal("pebbling-shed result was served to a full-bounds request")
+		t.Fatal("unbounded result was served to a full-bounds request")
 	}
-	if full.Bounds == nil || full.Bounds.PebblingSkipped {
-		t.Fatalf("full request got degraded bounds: %s", b)
-	}
-	if full.Bounds.BoundBytes < deg.Bounds.BoundBytes {
-		t.Fatalf("full bound %d weaker than compulsory-only %d",
-			full.Bounds.BoundBytes, deg.Bounds.BoundBytes)
+	if full.Degraded != nil || full.Bounds == nil || full.Bounds.Gap < 1 {
+		t.Fatalf("full request: degraded %+v, bounds %+v", full.Degraded, full.Bounds)
 	}
 
-	// A tight-deadline request now hits the cache: the full-bounds
-	// variant sits at the address the degraded probe checks first, and a
-	// strictly better answer is acceptable for a degraded request.
+	// A tight-deadline request now hits the cache at its own address,
+	// where the full answer sits, before the ladder is consulted.
 	s.pipeEWMABits.Store(math.Float64bits(1.0))
-	resp, b = postJSON(t, ts.URL+path, withTimeout(700))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat degraded request: status %d: %s", resp.StatusCode, b)
-	}
-	var again boundsResponse
-	if err := json.Unmarshal(b, &again); err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached {
-		t.Fatalf("repeat degraded request missed the cache: %s", b)
+	again := post(withTimeout(400))
+	if !again.Cached || again.Degraded != nil {
+		t.Fatalf("repeat tight-deadline request: cached %v, degraded %+v", again.Cached, again.Degraded)
 	}
 	if again.Bounds == nil {
-		t.Fatal("cached degraded variant lost its bounds block")
+		t.Fatal("cached full answer lost its bounds block")
 	}
 }
 
 // TestDegradedCachedVariantProbe pins the degradation rung's cache
 // probes on both endpoints. A rung-1 request whose own address missed
-// is answered from the full-bounds variant of its effective features,
-// with no program run and both markers set. At rung 2 (structural-only)
-// analyze still measures, so its answer is cached at the degraded
-// address and a repeat is served from there; optimize skips
-// measurement, so its answer is incomplete and never cached.
+// is answered from the bounded variant of its effective features, with
+// no program run and both markers set. At rung 2 (structural-only) both
+// endpoints still measure, so the answer is cached at the degraded
+// address and a repeat is served from there.
 func TestDegradedCachedVariantProbe(t *testing.T) {
 	for _, c := range []struct {
 		path         string
 		full, probed map[string]any
-		rung2Cached  bool
 	}{
 		{"/v1/analyze", map[string]any{"kernel": "dmxpy", "n": 96},
-			map[string]any{"kernel": "dmxpy", "n": 96, "profile": true, "timeout_ms": 700}, true},
+			map[string]any{"kernel": "dmxpy", "n": 96, "profile": true, "timeout_ms": 700}},
 		{"/v1/optimize", map[string]any{"kernel": "dmxpy", "n": 96, "verify": "structural"},
-			map[string]any{"kernel": "dmxpy", "n": 96, "verify": "differential", "profile": true, "timeout_ms": 700}, false},
+			map[string]any{"kernel": "dmxpy", "n": 96, "verify": "differential", "profile": true, "timeout_ms": 700}},
 	} {
 		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) {
 			s, ts := newTestServer(t, Config{Workers: 1})
-			decode := func(resp *http.Response, b []byte) ResponseMeta {
+			decode := func(resp *http.Response, b []byte) boundsResponse {
 				t.Helper()
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("status %d: %s", resp.StatusCode, b)
 				}
-				var m ResponseMeta
+				var m boundsResponse
 				if err := json.Unmarshal(b, &m); err != nil {
 					t.Fatal(err)
 				}
@@ -325,7 +287,7 @@ func TestDegradedCachedVariantProbe(t *testing.T) {
 			resp, b := postJSON(t, ts.URL+c.path, c.probed)
 			m := decode(resp, b)
 			if m.Degraded == nil || m.Degraded.Level != 1 || !m.Cached {
-				t.Fatalf("rung-1 request not served from the full-bounds variant: %s", b)
+				t.Fatalf("rung-1 request not served from the bounded variant: %s", b)
 			}
 			if resp.Header.Get("X-Cache") != "miss" || resp.Header.Get("X-Degraded") != m.Degraded.Mode {
 				t.Fatalf("headers X-Cache %q X-Degraded %q", resp.Header.Get("X-Cache"), resp.Header.Get("X-Degraded"))
@@ -340,12 +302,20 @@ func TestDegradedCachedVariantProbe(t *testing.T) {
 			// 400ms against a 1s estimate: rung 2, structural-only.
 			rung2 := map[string]any{"kernel": "dmxpy", "n": 80, "timeout_ms": 400}
 			for i := 0; i < 2; i++ {
-				m := decode(postJSON(t, ts.URL+c.path, rung2))
+				resp, b := postJSON(t, ts.URL+c.path, rung2)
+				m := decode(resp, b)
 				if m.Degraded == nil || m.Degraded.Level != 2 {
 					t.Fatalf("request %d: want rung 2, got %+v", i, m.Degraded)
 				}
-				if want := i == 1 && c.rung2Cached; m.Cached != want {
-					t.Fatalf("rung-2 request %d: cached = %v, want %v", i, m.Cached, want)
+				if m.Cached != (i == 1) {
+					t.Fatalf("rung-2 request %d: cached = %v, want %v", i, m.Cached, i == 1)
+				}
+				if m.Bounds != nil {
+					t.Fatalf("rung-2 request %d kept the bounds block: %s", i, b)
+				}
+				var or OptimizeResponse
+				if c.path == "/v1/optimize" && (json.Unmarshal(b, &or) != nil || or.Before == nil || or.After == nil) {
+					t.Fatalf("rung-2 optimize %d lost its checked measurement: %s", i, b)
 				}
 			}
 		})

@@ -163,9 +163,7 @@ type ResponseMeta struct {
 	// worker of its own.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// Degraded marks a response served below full service by the
-	// overload ladder (see DegradeInfo); absent at full service. A
-	// structural-only optimize omits before/after/speedup (measurement
-	// was skipped to fit the deadline).
+	// overload ladder (see DegradeInfo); absent at full service.
 	Degraded *DegradeInfo `json:"degraded,omitempty"`
 	// Trace is the request's span tree, present only when the request
 	// set "trace": true. Cached entries never store a trace; a traced
@@ -192,9 +190,7 @@ type AnalyzeResponse struct {
 	Belady  *BeladyComparison `json:"belady,omitempty"`
 	// Bounds is the analyzed program's data-movement lower bound and
 	// the measurement's optimality gap (internal/bounds); absent when
-	// the service degraded past program execution or the footprint run
-	// failed. Under rung-1 degradation the block is present but its
-	// pebbling half is skipped (PebblingSkipped).
+	// the overload ladder shed it (structural-only).
 	Bounds *BoundsSummary `json:"bounds,omitempty"`
 	// Profile is the per-array traffic attribution of the primary
 	// machine's measurement, present only for "profile": true requests
@@ -237,25 +233,24 @@ type OptimizeResponse struct {
 	Optimized    string          `json:"optimized"` // optimized program source
 	Actions      []string        `json:"actions"`
 	Verification *Verification   `json:"verification"`
-	Before       *BalanceSummary `json:"before,omitempty"`
-	After        *BalanceSummary `json:"after,omitempty"`
+	Before       *BalanceSummary `json:"before"`
+	After        *BalanceSummary `json:"after"`
 	Speedup      float64         `json:"speedup"`
 	// Bounds is the OPTIMIZED program's data-movement lower bound and
 	// the after-measurement's optimality gap — how close the pipeline
-	// landed to the floor any schedule must pay. Absent when
-	// measurement was skipped (structural-only degradation) or the
-	// footprint run failed.
+	// landed to the floor any schedule must pay. Absent when the
+	// overload ladder shed it (structural-only).
 	Bounds *BoundsSummary `json:"bounds,omitempty"`
 	// Profile is the per-array traffic attribution of the AFTER
 	// measurement and PassDeltas the per-pass, per-array traffic diff
 	// ("fuse saved 1.9 MiB on res"); both present only for "profile":
-	// true requests at full service with measurement intact.
+	// true requests at full service.
 	Profile    *balance.ProfileSummary `json:"profile,omitempty"`
 	PassDeltas []balance.PassDelta     `json:"pass_deltas,omitempty"`
 	// MRCBefore/MRCAfter are the reuse-distance results of the original
 	// and optimized measurements — the before/after overlay showing
 	// where the optimizer moved the capacity knee — present only for
-	// "mrc": true requests at full service with measurement intact.
+	// "mrc": true requests at full service.
 	MRCBefore *balance.MRCResult `json:"mrc_before,omitempty"`
 	MRCAfter  *balance.MRCResult `json:"mrc_after,omitempty"`
 	// Passes and Analysis report the run's per-pass wall time and the
@@ -510,10 +505,9 @@ type resultKey struct {
 type call struct {
 	key  resultKey
 	want features
-	// body computes the answer at the admitted rung with the effective
-	// features. It returns the envelope-free response and whether that
-	// response is the complete answer for eff's address.
-	body func(ctx context.Context, eff features, level degradeLevel) (response, bool, error)
+	// body computes the envelope-free answer with the effective
+	// features: the complete answer for eff's address.
+	body func(ctx context.Context, eff features) (response, error)
 }
 
 // keyOf is the cache address of the answer computed with f. The
@@ -601,7 +595,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, span string, req 
 // cheaper by construction and would drag it optimistic. The answer is
 // cached trace- and envelope-free under the key of what was actually
 // computed: a degraded run is exactly that variant's full answer, so
-// it must never be stored under the requested address.
+// it is stored there and never under the requested address.
 func (s *Server) run(ctx context.Context, c *call) (response, error) {
 	level, reason, err := s.admit(ctx)
 	if err != nil {
@@ -622,17 +616,15 @@ func (s *Server) run(ctx context.Context, c *call) (response, error) {
 	defer release()
 
 	begin := time.Now()
-	resp, cacheable, err := c.body(ctx, eff, level)
+	resp, err := c.body(ctx, eff)
 	if err != nil {
 		return nil, err
 	}
 	if level == degradeNone {
 		s.observePipeline(time.Since(begin))
 	}
-	if cacheable {
-		if key, err := c.keyOf(eff); err == nil {
-			s.cachePut(ctx, key, resp)
-		}
+	if key, err := c.keyOf(eff); err == nil {
+		s.cachePut(ctx, key, resp)
 	}
 	return resp.withEnvelope(ResponseMeta{Degraded: info}), nil
 }
@@ -650,9 +642,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return &call{
 			key: resultKey{Endpoint: "analyze", Source: sourceID, Machine: machineKey},
-			want: features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
+			want: features{Options: balance.Options{Limits: s.limits(), Bounds: true,
 				Profile: req.Profile, MRC: req.MRC, Belady: req.Belady}},
-			body: func(ctx context.Context, eff features, _ degradeLevel) (response, bool, error) {
+			body: func(ctx context.Context, eff features) (response, error) {
 				return s.analyze(ctx, &req, p, specs, eff)
 			},
 		}, nil
@@ -660,15 +652,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // analyze is the analyze body: one measurement run that serves every
-// target machine and every requested feature. Its answer is always
-// complete for eff, so always cacheable.
-func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, specs []machine.Spec, eff features) (response, bool, error) {
+// target machine and every requested feature.
+func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program, specs []machine.Spec, eff features) (response, error) {
 	s.programRuns.Inc()
 	begin := time.Now()
 	reps, err := balance.Measure(ctx, p, specs, eff.Options)
 	s.stageSeconds.With("measure").Observe(time.Since(begin).Seconds())
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	rep := reps[0]
 	resp := &AnalyzeResponse{Balance: summarize(rep), Bounds: boundsOf(rep)}
@@ -698,7 +689,7 @@ func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest, p *ir.Program
 	if rep.Replay != nil {
 		resp.Belady = beladyComparison(rep.Replay)
 	}
-	return resp, true, nil
+	return resp, nil
 }
 
 // beladyComparison projects a measurement's LRU-vs-optimal replay onto
@@ -757,32 +748,29 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return &call{
 			key: resultKey{Endpoint: "optimize", Source: sourceID, Machine: spec.Name,
 				Pipeline: pipeline, Tol: tol},
-			want: features{Options: balance.Options{Limits: s.limits(), Bounds: balance.BoundsFull,
+			want: features{Options: balance.Options{Limits: s.limits(), Bounds: true,
 				Profile: req.Profile, MRC: req.MRC}, Verify: mode},
-			body: func(ctx context.Context, eff features, level degradeLevel) (response, bool, error) {
+			body: func(ctx context.Context, eff features) (response, error) {
 				return s.optimize(ctx, req.Kernel, p, spec, transform.Config{
 					Pipeline: pipeline, Verify: eff.Verify, Tol: tol, ExecLimits: s.limits(),
 					SnapshotPasses: eff.Profile,
-				}, eff, rungs[level].execs)
+				}, eff)
 			},
 		}, nil
 	})
 }
 
 // optimize is the optimize body: the verified pipeline under cfg, then
-// — when the rung affords executions — the checked before/after
-// measurement and the pass deltas (balance.MeasurePair). A
-// structural-only run skipped measurement, and with it the check that
-// the optimized program prints what the original did, so it is
-// incomplete for any address and not cacheable. An empty cfg.Pipeline
-// runs no pass (cfg sets no Options).
-func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spec machine.Spec, cfg transform.Config, eff features, measured bool) (response, bool, error) {
+// the checked before/after measurement and the pass deltas
+// (balance.MeasurePair), on every rung. An empty cfg.Pipeline runs no
+// pass (cfg sets no Options).
+func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spec machine.Spec, cfg transform.Config, eff features) (response, error) {
 	obegin := time.Now()
 	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, cfg)
 	s.stageSeconds.With("optimize").Observe(time.Since(obegin).Seconds())
 	s.recordOutcome(outcome)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 
 	resp := &OptimizeResponse{
@@ -802,9 +790,6 @@ func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spe
 	for _, a := range outcome.Actions {
 		resp.Actions = append(resp.Actions, a.String())
 	}
-	if !measured {
-		return resp, false, nil
-	}
 
 	// Both programs run once, plus one profiled run per intermediate
 	// snapshot. A divergence fails the request (422), so it is never
@@ -823,7 +808,7 @@ func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spe
 	pair, err := balance.MeasurePair(ctx, p, q, outcome.Snapshots, []machine.Spec{spec}, eff.Options, tol)
 	s.stageSeconds.With("measure").Observe(time.Since(begin).Seconds())
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	before, after := pair.Before[0], pair.After[0]
 	resp.Before = summarize(before)
@@ -841,7 +826,7 @@ func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spe
 		resp.MRCAfter = after.MRC
 		s.observeMRC(kernel, resp.MRCAfter)
 	}
-	return resp, true, nil
+	return resp, nil
 }
 
 func (s *Server) handleKernels(w http.ResponseWriter, _ *http.Request) {

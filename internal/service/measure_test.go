@@ -45,7 +45,7 @@ func TestMeasureOneRunMatchesSeparateRuns(t *testing.T) {
 				return reps[0]
 			}
 			all, err := balance.Measure(ctx, p, specs, balance.Options{
-				Bounds: balance.BoundsFull, Profile: true, MRC: true, Belady: true})
+				Bounds: true, Profile: true, MRC: true, Belady: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/balance"
+	"repro/internal/exec"
 	"repro/internal/faults"
+	"repro/internal/machine"
+	"repro/internal/transform"
+	"repro/internal/verify"
 )
 
 // postJSONHeaders is postJSON with extra request headers (X-Chaos).
@@ -162,7 +168,8 @@ func testShedding(t *testing.T, path string) {
 
 // TestDegradationLadder primes the pipeline-cost estimate with one
 // slow run, then sends a request whose deadline cannot afford full
-// service and expects a degraded 200.
+// service and expects a degraded 200 that still carries the checked
+// before/after measurement and is cached under its effective key.
 func TestDegradationLadder(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1,
@@ -217,12 +224,26 @@ func TestDegradationLadder(t *testing.T) {
 	if got := s.degraded.With(or.Degraded.Mode).Value(); got != 1 {
 		t.Fatalf("bwserved_degraded_total{%s} = %v, want 1", or.Degraded.Mode, got)
 	}
-	// Structural-only responses must omit measurement, others keep it.
-	if or.Degraded.Level >= 2 && or.Before != nil {
-		t.Fatal("structural-only response still carries measurement")
+	// Every rung below cache-only keeps the checked measurement.
+	if or.Before == nil || or.After == nil {
+		t.Fatalf("rung-%d response lost its measurement", or.Degraded.Level)
 	}
-	if or.Degraded.Level == 1 && (or.Before == nil || or.After == nil) {
-		t.Fatal("no-differential response lost its measurement")
+
+	// The degraded answer is cached under its effective key: the same
+	// request again, at the same rung, is served from there.
+	resp, body = postJSON(t, ts.URL+"/v1/optimize", map[string]any{
+		"kernel": "dmxpy", "n": 96, "verify": "differential", "timeout_ms": 250,
+	})
+	var repeat OptimizeResponse
+	if err := json.Unmarshal(body, &repeat); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat degraded run: status %d: %s", resp.StatusCode, body)
+	}
+	if !repeat.Cached || repeat.Degraded == nil || repeat.Degraded.Level != or.Degraded.Level {
+		t.Fatalf("repeat degraded run not served from its effective key: cached %v, degraded %+v",
+			repeat.Cached, repeat.Degraded)
+	}
+	if repeat.Before == nil || repeat.After == nil {
+		t.Fatal("cached degraded answer lost its measurement")
 	}
 
 	// Cache-poisoning check: a later full-deadline differential request
@@ -502,5 +523,70 @@ func TestLevelFor(t *testing.T) {
 	}
 	if got := levelFor(time.Millisecond, 0); got != degradeNone {
 		t.Errorf("no estimate must mean full service, got %v", got)
+	}
+}
+
+// TestDegradeApply walks every rung over every requested feature mask.
+// A rung affords no more than was asked and no more than the rung above
+// it, and the full request lands on the rung table exactly. Optimize's
+// checked before/after measurement is not a feature a rung can shed:
+// its body measures at every rung below cache-only.
+func TestDegradeApply(t *testing.T) {
+	within := func(a, b features) bool {
+		return a.Limits == b.Limits && a.Verify <= b.Verify && (!a.Bounds || b.Bounds) &&
+			(!a.Profile || b.Profile) && (!a.MRC || b.MRC) && (!a.Belady || b.Belady)
+	}
+	lim := exec.Limits{MaxSteps: 1 << 20}
+	for mask := 0; mask < 1<<4; mask++ {
+		for _, mode := range []verify.Mode{verify.ModeOff, verify.ModeStructural, verify.ModeDifferential} {
+			req := features{Options: balance.Options{Limits: lim, Bounds: mask&1 != 0, Profile: mask&2 != 0,
+				MRC: mask&4 != 0, Belady: mask&8 != 0}, Verify: mode}
+			above := req
+			for l := degradeNone; l <= degradeCacheOnly; l++ {
+				eff := l.apply(req)
+				if !within(eff, above) {
+					t.Errorf("%v affords %+v for %+v, more than %+v above it", l, eff, req, above)
+				}
+				above = eff
+			}
+		}
+	}
+
+	all := features{Options: balance.Options{Limits: lim, Bounds: true, Profile: true, MRC: true, Belady: true},
+		Verify: verify.ModeDifferential}
+	want := [...]features{
+		degradeNone:       all,
+		degradeNoDiff:     {Options: balance.Options{Limits: lim, Bounds: true}, Verify: verify.ModeStructural},
+		degradeStructural: {Options: balance.Options{Limits: lim}, Verify: verify.ModeOff},
+		degradeCacheOnly:  {Options: balance.Options{Limits: lim}, Verify: verify.ModeOff},
+	}
+	s, _ := newTestServer(t, Config{Workers: 1})
+	p, _, err := buildKernel("dmxpy", 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, w := range want {
+		l := degradeLevel(l)
+		eff := l.apply(all)
+		if eff != w {
+			t.Errorf("%v: apply(all) = %+v, want %+v", l, eff, w)
+		}
+		if l == degradeCacheOnly {
+			continue
+		}
+		resp, err := s.optimize(context.Background(), "dmxpy", p, machine.Origin2000(), transform.Config{
+			Pipeline: transform.DefaultPipelineSpec, Verify: eff.Verify, Tol: verify.DefaultTol,
+			ExecLimits: lim, SnapshotPasses: eff.Profile,
+		}, eff)
+		if err != nil {
+			t.Fatalf("%v: optimize: %v", l, err)
+		}
+		or := resp.(*OptimizeResponse)
+		if or.Before == nil || or.After == nil || or.Speedup <= 0 {
+			t.Errorf("%v: optimize answer without its checked measurement: before %v after %v", l, or.Before, or.After)
+		}
+		if (or.Bounds != nil) != eff.Bounds {
+			t.Errorf("%v: bounds block %v with Bounds %v", l, or.Bounds, eff.Bounds)
+		}
 	}
 }

@@ -59,12 +59,6 @@ func NewRecorder(cfg CacheConfig) (*Recorder, error) {
 	return &Recorder{trace: Trace{cfg: cfg}}, nil
 }
 
-// Load records a read access.
-func (r *Recorder) Load(addr int64, size int) { r.record(addr, size, false, 0) }
-
-// Store records a write access.
-func (r *Recorder) Store(addr int64, size int) { r.record(addr, size, true, 0) }
-
 // LoadSite records a read access tagged with its attribution site.
 func (r *Recorder) LoadSite(addr int64, size int, site uint32) { r.record(addr, size, false, site) }
 

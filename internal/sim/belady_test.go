@@ -16,9 +16,9 @@ func recordSeq(t *testing.T, cfg CacheConfig, addrs []int64, writes []bool) *Tra
 	}
 	for i, a := range addrs {
 		if writes != nil && writes[i] {
-			r.Store(a, 8)
+			r.StoreSite(a, 8, 0)
 		} else {
-			r.Load(a, 8)
+			r.LoadSite(a, 8, 0)
 		}
 	}
 	return r.Trace()
@@ -74,7 +74,7 @@ func TestRecorderSplitsLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Load(30, 8) // spans lines 0 and 32
+	r.LoadSite(30, 8, 0) // spans lines 0 and 32
 	if r.Trace().Len() != 2 {
 		t.Fatalf("trace len = %d, want 2", r.Trace().Len())
 	}
@@ -122,10 +122,10 @@ func TestBeladyOptimalityProperty(t *testing.T) {
 			addr := int64(rng.Intn(64)) * 32
 			write := rng.Intn(3) == 0
 			if write {
-				rec.Store(addr, 8)
+				rec.StoreSite(addr, 8, 0)
 				online.Store(addr, 8)
 			} else {
-				rec.Load(addr, 8)
+				rec.LoadSite(addr, 8, 0)
 				online.Load(addr, 8)
 			}
 		}
@@ -163,7 +163,7 @@ func TestBeladyMonotoneInWaysProperty(t *testing.T) {
 			cfg := CacheConfig{Name: "C", Size: 32 * 4 * ways, LineSize: 32, Assoc: ways}
 			rec, _ := NewRecorder(cfg)
 			for _, a := range addrs {
-				rec.Load(a, 8)
+				rec.LoadSite(a, 8, 0)
 			}
 			st, err := ReplayBelady(rec.Trace())
 			if err != nil {
@@ -186,7 +186,7 @@ func TestReplayCtxCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200_000; i++ {
-		r.Load(int64(i)*32, 8)
+		r.LoadSite(int64(i)*32, 8, 0)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -16,7 +16,7 @@ import (
 // simulator is what the parity checks read from the fast Hierarchy and
 // from the reference Oracle alike.
 type simulator interface {
-	exec.SiteMachine
+	exec.Machine
 	Levels() int
 	LevelStats(i int) sim.Stats
 	ChannelBytes() []int64

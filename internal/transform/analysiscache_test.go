@@ -308,16 +308,23 @@ loop R {
 	}
 }
 
-// TestOptimizeUncachedIdentical checks the NoAnalysisCache escape
-// hatch: disabling memoization must not change the optimizer's output
-// or action log on the paper kernels.
+// optimizeUncached is OptimizeVerified with the analysis cache off.
+func optimizeUncached(p *ir.Program, cfg Config) (*ir.Program, *Outcome, error) {
+	defer func() { uncachedAnalyses = false }()
+	uncachedAnalyses = true
+	return OptimizeVerified(p, cfg)
+}
+
+// TestOptimizeUncachedIdentical checks the analysis cache against its
+// uncached baseline: disabling memoization must not change the
+// optimizer's output or action log on the paper kernels.
 func TestOptimizeUncachedIdentical(t *testing.T) {
 	for name, p := range paperKernels(t) {
 		q1, out1, err := OptimizeVerified(p, Config{Options: All()})
 		if err != nil {
 			t.Fatalf("%s cached: %v", name, err)
 		}
-		q2, out2, err := OptimizeVerified(p, Config{Options: All(), NoAnalysisCache: true})
+		q2, out2, err := optimizeUncached(p, Config{Options: All()})
 		if err != nil {
 			t.Fatalf("%s uncached: %v", name, err)
 		}

@@ -245,9 +245,7 @@ func FuzzOptimize(f *testing.F) {
 		// memoization disabled has to produce the same program and the
 		// same action log. A divergence means a pass over-declared its
 		// preserved analyses and consumed a stale result.
-		q2, out2, err := OptimizeVerified(p, Config{
-			Options: All(), Verify: verify.ModeDifferential, NoAnalysisCache: true,
-		})
+		q2, out2, err := optimizeUncached(p, Config{Options: All(), Verify: verify.ModeDifferential})
 		if err != nil {
 			t.Fatalf("uncached pipeline failed: %v\n%s", err, p)
 		}

@@ -57,12 +57,6 @@ type Config struct {
 	// once per input vector, each run under its own budget. The zero
 	// value imposes no limit.
 	ExecLimits exec.Limits
-	// NoAnalysisCache makes the analysis manager recompute every
-	// analysis on every request instead of memoizing per program
-	// version. It exists as the differential baseline for the
-	// cache-correctness tests and as a debugging escape hatch; the
-	// optimizer's results must be identical either way.
-	NoAnalysisCache bool
 	// SnapshotPasses records a clone of the program after every pass
 	// that committed at least one checkpoint (Outcome.Snapshots). The
 	// attribution profiler replays the snapshots to say what each pass
@@ -214,6 +208,12 @@ type manager struct {
 // DefaultMaxFixpointIters; tests shrink it to exercise exhaustion.
 var fixpointScans = DefaultMaxFixpointIters
 
+// uncachedAnalyses makes the analysis manager recompute every analysis
+// on every request instead of memoizing per program version. Tests set
+// it for the differential baseline of the cache-correctness checks: the
+// optimizer's results must be identical either way.
+var uncachedAnalyses = false
+
 // testPostCommit, when non-nil, runs after every committed checkpoint
 // with the manager in its post-commit state. The cache-correctness
 // property test hooks it to compare cached analyses against fresh
@@ -231,7 +231,7 @@ func newManager(ctx context.Context, p *ir.Program, cfg Config) *manager {
 		out:     &Outcome{Mode: cfg.Verify},
 		blocked: map[string]bool{},
 	}
-	if cfg.NoAnalysisCache {
+	if uncachedAnalyses {
 		m.am = analysis.NewUncached(m.cur)
 	} else {
 		m.am = analysis.NewManager(m.cur)
