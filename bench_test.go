@@ -166,7 +166,7 @@ func BenchmarkFig7StoreElimination(b *testing.B) {
 	p := kernels.Fig8Workload(core.Quick().Fig8N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := transform.Optimize(p, transform.All()); err != nil {
+		if _, _, err := transform.OptimizeVerified(p, transform.Config{Pipeline: transform.DefaultPipelineSpec}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -419,7 +419,7 @@ func BenchmarkFusionPipeline(b *testing.B) {
 	p := kernels.Fig7Original(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := transform.Optimize(p, transform.All()); err != nil {
+		if _, _, err := transform.OptimizeVerified(p, transform.Config{Pipeline: transform.DefaultPipelineSpec}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,7 +27,7 @@
 // array.
 //
 // With -trace, the whole run is traced — one span per pass attempt,
-// per analysis-cache request, per verification phase and per simulated
+// per analysis compute, per verification phase and per simulated
 // execution — and written as Chrome trace-event JSON loadable in
 // chrome://tracing or https://ui.perfetto.dev.
 //

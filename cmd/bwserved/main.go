@@ -18,12 +18,13 @@
 //	                   (accepts "pipeline": an explicit pass string and
 //	                   "trace": true for the inline span tree)
 //	GET  /v1/kernels   built-in kernel registry
-//	GET  /v1/passes    pass registry + cumulative pass/analysis stats
+//	GET  /v1/passes    pass registry + cumulative pass stats and
+//	                   analysis compute counts
 //	GET  /healthz      liveness, build info (Go version, start time,
 //	                   kernel/pass counts) + cache stats
 //	GET  /metrics      Prometheus text-format metrics (request and
-//	                   per-pass latency histograms, analysis cache
-//	                   hit/miss/invalidation counters, result-cache
+//	                   per-pass latency histograms, analysis compute
+//	                   counts and seconds, result-cache
 //	                   entry/eviction gauges)
 //	GET  /v1/history   ring-buffered time series of the live metrics
 //	                   (request rate/latency, cache hit rate, pass

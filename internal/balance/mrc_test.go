@@ -43,7 +43,7 @@ func TestMRCOracle(t *testing.T) {
 			name string
 			p    *ir.Program
 		}{{"original", k.p}}
-		opt, _, err := transform.Optimize(k.p, transform.All())
+		opt, _, err := transform.OptimizeVerified(k.p, transform.Config{Pipeline: transform.DefaultPipelineSpec})
 		if err != nil {
 			t.Fatalf("optimize %s: %v", k.name, err)
 		}

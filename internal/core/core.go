@@ -49,5 +49,9 @@ func measurePair(orig, opt *ir.Program, specs []machine.Spec, opts balance.Optio
 // shrinking), store elimination — returning the optimized program and
 // the actions taken.
 func Optimize(p *ir.Program) (*ir.Program, []transform.Action, error) {
-	return transform.Optimize(p, transform.All())
+	q, out, err := transform.OptimizeVerified(p, transform.Config{Pipeline: transform.DefaultPipelineSpec})
+	if err != nil {
+		return nil, nil, err
+	}
+	return q, out.Actions, nil
 }

@@ -52,8 +52,8 @@ const (
 	// PassPanic makes the next optimizer pass step panic inside the
 	// pipeline's panic containment (internal/transform).
 	PassPanic = "pass.panic"
-	// AnalysisSlow delays an analysis-manager compute by the rule's
-	// delay (internal/analysis).
+	// AnalysisSlow delays a whole-program analysis compute (dependences,
+	// fusion graph, liveness) by the rule's delay (internal/transform).
 	AnalysisSlow = "analysis.slow"
 	// ExecCancel aborts a program execution with exec.ErrCanceled at
 	// run start (internal/exec).

@@ -265,7 +265,7 @@ func FuseGreedily(p *ir.Program) (*ir.Program, Partition, error) {
 }
 
 // ApplyCtx is Apply starting from an already-built fusion graph of the
-// same program (for callers holding the graph in an analysis cache),
+// same program (for callers that built it to choose the partition),
 // under a fusion.apply trace span parented at ctx.
 func ApplyCtx(ctx context.Context, p *ir.Program, g *Graph, parts Partition) (*ir.Program, error) {
 	_, span := trace.StartSpan(ctx, "fusion.apply", trace.Int("partitions", int64(len(parts))))

@@ -198,8 +198,8 @@ func BuildWithCtx(ctx context.Context, p *ir.Program, inf *deps.Info) (*Graph, e
 
 // BuildWith constructs the fusion graph from a precomputed dependence
 // summary of the same program — the entry point for callers (like the
-// analysis manager) that already hold cached dependence info and must
-// not pay for a second analysis.
+// pass manager's fusion step) that already computed the dependence
+// info and must not pay for a second analysis.
 func BuildWith(p *ir.Program, inf *deps.Info) (*Graph, error) {
 	labels := make([]string, len(p.Nests))
 	for i, n := range p.Nests {

@@ -321,3 +321,83 @@ func TestDegradedCachedVariantProbe(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheOnlyServesStructuralAnswer pins the cache-only rung's probe
+// on both endpoints. A structural-only run caches its answer at its
+// effective address, which is exactly what cache-only affords, so a
+// later cache-only request for the same program is served from there
+// without a program run instead of being shed.
+func TestCacheOnlyServesStructuralAnswer(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		req  map[string]any
+	}{
+		{"/v1/analyze", map[string]any{"kernel": "dmxpy", "n": 80}},
+		{"/v1/optimize", map[string]any{"kernel": "dmxpy", "n": 80, "verify": "differential"}},
+	} {
+		t.Run(strings.TrimPrefix(c.path, "/v1/"), func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1})
+			post := func(timeoutMS int) (*http.Response, boundsResponse) {
+				t.Helper()
+				body := map[string]any{"timeout_ms": timeoutMS}
+				for k, v := range c.req {
+					body[k] = v
+				}
+				resp, b := postJSON(t, ts.URL+c.path, body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("timeout %dms: status %d: %s", timeoutMS, resp.StatusCode, b)
+				}
+				var m boundsResponse
+				if err := json.Unmarshal(b, &m); err != nil {
+					t.Fatal(err)
+				}
+				return resp, m
+			}
+
+			// 400ms against a 1s estimate: rung 2, structural-only.
+			s.pipeEWMABits.Store(math.Float64bits(1.0))
+			if _, m := post(400); m.Degraded == nil || m.Degraded.Level != 2 || m.Cached {
+				t.Fatalf("priming request: cached %v, degraded %+v; want a rung-2 run", m.Cached, m.Degraded)
+			}
+
+			// 100ms: under a quarter of the estimate, rung 3, cache-only.
+			runs := s.programRuns.Value()
+			resp, m := post(100)
+			if m.Degraded == nil || m.Degraded.Level != 3 || !m.Cached {
+				t.Fatalf("cache-only request: cached %v, degraded %+v; want the structural-only answer from the cache",
+					m.Cached, m.Degraded)
+			}
+			if resp.Header.Get("X-Degraded") != "cache-only" {
+				t.Fatalf("X-Degraded = %q, want cache-only", resp.Header.Get("X-Degraded"))
+			}
+			if got := s.programRuns.Value(); got != runs {
+				t.Fatalf("cache-only answer ran the program %v times", got-runs)
+			}
+		})
+	}
+}
+
+// TestDegradedProbesEachAddressOnce: at rung 1 a request that keeps
+// its lower bound has a bounded effective address, so the bounded
+// probe and the effective probe are one address, looked up once.
+func TestDegradedProbesEachAddressOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.pipeEWMABits.Store(math.Float64bits(1.0))
+	before := s.cache.Stats().Misses
+	resp, b := postJSON(t, ts.URL+"/v1/optimize", map[string]any{
+		"kernel": "dmxpy", "n": 96, "verify": "differential", "timeout_ms": 700})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
+	var m boundsResponse
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Degraded == nil || m.Degraded.Level != 1 || m.Cached {
+		t.Fatalf("want a rung-1 run, got cached %v, degraded %+v", m.Cached, m.Degraded)
+	}
+	// One miss at the requested address, one at the effective one.
+	if got := s.cache.Stats().Misses - before; got != 2 {
+		t.Fatalf("request made %d cache misses, want 2", got)
+	}
+}

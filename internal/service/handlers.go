@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/balance"
 	"repro/internal/cache"
 	"repro/internal/exec"
@@ -253,11 +252,11 @@ type OptimizeResponse struct {
 	// "mrc": true requests at full service.
 	MRCBefore *balance.MRCResult `json:"mrc_before,omitempty"`
 	MRCAfter  *balance.MRCResult `json:"mrc_after,omitempty"`
-	// Passes and Analysis report the run's per-pass wall time and the
-	// analysis manager's cache counters (cached responses keep the
+	// Passes and Analysis report the run's per-pass wall time and its
+	// analysis compute counts and seconds (cached responses keep the
 	// stats of the run that produced them).
-	Passes   []transform.PassStat `json:"pass_stats,omitempty"`
-	Analysis analysis.Stats       `json:"analysis,omitempty"`
+	Passes   []transform.PassStat    `json:"pass_stats,omitempty"`
+	Analysis transform.AnalysisStats `json:"analysis,omitempty"`
 }
 
 // ErrorResponse is the JSON error envelope for all non-2xx statuses.

@@ -111,11 +111,12 @@ func (l degradeLevel) info(reason string) *DegradeInfo {
 // degrade applies the admitted rung to a request's features. On a
 // degraded rung an acceptable answer may already be cached: the
 // bounded variant of the effective features (strictly better than the
-// rung affords), or — below cache-only — the exact degraded
-// variant under its own address. The requested address itself already
-// missed, so it is not probed again. degrade returns the effective
-// features, the response marker, and the cached answer when one was
-// found; a cache-only rung with nothing cached is shed.
+// rung affords), or the exact degraded variant under its own address,
+// where a structural-only run stored it — the answer cache-only
+// affords too. Each address is probed once, and the requested address
+// itself already missed, so it is not probed again. degrade returns the effective features, the
+// response marker, and the cached answer when one was found; a
+// cache-only rung with nothing cached is shed.
 func (s *Server) degrade(ctx context.Context, level degradeLevel, reason string, req features, key func(features) (string, error)) (features, *DegradeInfo, any, error) {
 	eff := level.apply(req)
 	info := level.info(reason)
@@ -123,9 +124,10 @@ func (s *Server) degrade(ctx context.Context, level degradeLevel, reason string,
 		return eff, nil, nil, nil
 	}
 	probes := []features{eff}
-	probes[0].Bounds = true
-	if level < degradeCacheOnly {
-		probes = append(probes, eff)
+	if !eff.Bounds {
+		bounded := eff
+		bounded.Bounds = true
+		probes = []features{bounded, eff}
 	}
 	reqKey, _ := key(req) // the handler already built this key without error
 	for _, f := range probes {

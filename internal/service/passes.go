@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"sync"
 
-	"repro/internal/analysis"
 	"repro/internal/transform"
 )
 
@@ -15,21 +14,20 @@ import (
 type passTotals struct {
 	mu       sync.Mutex
 	passes   map[string]*PassSummary
-	analyses map[string]analysis.AnalysisStats
+	analyses transform.AnalysisStats
 }
 
 func (t *passTotals) init() {
 	t.passes = map[string]*PassSummary{}
-	t.analyses = map[string]analysis.AnalysisStats{}
+	t.analyses = transform.AnalysisStats{}
 }
 
 // PassSummary is one registered pass in a GET /v1/passes response:
 // its registry metadata plus cumulative execution totals.
 type PassSummary struct {
-	Name      string   `json:"name"`
-	Usage     string   `json:"usage"`
-	Help      string   `json:"help"`
-	Preserves []string `json:"preserves,omitempty"`
+	Name  string `json:"name"`
+	Usage string `json:"usage"`
+	Help  string `json:"help"`
 	// Cumulative totals since process start, across all optimize runs.
 	Runs        uint64  `json:"runs"`
 	Seconds     float64 `json:"seconds"`
@@ -37,15 +35,11 @@ type PassSummary struct {
 	Skipped     uint64  `json:"skipped"`
 }
 
-// AnalysisSummary is one analysis's cumulative cache counters in a
-// GET /v1/passes response.
+// AnalysisSummary is one analysis's cumulative compute count and
+// seconds in a GET /v1/passes response.
 type AnalysisSummary struct {
-	Name          string  `json:"name"`
-	Requests      uint64  `json:"requests"`
-	Hits          uint64  `json:"hits"`
-	Misses        uint64  `json:"misses"`
-	Invalidations uint64  `json:"invalidations"`
-	Seconds       float64 `json:"seconds"`
+	Name string `json:"name"`
+	transform.AnalysisStat
 }
 
 // PassesResponse is the body of GET /v1/passes.
@@ -72,9 +66,7 @@ func (s *Server) recordOutcome(out *transform.Outcome) {
 		s.passRunsSum.Inc()
 	}
 	for name, st := range out.Analysis {
-		s.analysisHits.With(name).Add(float64(st.Hits))
-		s.analysisMisses.With(name).Add(float64(st.Misses))
-		s.analysisInvalidations.With(name).Add(float64(st.Invalidations))
+		s.analysisComputes.With(name).Add(float64(st.Computes))
 		s.analysisSeconds.With(name).Add(st.Seconds)
 	}
 
@@ -94,36 +86,29 @@ func (s *Server) recordOutcome(out *transform.Outcome) {
 	}
 	for name, st := range out.Analysis {
 		acc := t.analyses[name]
-		acc.Requests += st.Requests
-		acc.Hits += st.Hits
-		acc.Misses += st.Misses
-		acc.Invalidations += st.Invalidations
+		acc.Computes += st.Computes
 		acc.Seconds += st.Seconds
 		t.analyses[name] = acc
 	}
 }
 
 // handlePasses serves GET /v1/passes: the pass registry (name, spec
-// syntax, preserved analyses) joined with cumulative execution totals,
-// and the analysis registry with cumulative cache counters.
+// syntax, help) joined with cumulative execution totals, and every
+// analysis with its cumulative compute count and seconds.
 func (s *Server) handlePasses(w http.ResponseWriter, _ *http.Request) {
 	t := &s.passTotals
 	t.mu.Lock()
 	resp := &PassesResponse{DefaultPipeline: transform.DefaultPipelineSpec}
 	for _, pi := range transform.Passes() {
-		sum := PassSummary{Name: pi.Name, Usage: pi.Usage, Help: pi.Help, Preserves: pi.Preserves}
+		sum := PassSummary{Name: pi.Name, Usage: pi.Usage, Help: pi.Help}
 		if acc, ok := t.passes[pi.Name]; ok {
 			sum.Runs, sum.Seconds = acc.Runs, acc.Seconds
 			sum.Checkpoints, sum.Skipped = acc.Checkpoints, acc.Skipped
 		}
 		resp.Passes = append(resp.Passes, sum)
 	}
-	for _, name := range analysis.Names() {
-		st := t.analyses[name]
-		resp.Analyses = append(resp.Analyses, AnalysisSummary{
-			Name: name, Requests: st.Requests, Hits: st.Hits, Misses: st.Misses,
-			Invalidations: st.Invalidations, Seconds: st.Seconds,
-		})
+	for _, name := range transform.AnalysisNames() {
+		resp.Analyses = append(resp.Analyses, AnalysisSummary{Name: name, AnalysisStat: t.analyses[name]})
 	}
 	t.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)

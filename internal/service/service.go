@@ -155,14 +155,12 @@ type Server struct {
 	workersBusy    *telemetry.Gauge
 	queueDepth     *telemetry.Gauge
 
-	// Analysis-cache and per-pass counters, accumulated from each
-	// optimize run's transform.Outcome (see recordOutcome).
-	analysisHits          *telemetry.CounterVec // {analysis}
-	analysisMisses        *telemetry.CounterVec // {analysis}
-	analysisInvalidations *telemetry.CounterVec // {analysis}
-	analysisSeconds       *telemetry.CounterVec // {analysis}
-	passSeconds           *telemetry.CounterVec // {pass}
-	passCheckpoints       *telemetry.CounterVec // {pass}
+	// Analysis and per-pass counters, accumulated from each optimize
+	// run's transform.Outcome (see recordOutcome).
+	analysisComputes *telemetry.CounterVec // {analysis}
+	analysisSeconds  *telemetry.CounterVec // {analysis}
+	passSeconds      *telemetry.CounterVec // {pass}
+	passCheckpoints  *telemetry.CounterVec // {pass}
 
 	// passTotals backs GET /v1/passes with cumulative per-pass and
 	// per-analysis aggregates since process start.
@@ -266,12 +264,8 @@ func New(cfg Config) *Server {
 		queueDepth: reg.NewGauge("bwserved_queue_depth",
 			"Requests waiting for a worker-pool slot."),
 
-		analysisHits: reg.NewCounterVec("bwserved_analysis_cache_hits_total",
-			"Analysis-manager cache hits by analysis name.", "analysis"),
-		analysisMisses: reg.NewCounterVec("bwserved_analysis_cache_misses_total",
-			"Analysis-manager cache misses (computes) by analysis name.", "analysis"),
-		analysisInvalidations: reg.NewCounterVec("bwserved_analysis_invalidations_total",
-			"Cached analyses invalidated by committed transformations, by analysis name.", "analysis"),
+		analysisComputes: reg.NewCounterVec("bwserved_analysis_computes_total",
+			"Analysis computes by optimize runs, by analysis name.", "analysis"),
 		analysisSeconds: reg.NewCounterVec("bwserved_analysis_compute_seconds_total",
 			"Wall time spent computing analyses, by analysis name.", "analysis"),
 		passSeconds: reg.NewCounterVec("bwserved_pass_seconds_total",

@@ -1,7 +1,7 @@
 // Package trace is the pipeline's span tracer: lightweight start/end
 // spans with parent links, monotonic timestamps and typed attributes,
-// threaded through the optimizer (transform), the analysis cache
-// (analysis.Manager), fusion, verification and execution. It exists so
+// threaded through the optimizer (transform) and its analyses, fusion,
+// verification and execution. It exists so
 // the toolchain can attribute its own cost the way the balance model
 // attributes a program's — "where inside this optimize run did the
 // time go?" — without a debugger.
@@ -18,9 +18,7 @@
 //     enough to emit directly.
 //
 // A Tracer is propagated through context.Context, matching how
-// cancellation already flows through the pipeline. Code that holds no
-// context (the analysis manager's compute hooks) parents spans through
-// an explicitly installed context instead.
+// cancellation already flows through the pipeline.
 package trace
 
 import (
@@ -136,13 +134,6 @@ func (t *Tracer) Start(parent *Span, name string, attrs ...Attr) *Span {
 	return s
 }
 
-// Instant records a zero-duration marker span (cache invalidations,
-// verdict points).
-func (t *Tracer) Instant(parent *Span, name string, attrs ...Attr) {
-	s := t.Start(parent, name, attrs...)
-	s.End()
-}
-
 // End closes the span, appending any final attributes. Ending a span
 // twice keeps the first end time (later attrs still append). Nil-safe.
 func (s *Span) End(attrs ...Attr) {
@@ -244,14 +235,4 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 	}
 	s := parent.tracer.Start(parent, name, attrs...)
 	return context.WithValue(ctx, ctxKey{}, s), s
-}
-
-// InstantCtx records a zero-duration marker under ctx's current span
-// (cache hits, invalidations). A no-op on an untraced context.
-func InstantCtx(ctx context.Context, name string, attrs ...Attr) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return
-	}
-	parent.tracer.Instant(parent, name, attrs...)
 }

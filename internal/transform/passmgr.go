@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/analysis"
+	"repro/internal/deps"
 	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/fusion"
@@ -140,15 +140,58 @@ type Outcome struct {
 	// Passes records per-pass wall time and checkpoint counts, in
 	// pipeline order.
 	Passes []PassStat
-	// Analysis snapshots the analysis manager's cache counters
-	// (requests, hits, misses, invalidations, compute seconds per
-	// analysis) for the run.
-	Analysis analysis.Stats
+	// Analysis counts each analysis's computes and their wall time
+	// for the run.
+	Analysis AnalysisStats
 	// Snapshots holds the program after every pass that committed a
 	// checkpoint, in pipeline order. Populated only when
 	// Config.SnapshotPasses is set; balance.MeasurePair consumes it for
 	// per-pass traffic attribution.
 	Snapshots []PassSnapshot
+}
+
+// The analyses the pass manager computes, named as in Outcome.Analysis
+// and in their analysis.<name> trace spans.
+const (
+	depsAnalysis        = "deps"          // cross-nest dependence summary
+	fusionGraphAnalysis = "fusion-graph"  // fusion hyper-graph over the nests
+	livenessAnalysis    = "liveness"      // nest-level array liveness
+	reuseClassAnalysis  = "reuse-classes" // one (nest, array) element live-range class
+)
+
+// AnalysisNames lists the analyses Outcome.Analysis can report, sorted.
+func AnalysisNames() []string {
+	return []string{depsAnalysis, fusionGraphAnalysis, livenessAnalysis, reuseClassAnalysis}
+}
+
+// AnalysisStat counts one analysis's computes in a run and their wall
+// time.
+type AnalysisStat struct {
+	Computes uint64  `json:"computes"`
+	Seconds  float64 `json:"seconds"`
+}
+
+// AnalysisStats holds one AnalysisStat per analysis that ran, by name.
+type AnalysisStats map[string]AnalysisStat
+
+// AnalysisTotal sums AnalysisStats over the analyses. Nothing is
+// memoized, so every request is a compute: Requests counts the
+// computes and Hits is always 0. Both stay for readers that report a
+// hit fraction (perfbench's analysis.hit_frac).
+type AnalysisTotal struct {
+	Requests uint64
+	Hits     uint64
+	Seconds  float64
+}
+
+// Total sums the per-analysis counters.
+func (s AnalysisStats) Total() AnalysisTotal {
+	var t AnalysisTotal
+	for _, st := range s {
+		t.Requests += st.Computes
+		t.Seconds += st.Seconds
+	}
+	return t
 }
 
 // PassSnapshot is the program as it stood after one committed pass.
@@ -185,39 +228,31 @@ type panicCause struct{ val any }
 func (p *panicCause) Error() string { return fmt.Sprintf("panic: %v", p.val) }
 
 // manager runs passes against a last-known-good program, verifying and
-// committing one checkpoint at a time. Analyses are requested through
-// am, which memoizes them per program version; every committed
-// checkpoint advances the version and invalidates whatever the
-// committing pass did not declare preserved.
+// committing one checkpoint at a time. Each pass computes the analyses
+// it uses where it uses them; the one result kept across commits is the
+// liveness summary, which the storage passes' fixpoint scans share.
 type manager struct {
-	cfg          Config
-	ctx          context.Context
-	passCtx      context.Context    // ctx positioned at the running pass's span
-	stepCtx      context.Context    // ctx positioned at the running step's span
-	cur          *ir.Program        // last known-good program
-	am           *analysis.Manager  // analysis cache over cur
-	curPreserved analysis.Preserved // preserved set of the running pass
-	baseline     []*exec.Result     // reference results of the input, one per input vector, for differential mode
-	out          *Outcome
-	steps        int             // checkpoints committed by the current pass
-	blocked      map[string]bool // (pass,nest,array) steps that already failed once
-	stop         bool            // the run was canceled; abandon remaining work
+	cfg      Config
+	ctx      context.Context
+	passCtx  context.Context // ctx positioned at the running pass's span
+	stepCtx  context.Context // ctx positioned at the running step's span
+	cur      *ir.Program     // last known-good program
+	live     *liveness.Info  // liveness of cur; nil after a commit that may have changed it
+	baseline []*exec.Result  // reference results of the input, one per input vector, for differential mode
+	out      *Outcome
+	steps    int             // checkpoints committed by the current pass
+	blocked  map[string]bool // (pass,nest,array) steps that already failed once
+	stop     bool            // the run was canceled; abandon remaining work
 }
 
 // fixpointScans is the scan budget of every fixpoint loop,
 // DefaultMaxFixpointIters; tests shrink it to exercise exhaustion.
 var fixpointScans = DefaultMaxFixpointIters
 
-// uncachedAnalyses makes the analysis manager recompute every analysis
-// on every request instead of memoizing per program version. Tests set
-// it for the differential baseline of the cache-correctness checks: the
-// optimizer's results must be identical either way.
-var uncachedAnalyses = false
-
 // testPostCommit, when non-nil, runs after every committed checkpoint
-// with the manager in its post-commit state. The cache-correctness
-// property test hooks it to compare cached analyses against fresh
-// recomputation at each program version.
+// that kept the liveness summary, with the manager in its post-commit
+// state. The property test hooks it to compare the kept summary against
+// a fresh analysis of the new program.
 var testPostCommit func(m *manager)
 
 func newManager(ctx context.Context, p *ir.Program, cfg Config) *manager {
@@ -228,15 +263,9 @@ func newManager(ctx context.Context, p *ir.Program, cfg Config) *manager {
 		passCtx: ctx,
 		stepCtx: ctx,
 		cur:     p.Clone(),
-		out:     &Outcome{Mode: cfg.Verify},
+		out:     &Outcome{Mode: cfg.Verify, Analysis: AnalysisStats{}},
 		blocked: map[string]bool{},
 	}
-	if uncachedAnalyses {
-		m.am = analysis.NewUncached(m.cur)
-	} else {
-		m.am = analysis.NewManager(m.cur)
-	}
-	m.am.SetTraceContext(ctx)
 	if cfg.Verify >= verify.ModeDifferential {
 		// The input's reference results, computed once per pipeline. A
 		// failure on input vector 0 downgrades the run to structural
@@ -324,7 +353,6 @@ func OptimizeVerifiedCtx(ctx context.Context, p *ir.Program, cfg Config) (*ir.Pr
 		}
 		m.runPass(st)
 	}
-	m.out.Analysis = m.am.Stats()
 	span.End(trace.Int("checkpoints", int64(m.out.Checkpoints)),
 		trace.Int("skipped", int64(len(m.out.Skipped))))
 	if m.canceled() {
@@ -338,11 +366,9 @@ func OptimizeVerifiedCtx(ctx context.Context, p *ir.Program, cfg Config) (*ir.Pr
 	return m.cur, m.out, nil
 }
 
-// runPass executes one instantiated pipeline pass, installing its
-// declared preserved-analysis set for the commits it makes and
-// recording its wall time and checkpoint counts.
+// runPass executes one instantiated pipeline pass, recording its wall
+// time and checkpoint counts.
 func (m *manager) runPass(st pipelineStep) {
-	m.curPreserved = analysis.Preserve(st.info.Preserves...)
 	m.steps = 0
 	cp0, sk0 := m.out.Checkpoints, len(m.out.Skipped)
 	pctx, span := trace.StartSpan(m.ctx, "pass."+st.info.Name)
@@ -350,7 +376,6 @@ func (m *manager) runPass(st pipelineStep) {
 		span.SetAttrs(trace.String("spec", st.spec))
 	}
 	m.passCtx = pctx
-	m.am.SetTraceContext(pctx)
 	begin := time.Now()
 	st.run(m)
 	ps := PassStat{
@@ -424,9 +449,8 @@ func (m *manager) check(ctx context.Context, next *ir.Program) error {
 
 // runStep executes one candidate transformation against the current
 // known-good program under panic containment, verifies the result, and
-// commits it as the new checkpoint — advancing the analysis manager's
-// program version with the running pass's preserved set. On failure
-// the known-good program is kept, the failure is recorded as a
+// commits it as the new checkpoint, dropping the liveness summary. On
+// failure the known-good program is kept, the failure is recorded as a
 // PassError, the step is blacklisted so fixpoint loops do not retry
 // it, and false is returned.
 func (m *manager) runStep(pass, nest, array string, fn stepFn) bool {
@@ -477,40 +501,84 @@ func (m *manager) runStep(pass, nest, array string, fn stepFn) bool {
 		return false
 	}
 	m.cur = next
-	m.am.SetProgram(next, m.curPreserved)
+	m.live = nil
 	m.out.Actions = append(m.out.Actions, acts...)
 	m.out.Checkpoints++
 	m.steps++
 	span.End(trace.String("verdict", "committed"))
-	if testPostCommit != nil {
-		testPostCommit(m)
-	}
 	return true
 }
 
-// stepPreserving runs one checkpointed step whose commit is known to
-// preserve a larger analysis set than the running pass's declaration.
-// The override applies only to this step; the pass-level set in the
-// registry stays the conservative floor for every other step.
-func (m *manager) stepPreserving(pres analysis.Preserved, pass, nest, array string, fn stepFn) bool {
-	prev := m.curPreserved
-	m.curPreserved = pres
-	defer func() { m.curPreserved = prev }()
-	return m.runStep(pass, nest, array, fn)
+// keepLive reinstates the liveness summary live after a step that
+// provably leaves it exact (DESIGN §9) and reports whether the step
+// committed.
+func (m *manager) keepLive(live *liveness.Info, committed bool) bool {
+	if committed {
+		m.live = live
+		if testPostCommit != nil {
+			testPostCommit(m)
+		}
+	}
+	return committed
+}
+
+// analyze runs one analysis compute under an analysis.<name> span
+// parented at ctx and charges its wall time to Outcome.Analysis. The
+// whole-program analyses (all but the per-(nest, array) reuse classes)
+// pass the analysis.slow fault point first.
+func (m *manager) analyze(ctx context.Context, name string, compute func(ctx context.Context) error) error {
+	ctx, span := trace.StartSpan(ctx, "analysis."+name)
+	if name != reuseClassAnalysis {
+		faults.Sleep(ctx, faults.AnalysisSlow)
+	}
+	begin := time.Now()
+	err := compute(ctx)
+	st := m.out.Analysis[name]
+	st.Computes++
+	st.Seconds += time.Since(begin).Seconds()
+	m.out.Analysis[name] = st
+	if err != nil {
+		span.End(trace.String("error", err.Error()))
+	} else {
+		span.End()
+	}
+	return err
+}
+
+// classify is liveness.Classify of one (nest, array) pair of cur,
+// counted as a reuse-classes compute.
+func (m *manager) classify(ni int, array string) liveness.Class {
+	var cl liveness.Class
+	m.analyze(m.passCtx, reuseClassAnalysis, func(context.Context) error {
+		cl = liveness.Classify(m.cur, ni, array)
+		return nil
+	})
+	return cl
 }
 
 // fusePartition picks the partition fusePass realizes: the
 // recursive-bisection heuristic. Tests replace it to force one.
 var fusePartition = (*fusion.Graph).HeuristicCtx
 
-// fusePass runs bandwidth-minimal loop fusion as one checkpointed step,
-// reusing the cached fusion graph (and, through it, the cached
-// dependence summary) for the current program version. A partition
-// that neither fuses nor reorders nests is not applicable: an
-// unchanged program is no checkpoint.
+// fusePass runs bandwidth-minimal loop fusion as one checkpointed step:
+// the dependence summary, the fusion graph built on it, and a partition
+// of the graph. A partition that neither fuses nor reorders nests is
+// not applicable: an unchanged program is no checkpoint.
 func (m *manager) fusePass() {
 	m.runStep("fuse", "", "", func(cur *ir.Program) (*ir.Program, []Action, error) {
-		g, err := m.am.FusionGraph()
+		var inf *deps.Info
+		err := m.analyze(m.stepCtx, depsAnalysis, func(context.Context) (err error) {
+			inf, err = deps.Analyze(cur)
+			return err
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		var g *fusion.Graph
+		err = m.analyze(m.stepCtx, fusionGraphAnalysis, func(ctx context.Context) (err error) {
+			g, err = fusion.BuildWithCtx(ctx, cur, inf)
+			return err
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -533,14 +601,14 @@ func (m *manager) fusePass() {
 	})
 }
 
-// fixpoint drives one storage pass to convergence. Each scan fetches
-// the liveness summary for the current program version and offers
-// every (nest, array) candidate, in program order, to visit, which
-// reports whether it committed a step; the scan ends at the first
-// commit, and a scan without one ends the pass. Each scan commits at
-// most one transformation, so the scan budget (fixpointScans) and the
-// per-pass step limit keep a pathological input from looping forever;
-// exhausting either is recorded as a skip.
+// fixpoint drives one storage pass to convergence. Each scan uses the
+// liveness summary of the current program, computed anew when a commit
+// dropped it, and offers every (nest, array) candidate, in program
+// order, to visit, which reports whether it committed a step; the scan
+// ends at the first commit, and a scan without one ends the pass. Each
+// scan commits at most one transformation, so the scan budget
+// (fixpointScans) and the per-pass step limit keep a pathological input
+// from looping forever; exhausting either is recorded as a skip.
 func (m *manager) fixpoint(pass string, visit func(live *liveness.Info, ni int, nest, name string) bool) {
 	for scans := 0; !m.canceled(); scans++ {
 		if scans >= fixpointScans {
@@ -551,12 +619,17 @@ func (m *manager) fixpoint(pass string, visit func(live *liveness.Info, ni int, 
 			m.skip(pass, "", "", fmt.Errorf("per-pass step limit (%d) reached", DefaultMaxPassSteps))
 			return
 		}
-		live, err := m.am.Liveness()
-		if err != nil {
-			m.skip(pass, "", "", fmt.Errorf("liveness analysis failed: %w", err))
-			return
+		if m.live == nil {
+			err := m.analyze(m.passCtx, livenessAnalysis, func(context.Context) (err error) {
+				m.live, err = liveness.Analyze(m.cur)
+				return err
+			})
+			if err != nil {
+				m.skip(pass, "", "", fmt.Errorf("liveness analysis failed: %w", err))
+				return
+			}
 		}
-		if !m.scan(live, visit) {
+		if !m.scan(m.live, visit) {
 			return
 		}
 	}
@@ -577,30 +650,29 @@ func (m *manager) scan(live *liveness.Info, visit func(live *liveness.Info, ni i
 
 // storagePass iterates array contraction and shrinking to a fixpoint:
 // contracting one array can make another transformable. Every accepted
-// transformation is its own verified checkpoint. Liveness is requested
-// once per program version from the analysis cache, as is each
-// candidate's reuse classification.
+// transformation is its own verified checkpoint. Only candidates that
+// pass the cheap filters (dead after the nest, used only in it) are
+// classified.
 func (m *manager) storagePass() {
 	m.fixpoint("reduce-storage", func(live *liveness.Info, ni int, nest, name string) bool {
 		if live.LiveAfter(name, ni) || !usedOnlyIn(m.cur, ni, name) {
 			return false
 		}
-		cl := m.am.ReuseClass(ni, name)
+		cl := m.classify(ni, name)
 		switch cl.Kind {
 		case liveness.ScalarLike:
 			// Contraction removes the array's declaration and rewrites
 			// only that array's references, so every surviving array's
 			// nest-level read/write span — the facts the liveness
 			// summary serves — is untouched.
-			return m.stepPreserving(analysis.Preserve(analysis.NestIndexName, analysis.LivenessName),
-				"contract", nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
-					next, err := contractArrayCl(cur, ni, name, cl)
-					if err != nil {
-						return nil, nil, nil // not contractible here
-					}
-					return next, []Action{{Pass: "contract", Nest: nest, Array: name,
-						Note: "array replaced by a scalar"}}, nil
-				})
+			return m.keepLive(live, m.runStep("contract", nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
+				next, err := contractArrayCl(cur, ni, name, cl)
+				if err != nil {
+					return nil, nil, nil // not contractible here
+				}
+				return next, []Action{{Pass: "contract", Nest: nest, Array: name,
+					Note: "array replaced by a scalar"}}, nil
+			}))
 		case liveness.CarryOne:
 			return m.runStep("shrink", nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
 				next, err := shrinkArrayCl(cur, ni, name, cl)
@@ -616,30 +688,19 @@ func (m *manager) storagePass() {
 }
 
 // storeElimPass removes dead writebacks, one verified checkpoint per
-// eliminated array, under the same fixpoint driver. The liveness
-// summary is requested once per program version, and candidate
-// filtering runs on the cached reuse classifications.
+// eliminated array, under the same fixpoint driver. The cheap liveness
+// filter runs first: only arrays dead after the nest are classified.
 func (m *manager) storeElimPass() {
 	const pass = "store-elim"
 	m.fixpoint(pass, func(live *liveness.Info, ni int, nest, name string) bool {
-		cl := m.am.ReuseClass(ni, name)
-		if cl.Kind != liveness.ForwardOnly && cl.Kind != liveness.ScalarLike {
-			return false // elimination provably inapplicable; skip without a step
-		}
 		if live.LiveAfter(name, ni) {
 			return false
 		}
-		// A forward-only elimination keeps the array's pre-store loads,
-		// so its nest-level read span — and every other array's —
-		// survives the rewrite; the liveness summary stays exact. A
-		// scalar-like elimination forwards every read and so removes the
-		// array's last loads while its declaration remains: liveness
-		// must recompute.
-		pres := analysis.Preserve(analysis.NestIndexName)
-		if cl.Kind == liveness.ForwardOnly {
-			pres = analysis.Preserve(analysis.NestIndexName, analysis.LivenessName)
+		cl := m.classify(ni, name)
+		if cl.Kind != liveness.ForwardOnly && cl.Kind != liveness.ScalarLike {
+			return false // elimination provably inapplicable; skip without a step
 		}
-		return m.stepPreserving(pres, pass, nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
+		committed := m.runStep(pass, nest, name, func(cur *ir.Program) (*ir.Program, []Action, error) {
 			next, err := eliminateStoresWith(cur, ni, name, cl, live)
 			if err != nil {
 				return nil, nil, nil // no eliminable stores here
@@ -647,5 +708,15 @@ func (m *manager) storeElimPass() {
 			return next, []Action{{Pass: pass, Nest: nest, Array: name,
 				Note: "writeback removed, value forwarded"}}, nil
 		})
+		// A forward-only elimination keeps the array's pre-store loads,
+		// so its nest-level read span — and every other array's —
+		// survives the rewrite; the liveness summary stays exact. A
+		// scalar-like elimination forwards every read and so removes the
+		// array's last loads while its declaration remains: liveness
+		// must recompute.
+		if cl.Kind == liveness.ForwardOnly {
+			return m.keepLive(live, committed)
+		}
+		return committed
 	})
 }

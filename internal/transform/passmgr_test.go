@@ -235,22 +235,23 @@ func TestKernelsDifferentialVerified(t *testing.T) {
 	}
 }
 
-// TestOptimizeCompatWrapper checks the legacy entry point matches the
-// verified manager with verification off.
-func TestOptimizeCompatWrapper(t *testing.T) {
+// TestOptionsMatchDefaultPipeline checks that Config.Options (how
+// perfbench selects passes) runs exactly what the default pipeline
+// string runs.
+func TestOptionsMatchDefaultPipeline(t *testing.T) {
 	p := twoTemps(8)
-	q1, acts1, err := Optimize(p, All())
+	q1, out1, err := OptimizeVerified(p, Config{Pipeline: DefaultPipelineSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, out, err := OptimizeVerified(p, Config{Options: All()})
+	q2, out2, err := OptimizeVerified(p, Config{Options: All()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q1.String() != q2.String() {
-		t.Fatal("Optimize and OptimizeVerified disagree")
+		t.Fatal("Options and the default pipeline string disagree")
 	}
-	if fmt.Sprint(acts1) != fmt.Sprint(out.Actions) {
-		t.Fatalf("action logs differ: %v vs %v", acts1, out.Actions)
+	if fmt.Sprint(out1.Actions) != fmt.Sprint(out2.Actions) {
+		t.Fatalf("action logs differ: %v vs %v", out1.Actions, out2.Actions)
 	}
 }

@@ -1,10 +1,6 @@
 package transform
 
-import (
-	"fmt"
-
-	"repro/internal/ir"
-)
+import "fmt"
 
 // Action records one transformation applied — or one pass skipped —
 // by the pipeline.
@@ -30,31 +26,14 @@ func (a Action) String() string {
 	return fmt.Sprintf("%s: %s in %s (%s)", a.Pass, a.Array, a.Nest, a.Note)
 }
 
-// Options selects which passes the pipeline runs.
+// Options selects which passes of the default pipeline run. Only
+// perfbench still configures runs this way (Config.Options); everything
+// else names its passes with a pipeline string (Config.Pipeline).
 type Options struct {
 	Fuse            bool
 	ReduceStorage   bool // contraction + shrinking
 	EliminateStores bool
 }
 
-// All enables every pass — the paper's full strategy.
+// All enables every pass — the paper's full strategy, DefaultPipelineSpec.
 func All() Options { return Options{Fuse: true, ReduceStorage: true, EliminateStores: true} }
-
-// Optimize runs the paper's compiler strategy on a program: bandwidth-
-// minimal loop fusion first (localizing array live ranges), then
-// storage reduction (array contraction and shrinking), then store
-// elimination. It returns the optimized program and a log of applied
-// actions. The input program is never modified.
-//
-// Optimize is the compatibility entry point: it runs the checkpointed
-// pass manager with verification off, so each transformation is still
-// panic-contained, validated before acceptance, and rolled back on
-// failure. Use OptimizeVerified to select structural or differential
-// verification and inspect the degradation report.
-func Optimize(p *ir.Program, opt Options) (*ir.Program, []Action, error) {
-	q, out, err := OptimizeVerified(p, Config{Options: opt})
-	if err != nil {
-		return nil, nil, err
-	}
-	return q, out.Actions, nil
-}

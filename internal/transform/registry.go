@@ -5,28 +5,15 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/ir"
 )
 
 // This file is the declarative pass registry: every pass the pipeline
-// can run, by name, with its spec syntax, what it does, and which
-// analyses it preserves across the program mutations it commits. The
+// can run, by name, with its spec syntax and what it does. The
 // registry drives the -passes pipeline string on bwopt and bwsim, the
 // bwserved "pipeline" request field and GET /v1/passes, and the default
 // OptimizeVerified sequence — one source of truth instead of a
 // hardcoded pass order plus a hand-rolled CLI switch.
-//
-// Preservation declarations feed analysis.Manager.SetProgram: on every
-// committed checkpoint the manager invalidates every cached analysis
-// the committing pass did not declare preserved. Declaring too much is
-// a soundness bug (stale analyses would drive later transformations),
-// so the sets below are conservative: only nest-index — valid as long
-// as a pass never adds, removes, renames or reorders top-level nests —
-// is preserved by the in-place body rewriters. Fusion and distribution
-// rebuild the nest list and preserve nothing. The property and fuzz
-// tests in this package check every declared set against fresh
-// recomputation after each commit.
 
 // PassInfo describes one registered pass.
 type PassInfo struct {
@@ -36,9 +23,6 @@ type PassInfo struct {
 	Usage string `json:"usage"`
 	// Help is a one-line description.
 	Help string `json:"help"`
-	// Preserves lists the analyses the pass keeps valid across its
-	// committed program mutations (see package comment).
-	Preserves []string `json:"preserves,omitempty"`
 
 	// factory instantiates the pass for the given spec arguments (the
 	// ":"-separated parts after the name).
@@ -61,10 +45,6 @@ var aliases = map[string]string{
 	"peel":      "peel-first",
 }
 
-// bodyRewriter is the preserved set shared by every pass that rewrites
-// nest bodies in place without touching the nest list.
-var bodyRewriter = []string{analysis.NestIndexName}
-
 // noArgs wraps a zero-argument pass body as a factory.
 func noArgs(name string, run stepRunner) func([]string) (stepRunner, error) {
 	return func(args []string) (stepRunner, error) {
@@ -77,18 +57,14 @@ func noArgs(name string, run stepRunner) func([]string) (stepRunner, error) {
 
 // direct wraps a single-shot transformation (one verified checkpoint,
 // rolled back on failure) as a pass body. The nest argument, when
-// non-empty, is resolved against the cached nest-index before the
+// non-empty, is looked up among the program's nests before the
 // transformation runs, so a typo surfaces as a crisp diagnostic.
 func direct(name, nest, array, note string, fn func(cur *ir.Program) (*ir.Program, error)) stepRunner {
 	return func(m *manager) {
 		m.runStep(name, nest, array, func(cur *ir.Program) (*ir.Program, []Action, error) {
 			if nest != "" {
-				idx, err := m.am.NestIndex()
-				if err != nil {
+				if err := checkNestLabel(cur, nest); err != nil {
 					return nil, nil, err
-				}
-				if _, ok := idx[nest]; !ok {
-					return nil, nil, fmt.Errorf("transform: no nest labeled %q", nest)
 				}
 			}
 			next, err := fn(cur)
@@ -111,20 +87,17 @@ func buildRegistry() map[string]*PassInfo {
 		},
 		{
 			Name: "reduce-storage", Usage: "reduce-storage",
-			Help:      "array contraction and shrinking, iterated to a fixpoint (alias: shrink)",
-			Preserves: bodyRewriter,
-			factory:   noArgs("reduce-storage", (*manager).storagePass),
+			Help:    "array contraction and shrinking, iterated to a fixpoint (alias: shrink)",
+			factory: noArgs("reduce-storage", (*manager).storagePass),
 		},
 		{
 			Name: "store-elim", Usage: "store-elim",
-			Help:      "dead writeback elimination with value forwarding (alias: storeelim)",
-			Preserves: bodyRewriter,
-			factory:   noArgs("store-elim", (*manager).storeElimPass),
+			Help:    "dead writeback elimination with value forwarding (alias: storeelim)",
+			factory: noArgs("store-elim", (*manager).storeElimPass),
 		},
 		{
 			Name: "interchange", Usage: "interchange:<nest>:<var>",
-			Help:      "swap <var>'s loop with the loop immediately inside it",
-			Preserves: bodyRewriter,
+			Help: "swap <var>'s loop with the loop immediately inside it",
 			factory: func(args []string) (stepRunner, error) {
 				if len(args) != 2 {
 					return nil, fmt.Errorf("interchange:<nest>:<var>")
@@ -148,20 +121,17 @@ func buildRegistry() map[string]*PassInfo {
 		},
 		{
 			Name: "peel-first", Usage: "peel-first:<nest>:<var>",
-			Help:      "peel the first iteration of <var>'s loop (alias: peel)",
-			Preserves: bodyRewriter,
-			factory:   peelFactory("peel-first", PeelFirst),
+			Help:    "peel the first iteration of <var>'s loop (alias: peel)",
+			factory: peelFactory("peel-first", PeelFirst),
 		},
 		{
 			Name: "peel-last", Usage: "peel-last:<nest>:<var>",
-			Help:      "peel the last iteration of <var>'s loop",
-			Preserves: bodyRewriter,
-			factory:   peelFactory("peel-last", PeelLast),
+			Help:    "peel the last iteration of <var>'s loop",
+			factory: peelFactory("peel-last", PeelLast),
 		},
 		{
 			Name: "simplify", Usage: "simplify",
-			Help:      "fold statically decidable guards",
-			Preserves: bodyRewriter,
+			Help: "fold statically decidable guards",
 			factory: noArgs("simplify", func(m *manager) {
 				m.runStep("simplify", "", "", func(cur *ir.Program) (*ir.Program, []Action, error) {
 					next, folded := SimplifyGuards(cur)
@@ -175,8 +145,7 @@ func buildRegistry() map[string]*PassInfo {
 		},
 		{
 			Name: "unrolljam", Usage: "unrolljam:<nest>:<var>:<k>",
-			Help:      "unroll <var>'s loop by factor k and jam the copies",
-			Preserves: bodyRewriter,
+			Help: "unroll <var>'s loop by factor k and jam the copies",
 			factory: func(args []string) (stepRunner, error) {
 				if len(args) != 3 {
 					return nil, fmt.Errorf("unrolljam:<nest>:<var>:<factor>")
@@ -192,8 +161,7 @@ func buildRegistry() map[string]*PassInfo {
 		},
 		{
 			Name: "scalarize", Usage: "scalarize:<nest>",
-			Help:      "register-promote repeated array elements in the nest",
-			Preserves: bodyRewriter,
+			Help: "register-promote repeated array elements in the nest",
 			factory: func(args []string) (stepRunner, error) {
 				if len(args) != 1 {
 					return nil, fmt.Errorf("scalarize:<nest>")
@@ -201,7 +169,7 @@ func buildRegistry() map[string]*PassInfo {
 				nest := args[0]
 				return func(m *manager) {
 					m.runStep("scalarize", nest, "", func(cur *ir.Program) (*ir.Program, []Action, error) {
-						if err := m.checkNestLabel(nest); err != nil {
+						if err := checkNestLabel(cur, nest); err != nil {
 							return nil, nil, err
 						}
 						next, n, err := ScalarizeIteration(cur, nest)
@@ -219,8 +187,7 @@ func buildRegistry() map[string]*PassInfo {
 		},
 		{
 			Name: "regroup", Usage: "regroup:<a>+<b>[+...]",
-			Help:      "interleave the named arrays into one padded group",
-			Preserves: bodyRewriter,
+			Help: "interleave the named arrays into one padded group",
 			factory: func(args []string) (stepRunner, error) {
 				if len(args) != 1 {
 					return nil, fmt.Errorf("regroup:<a>+<b>[+...]")
@@ -252,13 +219,9 @@ func peelFactory(name string, peel func(*ir.Program, string, string) (*ir.Progra
 	}
 }
 
-// checkNestLabel resolves a nest label against the cached nest-index.
-func (m *manager) checkNestLabel(nest string) error {
-	idx, err := m.am.NestIndex()
-	if err != nil {
-		return err
-	}
-	if _, ok := idx[nest]; !ok {
+// checkNestLabel reports a nest label the program does not have.
+func checkNestLabel(p *ir.Program, nest string) error {
+	if p.NestByLabel(nest) == nil {
 		return fmt.Errorf("transform: no nest labeled %q", nest)
 	}
 	return nil
@@ -374,7 +337,9 @@ func registeredNames() string {
 }
 
 // PipelineSpec renders the option set as the equivalent pipeline
-// string: the default spec filtered to the enabled passes.
+// string: the default spec filtered to the enabled passes. It is how
+// OptimizeVerified runs a Config that sets Options but no Pipeline,
+// which only perfbench still does.
 func (o Options) PipelineSpec() string {
 	var s []string
 	if o.Fuse {

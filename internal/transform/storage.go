@@ -79,7 +79,8 @@ func ContractArray(p *ir.Program, nestIdx int, array string) (*ir.Program, error
 }
 
 // contractArrayCl is ContractArray with the classification supplied by
-// the caller (the pass manager's analysis cache).
+// the caller (the pass manager, which classified the array to choose
+// the transformation).
 func contractArrayCl(p *ir.Program, nestIdx int, array string, cl liveness.Class) (*ir.Program, error) {
 	if cl.Kind != liveness.ScalarLike {
 		return nil, fmt.Errorf("transform: %s is %s in nest %d (%s), cannot contract",
@@ -185,7 +186,8 @@ func ShrinkArray(p *ir.Program, nestIdx int, array string) (*ir.Program, error) 
 }
 
 // shrinkArrayCl is ShrinkArray with the classification supplied by the
-// caller (the pass manager's analysis cache).
+// caller (the pass manager, which classified the array to choose the
+// transformation).
 func shrinkArrayCl(p *ir.Program, nestIdx int, array string, cl liveness.Class) (*ir.Program, error) {
 	if cl.Kind != liveness.CarryOne {
 		return nil, fmt.Errorf("transform: %s is %s in nest %d (%s), cannot shrink",

@@ -37,8 +37,8 @@ func EliminateStores(p *ir.Program, nestIdx int, array string) (*ir.Program, err
 
 // eliminateStoresWith is EliminateStores with the reuse classification
 // and liveness summary supplied by the caller — the entry point for the
-// pass manager, which holds both in its analysis cache and must not pay
-// for recomputation per candidate array.
+// pass manager, which already holds both for the candidate and must not
+// pay for recomputation per candidate array.
 func eliminateStoresWith(p *ir.Program, nestIdx int, array string, cl liveness.Class, live *liveness.Info) (*ir.Program, error) {
 	if cl.Kind != liveness.ForwardOnly && cl.Kind != liveness.ScalarLike {
 		return nil, fmt.Errorf("transform: %s is %s in nest %d (%s), cannot eliminate stores",

@@ -12,7 +12,7 @@ import (
 // TestOptimizeVerifiedCtxEmitsSpans runs the default verified pipeline
 // under a tracer and checks the span taxonomy the docs promise: one
 // pipeline root, one baseline run, one span per pass attempt, a
-// verdict-carrying span per step, analysis-cache spans, and
+// verdict-carrying span per step, analysis spans, and
 // differential-verification spans.
 func TestOptimizeVerifiedCtxEmitsSpans(t *testing.T) {
 	p := twoTemps(8)

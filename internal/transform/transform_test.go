@@ -330,17 +330,17 @@ loop L2 {
   print sum
 }
 `)
-	q, log, err := Optimize(p, All())
+	q, out, err := OptimizeVerified(p, Config{Pipeline: DefaultPipelineSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	equivalent(t, p, q)
 	passes := map[string]bool{}
-	for _, a := range log {
+	for _, a := range out.Actions {
 		passes[a.Pass] = true
 	}
 	if !passes["fuse"] || !passes["store-elim"] {
-		t.Fatalf("pipeline actions = %v", log)
+		t.Fatalf("pipeline actions = %v", out.Actions)
 	}
 	if mb, ma := memBytes(t, p), memBytes(t, q); float64(ma) > 0.8*float64(mb) {
 		t.Fatalf("pipeline saved too little: %d -> %d", mb, ma)
@@ -379,13 +379,13 @@ loop L4 {
   print s
 }
 `)
-	q, log, err := Optimize(p, All())
+	q, out, err := OptimizeVerified(p, Config{Pipeline: DefaultPipelineSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	equivalent(t, p, q)
 	if len(q.Arrays) != 0 {
-		t.Fatalf("arrays remain after pipeline: %v\nlog: %v\n%s", q.Arrays, log, q.String())
+		t.Fatalf("arrays remain after pipeline: %v\nlog: %v\n%s", q.Arrays, out.Actions, q.String())
 	}
 	// Traffic collapses to near zero.
 	if ma := memBytes(t, q); ma > 1024 {
@@ -402,7 +402,7 @@ scalar s
 loop L1 { for i = 0, N-1 { a[i] = a[i] + 1 } }
 loop L2 { for i = 0, N-1 { s = s + a[i] } }
 `)
-	q, log, err := Optimize(p, Options{Fuse: true})
+	q, out, err := OptimizeVerified(p, Config{Pipeline: "fuse"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ loop L2 { for i = 0, N-1 { s = s + a[i] } }
 	if len(q.Nests) != 1 {
 		t.Fatal("fusion did not happen")
 	}
-	for _, a := range log {
+	for _, a := range out.Actions {
 		if a.Pass != "fuse" {
 			t.Fatalf("unexpected pass %s", a.Pass)
 		}
@@ -432,7 +432,7 @@ scalar s
 loop L1 { for i = 0, N-1 { a[i] = i } }
 loop L9 { print a[N-1] }
 `)
-	q, _, err := Optimize(p, All())
+	q, _, err := OptimizeVerified(p, Config{Pipeline: DefaultPipelineSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
