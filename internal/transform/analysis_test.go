@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/fusion"
@@ -289,5 +290,70 @@ func TestStoreElimFiltersBeforeClassifying(t *testing.T) {
 	}
 	if n := out.Analysis[reuseClassAnalysis].Computes; n == 0 || n >= 200 {
 		t.Fatalf("SP(16) classified %d times, want 1..199 (stats: %+v)", n, out.Analysis)
+	}
+}
+
+// TestStatsTotal checks AnalysisStats.Total: every compute counts as a
+// request, seconds add up, and with nothing memoized Hits stays 0.
+func TestStatsTotal(t *testing.T) {
+	s := AnalysisStats{
+		depsAnalysis:       {Computes: 2, Seconds: 0.5},
+		reuseClassAnalysis: {Computes: 3, Seconds: 0.25},
+	}
+	tot := s.Total()
+	if tot.Requests != 5 || tot.Hits != 0 || tot.Seconds != 0.75 {
+		t.Fatalf("Total = %+v, want 5 requests / 0 hits / 0.75 s", tot)
+	}
+	if tot := (AnalysisStats{}).Total(); tot != (AnalysisTotal{}) {
+		t.Fatalf("Total of no analyses = %+v, want zero", tot)
+	}
+}
+
+// TestFusionGraphSharesDeps checks that the fuse pass builds its fusion
+// graph on the dependence summary it computed: one deps compute and one
+// graph compute per fuse step, and no other analysis.
+func TestFusionGraphSharesDeps(t *testing.T) {
+	_, out, err := OptimizeVerified(kernels.Fig7Original(64), Config{Pipeline: "fuse"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Checkpoints != 1 {
+		t.Fatalf("fuse committed %d checkpoints on fig7, want 1", out.Checkpoints)
+	}
+	if n := out.Analysis[depsAnalysis].Computes; n != 1 {
+		t.Fatalf("fuse computed deps %d times, want 1 (stats: %+v)", n, out.Analysis)
+	}
+	if n := out.Analysis[fusionGraphAnalysis].Computes; n != 1 {
+		t.Fatalf("fuse built the fusion graph %d times, want 1 (stats: %+v)", n, out.Analysis)
+	}
+	if len(out.Analysis) != 2 {
+		t.Fatalf("fuse ran analyses beyond deps and fusion-graph: %+v", out.Analysis)
+	}
+}
+
+// TestAnalysisNamesCoverOutcome checks that AnalysisNames, which
+// bwserved's pass table iterates, is sorted and names every analysis a
+// default-pipeline run reports in Outcome.Analysis.
+func TestAnalysisNamesCoverOutcome(t *testing.T) {
+	names := AnalysisNames()
+	if !sort.StringsAreSorted(names) {
+		t.Fatalf("AnalysisNames not sorted: %v", names)
+	}
+	known := map[string]bool{}
+	for _, n := range names {
+		known[n] = true
+	}
+	progs := paperKernels(t)
+	progs["sp"] = kernels.SP(16)
+	for name, p := range progs {
+		_, out, err := OptimizeVerified(p, Config{Pipeline: DefaultPipelineSpec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for a := range out.Analysis {
+			if !known[a] {
+				t.Errorf("%s: Outcome.Analysis reports %q, missing from AnalysisNames %v", name, a, names)
+			}
+		}
 	}
 }
