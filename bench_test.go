@@ -317,6 +317,20 @@ func BenchmarkMeasure(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureSmall is one plain measurement of fig7 at n=4096 on
+// Origin2000, 20,480 simulated accesses: a run too small to switch
+// the hierarchy to set partitions, so it guards the inline path.
+func BenchmarkMeasureSmall(b *testing.B) {
+	p := kernels.Fig7Original(4096)
+	specs := []machine.Spec{machine.Origin2000()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := balance.Measure(context.Background(), p, specs, balance.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMeasureAttributed measures the profiled path: site
 // assignment on a clone, per-site bucketing during simulation, the
 // footprint recorder teed onto the same run, and bounds and

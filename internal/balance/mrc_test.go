@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/ir"
@@ -181,33 +179,12 @@ func TestMRCOnOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short mode")
 	}
-	p := kernels.Dmxpy(48)
-	spec := machine.Origin2000()
-	median := func(f func() error) time.Duration {
-		var samples []time.Duration
-		for i := 0; i < 5; i++ {
-			begin := time.Now()
-			if err := f(); err != nil {
-				t.Fatal(err)
-			}
-			samples = append(samples, time.Since(begin))
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		return samples[len(samples)/2]
-	}
-	plain := median(func() error {
-		_, err := measureOn(p, spec, Options{})
-		return err
-	})
-	mrc := median(func() error {
-		_, err := measureOn(p, spec, Options{MRC: true})
-		return err
-	})
+	ratio, plain, mrc := overheadRatio(t, Options{MRC: true})
 	if plain <= 0 {
 		t.Skip("plain measurement below timer resolution")
 	}
-	if ratio := float64(mrc) / float64(plain); ratio > 12 {
-		t.Fatalf("mrc measurement %.1fx the plain one (%v vs %v), ceiling 12x",
+	if ratio > 12 {
+		t.Fatalf("mrc measurement %.1fx the plain one (median pair ratio; medians %v vs %v), ceiling 12x",
 			ratio, mrc, plain)
 	}
 }

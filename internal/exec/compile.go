@@ -246,6 +246,12 @@ func (cp *Compiled) runOnce(ctx context.Context, env *cenv, attrs ...trace.Attr)
 	}
 	env.res = &Result{Scalars: make(map[string]float64, len(env.scalars))}
 	if err := cp.run(env); err != nil {
+		if h, ok := env.mach.(*sim.Hierarchy); ok {
+			// A run that stops early is never flushed; simulate what a
+			// partitioned hierarchy has logged, so its counter fields
+			// are current.
+			h.Sync()
+		}
 		span.End(trace.Int("steps", env.steps), trace.String("error", err.Error()))
 		return err
 	}

@@ -1,6 +1,19 @@
 package exec
 
-import "context"
+import (
+	"context"
+	_ "unsafe" // go:linkname
+
+	"repro/internal/sim"
+)
+
+// ForcePartitions makes h switch to at most k set partitions at its
+// first Strides call, whatever the CPU count, so the parity tests run
+// the partitioned simulation on small programs. It is sim's unexported
+// test seam; the simulator has no such option.
+//
+//go:linkname ForcePartitions repro/internal/sim.forcePartitions
+func ForcePartitions(h *sim.Hierarchy, k int)
 
 // BatchedLoops runs cp once against h, which may be nil, and returns,
 // per loop that may run a chunk at a time, named "nest/var", how many

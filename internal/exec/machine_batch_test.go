@@ -56,7 +56,8 @@ func machineCases(t *testing.T) []machineCase {
 
 // TestMachineBatchParity runs each machine case on both engines against
 // plain hierarchies, which batch, of every registered machine and of
-// each at 1/64 of its capacity, and requires the same outcome (see
+// each at 1/64 of its capacity, each sequential and forced to set
+// partitions, and requires the same outcome (see
 // checkParityOn): the same prints, scalars, flops and error text, and
 // the same level counters, channel bytes, memory transfers and
 // register bytes.
@@ -73,9 +74,19 @@ func TestMachineBatchParity(t *testing.T) {
 				cancel()
 				ctx = canceled
 			}
-			for _, spec := range specs {
+			for i, spec := range specs {
 				t.Run(spec.Name, func(t *testing.T) {
 					checkParityOn(t, ctx, tc.prog(), tc.lim, spec.NewHierarchy)
+				})
+				// The same with the hierarchy switched to 2, 4 or 8 set
+				// partitions at its first batched chunk.
+				k := 2 << (i % 3)
+				t.Run(fmt.Sprintf("%s/parts%d", spec.Name, k), func(t *testing.T) {
+					checkParityOn(t, ctx, tc.prog(), tc.lim, func() *sim.Hierarchy {
+						h := spec.NewHierarchy()
+						exec.ForcePartitions(h, k)
+						return h
+					})
 				})
 			}
 		})
@@ -84,7 +95,8 @@ func TestMachineBatchParity(t *testing.T) {
 
 // FuzzMachineBatchParity runs every program that parses, and whose
 // arrays are small enough, on both engines against plain hierarchies
-// whose geometry comes from geo (see fuzzHierarchy), and requires the
+// whose geometry comes from geo (see fuzzHierarchy), sequential and
+// forced to set partitions where the geometry allows, and requires the
 // same outcome (see checkParityOn). It is seeded with the parity and
 // batch cases and the programs in testdata.
 func FuzzMachineBatchParity(f *testing.F) {
@@ -113,6 +125,11 @@ func FuzzMachineBatchParity(f *testing.F) {
 		}
 		cfgs := fuzzHierarchy(geo)
 		checkParityOn(t, context.Background(), p, fuzzLimits, func() *sim.Hierarchy { return sim.MustHierarchy(cfgs...) })
+		checkParityOn(t, context.Background(), p, fuzzLimits, func() *sim.Hierarchy {
+			h := sim.MustHierarchy(cfgs...)
+			exec.ForcePartitions(h, 2<<(len(geo)%3))
+			return h
+		})
 	})
 }
 

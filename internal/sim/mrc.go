@@ -503,6 +503,7 @@ func (h *Hierarchy) EnableMRC() error {
 	if err != nil {
 		return err
 	}
+	h.unpartition()
 	h.mrc = r
 	return nil
 }

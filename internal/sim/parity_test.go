@@ -70,12 +70,11 @@ func newPair(cfgs []sim.CacheConfig, profile, mrc bool) (*sim.Hierarchy, *sim.Or
 }
 
 // diffCounters reports the first counter on which got and want differ:
-// the plain counters, every level's Stats, the channel bytes, and the
-// per-site buckets and register bytes when profiling is on.
+// every level's Stats, the channel bytes, the plain counters, and the
+// per-site buckets and register bytes when profiling is on. The counter
+// methods come first: a partitioned hierarchy's fields are current only
+// after one.
 func diffCounters(got, want simulator) error {
-	if g, w := scalars(got), scalars(want); g != w {
-		return fmt.Errorf("regLoad, regStore, flops, memReads, memWrites = %v, oracle %v", g, w)
-	}
 	for i := 0; i < want.Levels(); i++ {
 		if g, w := got.LevelStats(i), want.LevelStats(i); g != w {
 			return fmt.Errorf("level %d stats %+v, oracle %+v", i, g, w)
@@ -83,6 +82,9 @@ func diffCounters(got, want simulator) error {
 	}
 	if g, w := got.ChannelBytes(), want.ChannelBytes(); !slices.Equal(g, w) {
 		return fmt.Errorf("channel bytes %v, oracle %v", g, w)
+	}
+	if g, w := scalars(got), scalars(want); g != w {
+		return fmt.Errorf("regLoad, regStore, flops, memReads, memWrites = %v, oracle %v", g, w)
 	}
 	gp, wp := got.Profile(), want.Profile()
 	if (gp == nil) != (wp == nil) {
@@ -173,7 +175,9 @@ func parityKernels() map[string]*ir.Program {
 // engine twice: once on the fast Hierarchy and once on the reference
 // Oracle. With profiling off and on and reuse-distance recording off
 // and on, every counter, per-site bucket, miss-ratio curve point and
-// timeline epoch must agree.
+// timeline epoch must agree. A plain hierarchy forced to switch to 2,
+// 4 or 8 set partitions at its first batched chunk must agree with the
+// oracle too.
 func TestHierarchyMatchesOracleOnKernels(t *testing.T) {
 	var specs []machine.Spec
 	for _, e := range machine.Entries() {
@@ -204,6 +208,19 @@ func TestHierarchyMatchesOracleOnKernels(t *testing.T) {
 					}
 					if err := diffMRC(h.MRC(), o.MRC()); err != nil {
 						t.Fatalf("%s profile=%v mrc=%v: %v", spec.Name, mode.profile, mode.mrc, err)
+					}
+					if mode.profile || mode.mrc {
+						continue
+					}
+					for _, k := range []int{2, 4, 8} {
+						h := sim.MustHierarchy(spec.Caches...)
+						sim.ForcePartitions(h, k)
+						if _, err := cp.Run(h); err != nil {
+							t.Fatalf("%s: %v", spec.Name, err)
+						}
+						if err := diffCounters(h, o); err != nil {
+							t.Fatalf("%s in %d partitions: %v", spec.Name, h.Partitions(), err)
+						}
 					}
 				}
 			}

@@ -22,6 +22,7 @@ type Profile struct {
 // previously collected profile. Profiling never changes simulated
 // behavior, only what is recorded.
 func (h *Hierarchy) EnableProfiling() {
+	h.unpartition()
 	h.prof = &Profile{levels: make([][]Stats, len(h.levels))}
 }
 

@@ -91,6 +91,17 @@ func (s Stats) Misses() int64 { return s.ReadMisses + s.WriteMisses }
 // Traffic returns total bytes crossing the channel below this level.
 func (s Stats) Traffic() int64 { return s.BytesIn + s.BytesOut }
 
+// add adds o's counters to s.
+func (s *Stats) add(o Stats) {
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.ReadMisses += o.ReadMisses
+	s.WriteMisses += o.WriteMisses
+	s.Writebacks += o.Writebacks
+	s.BytesIn += o.BytesIn
+	s.BytesOut += o.BytesOut
+}
+
 // geometry maps byte addresses to line tags and tags to sets. The
 // hierarchy, the reuse-distance recorder and the trace replay share it,
 // so all three agree on where a line lives.
@@ -176,10 +187,15 @@ func newLevel(cfg CacheConfig) level {
 	for i := range l.tags {
 		l.tags[i] = -1
 	}
+	l.clearMemo()
+	return l
+}
+
+// clearMemo empties the level's line memo.
+func (l *level) clearMemo() {
 	for i := range l.memo {
 		l.memo[i].tag = -1
 	}
-	return l
 }
 
 // find returns the index of the line holding tag, or -1 on a miss. A
@@ -209,6 +225,11 @@ func (l *level) memoLine(addr int64, size int) (int, int64, bool) {
 
 // Hierarchy is a stack of cache levels over an infinite memory.
 // Level 0 is closest to the processor.
+//
+// A hierarchy that has switched to set partitions (partition.go) logs
+// its accesses and simulates them later, so its exported counter
+// fields are current only after Flush, Sync or any counter method
+// (LevelStats, ChannelBytes, MemoryBytes, ResetCounters, String).
 type Hierarchy struct {
 	levels []level
 	// Register-channel byte counters: every executor load/store moves
@@ -227,6 +248,17 @@ type Hierarchy struct {
 	// default) keeps miss-ratio-curve recording off the hot path
 	// except for one pointer test per access.
 	mrc *MRCRecorder
+
+	// Set partitions (partition.go): strided counts the accesses
+	// Strides has taken, and at switchAt the hierarchy tries to switch
+	// to at most maxParts partitions (0: one per CPU). Once it has,
+	// switchAt is 0, parts are the partitions and log holds the
+	// accesses they have yet to simulate; a hierarchy that cannot
+	// switch, or has left partitions, has switchAt at MaxInt64.
+	strided, switchAt int64
+	maxParts          int
+	parts             []*partition
+	log               *accessLog
 }
 
 // NewHierarchy builds a hierarchy from processor-side to memory-side
@@ -235,7 +267,7 @@ func NewHierarchy(cfgs ...CacheConfig) (*Hierarchy, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("sim: hierarchy needs at least one cache level")
 	}
-	h := &Hierarchy{}
+	h := &Hierarchy{switchAt: partitionAfter}
 	for _, c := range cfgs {
 		if err := c.Validate(); err != nil {
 			return nil, err
@@ -259,7 +291,10 @@ func (h *Hierarchy) Levels() int { return len(h.levels) }
 
 // LevelStats returns a copy of the counters of level i (0 = closest to
 // the processor).
-func (h *Hierarchy) LevelStats(i int) Stats { return h.levels[i].stats }
+func (h *Hierarchy) LevelStats(i int) Stats {
+	h.Sync()
+	return h.levels[i].stats
+}
 
 // LevelConfig returns the configuration of level i.
 func (h *Hierarchy) LevelConfig(i int) CacheConfig { return h.levels[i].cfg }
@@ -295,6 +330,10 @@ func (h *Hierarchy) LoadSite(addr int64, size int, site uint32) {
 	if h.prof != nil || h.mrc != nil {
 		h.observe(addr, size, site)
 	}
+	if h.parts != nil {
+		h.record([]Stride{{Addr: addr, Size: size, Site: site}}, 1)
+		return
+	}
 	l := &h.levels[0]
 	if i, tag, ok := l.memoLine(addr, size); ok {
 		h.hit(l, 0, i, tag, false, site)
@@ -308,6 +347,10 @@ func (h *Hierarchy) StoreSite(addr int64, size int, site uint32) {
 	h.RegStoreBytes += int64(size)
 	if h.prof != nil || h.mrc != nil {
 		h.observe(addr, size, site)
+	}
+	if h.parts != nil {
+		h.record([]Stride{{Addr: addr, Size: size, Write: true, Site: site}}, 1)
+		return
 	}
 	l := &h.levels[0]
 	if i, tag, ok := l.memoLine(addr, size); ok {
@@ -335,6 +378,11 @@ type Stride struct {
 // flops then fall in a later epoch than per-access calls would put
 // them in, so a caller that wants exact epochs keeps to LoadSite and
 // StoreSite.
+//
+// Once a plain hierarchy (no profile, no recorder) has taken
+// partitionAfter accesses through Strides, it switches to set
+// partitions if it can, and from then on Strides, LoadSite and
+// StoreSite log their accesses for the partitions to simulate.
 func (h *Hierarchy) Strides(acc []Stride, n int) {
 	for i := range acc {
 		if acc[i].Write {
@@ -342,6 +390,9 @@ func (h *Hierarchy) Strides(acc []Stride, n int) {
 		} else {
 			h.RegLoadBytes += int64(n) * int64(acc[i].Size)
 		}
+	}
+	if h.strided += int64(n) * int64(len(acc)); h.strided >= h.switchAt && h.logged(acc, int64(n)) {
+		return
 	}
 	l := &h.levels[0]
 	for t := range int64(n) {
@@ -564,21 +615,18 @@ func (h *Hierarchy) miss(l *level, lvl int, tag int64, write bool, site uint32) 
 // Flush writes back every dirty line in every level, as at program end.
 // The paper's writeback accounting includes these final writebacks.
 // Each writeback is charged to the site that last dirtied the line.
+// A partitioned hierarchy has each partition simulate what is left in
+// the log and then write back its own sets.
 func (h *Hierarchy) Flush() {
+	if h.parts != nil {
+		h.drain(true)
+		return
+	}
 	for lvl := range h.levels {
 		l := &h.levels[lvl]
 		for i := range l.state {
-			st := &l.state[i]
-			if st.dirty {
-				l.stats.Writebacks++
-				l.stats.BytesOut += l.ls
-				if h.prof != nil {
-					os := h.prof.siteStats(lvl, st.site)
-					os.Writebacks++
-					os.BytesOut += l.ls
-				}
-				h.forEachLine(lvl+1, l.tags[i]<<l.shift, int(l.ls), true, st.site)
-				st.dirty = false
+			if l.state[i].dirty {
+				h.flushLine(lvl, i)
 			}
 		}
 	}
@@ -587,10 +635,26 @@ func (h *Hierarchy) Flush() {
 	}
 }
 
+// flushLine writes back line i of level lvl, which is dirty.
+func (h *Hierarchy) flushLine(lvl, i int) {
+	l := &h.levels[lvl]
+	st := &l.state[i]
+	l.stats.Writebacks++
+	l.stats.BytesOut += l.ls
+	if h.prof != nil {
+		os := h.prof.siteStats(lvl, st.site)
+		os.Writebacks++
+		os.BytesOut += l.ls
+	}
+	h.forEachLine(lvl+1, l.tags[i]<<l.shift, int(l.ls), true, st.site)
+	st.dirty = false
+}
+
 // ResetCounters zeroes all counters without disturbing cache contents
 // (for excluding warm-up phases from measurements). Per-site profiling
 // counters, when enabled, are cleared too.
 func (h *Hierarchy) ResetCounters() {
+	h.Sync()
 	for i := range h.levels {
 		h.levels[i].stats = Stats{}
 	}
@@ -613,6 +677,7 @@ func (h *Hierarchy) ResetCounters() {
 // index i (1..Levels-1) is the channel between level i-1 and level i,
 // and the last index is the channel between the last cache and memory.
 func (h *Hierarchy) ChannelBytes() []int64 {
+	h.Sync()
 	out := make([]int64, len(h.levels)+1)
 	out[0] = h.RegLoadBytes + h.RegStoreBytes
 	for i := range h.levels {
@@ -625,11 +690,13 @@ func (h *Hierarchy) ChannelBytes() []int64 {
 // (reads plus writebacks), the quantity the paper calls "total memory
 // transfer".
 func (h *Hierarchy) MemoryBytes() int64 {
+	h.Sync()
 	return h.levels[len(h.levels)-1].stats.Traffic()
 }
 
 // String summarizes all counters.
 func (h *Hierarchy) String() string {
+	h.Sync()
 	var b strings.Builder
 	fmt.Fprintf(&b, "flops=%d regLoad=%dB regStore=%dB\n", h.Flops, h.RegLoadBytes, h.RegStoreBytes)
 	for i := range h.levels {
