@@ -12,8 +12,8 @@
 // With -mrc, both measurements additionally run a one-pass
 // reuse-distance (Mattson stack-distance) analysis: an ASCII
 // before/after overlay of the memory-channel demand curve, the
-// capacity-knee table against every registered machine (showing how
-// far the optimizer shifted the knee left), and the phase timeline.
+// capacity knee against the measured machine's balance (showing how
+// far the optimizer shifted it left), and the phase timeline.
 // Under -json the same data appears as "mrc" blocks on both
 // measurements.
 //
@@ -165,7 +165,7 @@ func main() {
 		pipeline = transform.DefaultPipelineSpec
 	}
 	q, outcome, err := transform.OptimizeVerifiedCtx(ctx, p, transform.Config{
-		Pipeline: pipeline, Verify: mode, Tol: *tol, SnapshotPasses: *profile,
+		Pipeline: pipeline, Verify: mode, Tol: *tol,
 	})
 	if err == nil && *passes != "" && len(outcome.Skipped) > 0 {
 		// Strict mode for explicit pipelines: the user asked for these

@@ -15,7 +15,7 @@
 // With -mrc, the measurement additionally runs a one-pass
 // reuse-distance (Mattson stack-distance) analysis and prints the
 // ASCII miss-ratio curve of the memory-facing cache level, the
-// capacity-knee table against every registered machine, and the phase
+// capacity knee against the measured machine's balance, and the phase
 // timeline of the access stream.
 //
 // With -trace, the run (optional pass pipeline + measurement) is

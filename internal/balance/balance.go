@@ -74,8 +74,8 @@ type Report struct {
 
 	// MRC, when non-nil, carries the one-pass reuse-distance analysis:
 	// exact miss-ratio curves per level, per-array curves, the phase
-	// timeline, and capacity knees against every registered machine.
-	// Populated by Options.MRC.
+	// timeline, and the capacity knee against the measured machine's
+	// balance. Populated by Options.MRC.
 	MRC *MRCResult
 
 	// Replay, when non-nil, contrasts LRU with Belady's optimal
@@ -83,7 +83,8 @@ type Report struct {
 	Replay *Replay
 
 	// Result carries the program's computed values for equivalence
-	// checking.
+	// checking: prints, scalars and flops. The compiled run leaves no
+	// arrays in it (exec.Result.Array is interpreter-only).
 	Result *exec.Result
 }
 

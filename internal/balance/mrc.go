@@ -3,7 +3,7 @@
 // machine's simulation and reports exact miss/traffic curves per cache
 // level, per-array curves, a phase timeline, and the capacity knee —
 // the smallest fast memory at which the kernel's memory-channel demand
-// meets a machine's balance — against every registered machine.
+// meets the measured machine's balance.
 package balance
 
 import (
@@ -65,11 +65,12 @@ type MRCLevel struct {
 	Sites        []MRCSite  `json:"sites,omitempty"`
 }
 
-// MRCKnee reports, for one registered machine's memory balance, the
-// smallest fast-memory capacity (on the measured curve's geometry
-// family) at which the kernel's bytes-per-flop demand falls to the
-// machine's supply. Met=false means even a fully-captured working set
-// (compulsory traffic only) demands more than the machine offers.
+// MRCKnee reports, for the measured machine's memory balance, the
+// smallest fast-memory capacity (on the machine's own curve: sets and
+// line size fixed, ways swept) at which the kernel's bytes-per-flop
+// demand falls to the machine's supply. Met=false means even a
+// fully-captured working set (compulsory traffic only) demands more
+// than the machine offers.
 type MRCKnee struct {
 	Machine        string  `json:"machine"`
 	MachineBalance float64 `json:"machine_balance"`
@@ -100,13 +101,15 @@ type MRCEpoch struct {
 
 // MRCResult is the full reuse-distance analysis of one run.
 type MRCResult struct {
-	Machine   string     `json:"machine"`
-	Flops     int64      `json:"flops"`
-	Accesses  int64      `json:"accesses"`
-	Levels    []MRCLevel `json:"levels"`
-	Timeline  []MRCEpoch `json:"timeline,omitempty"`
-	Knees     []MRCKnee  `json:"knees"`
-	MeasureNS int64      `json:"measure_ns"`
+	Machine  string     `json:"machine"`
+	Flops    int64      `json:"flops"`
+	Accesses int64      `json:"accesses"`
+	Levels   []MRCLevel `json:"levels"`
+	Timeline []MRCEpoch `json:"timeline,omitempty"`
+	// Knees holds one row, the measured machine's. Another machine's
+	// knee needs that machine's own run (bwbench -experiment mrc).
+	Knees     []MRCKnee `json:"knees"`
+	MeasureNS int64     `json:"measure_ns"`
 }
 
 // mrcTimelineEpochs is the wire aggregation of the phase timeline.
@@ -208,20 +211,10 @@ func buildMRC(spec machine.Spec, table *ir.SiteTable, h *sim.Hierarchy) *MRCResu
 		}
 		res.Timeline = append(res.Timeline, we)
 	}
-	// Capacity knees against every registered machine's memory balance.
-	seen := false
-	for _, e := range machine.Entries() {
-		bal := e.Spec.Balance()
-		res.Knees = append(res.Knees, kneeFor(rec, h.Flops, e.Spec.Name, bal[len(bal)-1]))
-		seen = seen || e.Spec.Name == spec.Name
-	}
-	// A scaled or custom spec is not in the registry under its own
-	// name; callers comparing a kernel against the machine it ran on
-	// (MRCStudy, the knee gauge) still need that row.
-	if !seen {
-		bal := spec.Balance()
-		res.Knees = append(res.Knees, kneeFor(rec, h.Flops, spec.Name, bal[len(bal)-1]))
-	}
+	// The capacity knee against the measured machine's own memory
+	// balance, on its own curve.
+	bal := spec.Balance()
+	res.Knees = append(res.Knees, kneeFor(rec, h.Flops, spec.Name, bal[len(bal)-1]))
 	return res
 }
 

@@ -1,7 +1,7 @@
 // Text rendering of miss-ratio-curve results, shared by bwsim and
 // bwopt: the ASCII capacity/demand curve (with optional
-// before/after-optimization overlay), the per-machine knee table, and
-// the phase timeline.
+// before/after-optimization overlay), the measured machine's knee
+// table, and the phase timeline.
 package balance
 
 import (
@@ -50,12 +50,12 @@ func MRCCurveText(before, after *MRCResult) string {
 }
 
 // MRCKneeTable tabulates the capacity knee — the smallest fast
-// memory at which the kernel's demand meets each registered machine's
-// balance. With after non-nil the table shows the optimized column
-// and the shift, proving (or disproving) that the optimizer moved the
-// knee left.
+// memory at which the kernel's demand meets the measured machine's
+// balance — in one row. With after non-nil the table shows the
+// optimized column and the shift, proving (or disproving) that the
+// optimizer moved the knee left.
 func MRCKneeTable(before, after *MRCResult) *report.Table {
-	t := &report.Table{Title: "capacity knees: smallest fast memory meeting each machine's balance"}
+	t := &report.Table{Title: "capacity knee: smallest fast memory meeting the measured machine's balance"}
 	t.Headers = []string{"machine", "balance B/F", "floor B/F", "knee"}
 	if after != nil {
 		t.Headers = append(t.Headers, "knee after", "shift")
@@ -65,11 +65,11 @@ func MRCKneeTable(before, after *MRCResult) *report.Table {
 		row := []any{k.Machine, report.F(k.MachineBalance, 3), report.F(k.FloorBF, 3), kneeCell(k)}
 		if after != nil {
 			ka := after.Knee(k.Machine)
-			row = append(row, kneeCell(ka), kneeShift(k, ka))
+			row = append(row, kneeCell(ka), KneeShift(k, ka))
 		}
 		t.AddRow(row...)
 	}
-	t.AddNote("knee capacities are in the measured machine's geometry (sets x line fixed, ways swept)")
+	t.AddNote("knee capacity is in the machine's own geometry (sets x line fixed, ways swept)")
 	t.AddNote("floor = compulsory bytes per flop once the working set fits; 'never' = floor above the machine's balance")
 	return t
 }
@@ -84,7 +84,10 @@ func kneeCell(k *MRCKnee) string {
 	return report.Bytes(k.KneeBytes)
 }
 
-func kneeShift(before, after *MRCKnee) string {
+// KneeShift summarizes the optimizer's effect on one machine's knee:
+// how far left (or right) it moved, or whether it became met or
+// regressed. A nil after reads "n/a".
+func KneeShift(before, after *MRCKnee) string {
 	switch {
 	case after == nil:
 		return "n/a"

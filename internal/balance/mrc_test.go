@@ -95,9 +95,9 @@ func TestMRCOracle(t *testing.T) {
 							}
 						}
 					}
-					// The knee table covers every registered machine.
-					if len(rep.MRC.Knees) != len(machine.Entries()) {
-						t.Fatalf("knees for %d machines, registry has %d", len(rep.MRC.Knees), len(machine.Entries()))
+					// The knee list rates the measured machine only.
+					if len(rep.MRC.Knees) != 1 || rep.MRC.Knees[0].Machine != e.Spec.Name {
+						t.Fatalf("knees %+v, want one row, for %s", rep.MRC.Knees, e.Spec.Name)
 					}
 					// The timeline partitions the run: per-epoch memory
 					// bytes and flops sum to the run totals.

@@ -32,7 +32,7 @@ type Pair struct {
 // a program that computes something else means nothing.
 //
 // With opts.Profile, snaps (the pipeline's committed-pass snapshots,
-// transform.Config.SnapshotPasses; the last one is opt) attribute the
+// transform.Outcome.Snapshots; the last one is opt) attribute the
 // traffic change pass by pass: every snapshot but the last is measured
 // once more, profiled, on specs[0].
 func MeasurePair(ctx context.Context, orig, opt *ir.Program, snaps []transform.PassSnapshot, specs []machine.Spec, opts Options, tol float64) (*Pair, error) {

@@ -44,12 +44,12 @@ loop P3 {
 }
 `
 
-// optimizeDefault runs the paper's pipeline with verification off,
-// snapshotting every committed pass.
+// optimizeDefault runs the paper's pipeline with verification off and
+// returns its snapshot of every committed pass.
 func optimizeDefault(t *testing.T, src string) (*ir.Program, *ir.Program, []transform.PassSnapshot) {
 	t.Helper()
 	p := lang.MustParse(src)
-	q, out, err := transform.OptimizeVerified(p, transform.Config{Options: transform.All(), SnapshotPasses: true})
+	q, out, err := transform.OptimizeVerified(p, transform.Config{Options: transform.All()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +106,38 @@ func TestMeasurePairRunsEachProgramOnce(t *testing.T) {
 		})
 		if runs != 2 {
 			t.Fatalf("%d machines: %d balance.measure spans, want 2", len(specs), runs)
+		}
+	}
+}
+
+// TestPassSnapshotsStayAsRecorded: a snapshot is the pipeline's own
+// checkpoint, not a copy, so nothing may mutate it afterwards. After a
+// profiled MeasurePair, which assigns reference sites to what it runs,
+// every snapshot prints the text it printed when the pipeline returned
+// and carries no site, and the last one is the optimized program.
+func TestPassSnapshotsStayAsRecorded(t *testing.T) {
+	p, q, snaps := optimizeDefault(t, producerConsumer)
+	if len(snaps) < 2 || snaps[len(snaps)-1].Program != q {
+		t.Fatalf("%d snapshots, want at least 2, the last the optimized program", len(snaps))
+	}
+	want := make([]string, len(snaps))
+	for i, snap := range snaps {
+		want[i] = snap.Program.String()
+	}
+	opts := Options{Profile: true, MRC: true, Bounds: true}
+	if _, err := MeasurePair(context.Background(), p, q, snaps, []machine.Spec{machine.Origin2000()}, opts, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, snap := range snaps {
+		if got := snap.Program.String(); got != want[i] {
+			t.Fatalf("snapshot %d (%s) changed:\n%s\nwas\n%s", i, snap.Pass, got, want[i])
+		}
+		for _, n := range snap.Program.Nests {
+			ir.WalkRefs(n.Body, snap.Program, func(r *ir.Ref, _ bool) {
+				if r.Site != 0 {
+					t.Fatalf("snapshot %d (%s): %s carries site %d", i, snap.Pass, r.Name, r.Site)
+				}
+			})
 		}
 	}
 }

@@ -57,7 +57,7 @@ func MRCStudy(cfg Config) (*report.Table, error) {
 				report.F(kb.MachineBalance, 3),
 				report.F(kb.FloorBF, 3), report.F(ka.FloorBF, 3),
 				fmt.Sprint(rawKnee(kb)), fmt.Sprint(rawKnee(ka)),
-				kneeShift(kb, ka))
+				balance.KneeShift(kb, ka))
 		}
 	}
 	t.AddNote("knee = smallest fast-memory capacity (machine's own sets x line, ways swept) with demand <= balance; -1 = never")
@@ -70,22 +70,4 @@ func rawKnee(k *balance.MRCKnee) int64 {
 		return -1
 	}
 	return k.KneeBytes
-}
-
-// kneeShift summarizes the optimizer's effect on one machine's knee.
-func kneeShift(before, after *balance.MRCKnee) string {
-	switch {
-	case !before.Met && after.Met:
-		return "now met"
-	case before.Met && !after.Met:
-		return "regressed"
-	case !before.Met && !after.Met:
-		return "-"
-	case after.KneeBytes < before.KneeBytes:
-		return "left " + report.Bytes(before.KneeBytes-after.KneeBytes)
-	case after.KneeBytes > before.KneeBytes:
-		return "right " + report.Bytes(after.KneeBytes-before.KneeBytes)
-	default:
-		return "="
-	}
 }

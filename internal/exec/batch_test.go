@@ -536,9 +536,10 @@ func FuzzBatchParity(f *testing.F) {
 }
 
 // checkBatchParity runs p with no machine on the interpreter and on the
-// compiled engine, which batches what it can, and fails t unless the
-// outcomes are the same: the same error text on failure; on success
-// the same prints, scalars, flops and final arrays, bit for bit. It
+// compiled engine, on RunCtx's path, which batches what it can, and
+// fails t unless the outcomes are the same: the same error text on
+// failure; on success the same prints, scalars, flops and final
+// arrays, bit for bit. It
 // then runs input vector 1 batched and strictly per iteration and holds
 // the two to the same. It returns the interpreter's outcome.
 func checkBatchParity(t *testing.T, ctx context.Context, p *ir.Program, lim exec.Limits) (*exec.Result, error) {
@@ -548,10 +549,10 @@ func checkBatchParity(t *testing.T, ctx context.Context, p *ir.Program, lim exec
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rc, errc := cp.RunCtx(ctx, nil, lim)
+	rc, errc := exec.RunVector(ctx, cp, nil, 0, lim, true)
 	sameOutcome(t, p, "interp", "compiled", ri, rc, erri, errc)
-	rb, errb := exec.RunVector(ctx, cp, 1, lim, true)
-	ru, erru := exec.RunVector(ctx, cp, 1, lim, false)
+	rb, errb := exec.RunVector(ctx, cp, nil, 1, lim, true)
+	ru, erru := exec.RunVector(ctx, cp, nil, 1, lim, false)
 	sameOutcome(t, p, "vector 1 per iteration", "vector 1 batched", ru, rb, erru, errb)
 	return ri, erri
 }
@@ -571,6 +572,8 @@ func sameOutcome(t *testing.T, p *ir.Program, an, bn string, a, b *exec.Result, 
 		t.Fatalf("prints: %s %v, %s %v", an, a.Prints, bn, b.Prints)
 	case a.Flops != b.Flops:
 		t.Fatalf("flops: %s %d, %s %d", an, a.Flops, bn, b.Flops)
+	case len(a.Scalars) != len(b.Scalars):
+		t.Fatalf("scalars: %s %v, %s %v", an, a.Scalars, bn, b.Scalars)
 	}
 	for _, s := range p.Scalars {
 		if !sameBits([]float64{a.Scalars[s.Name]}, []float64{b.Scalars[s.Name]}) {

@@ -71,6 +71,10 @@ type cenv struct {
 	flops    int64
 	inputSeq int64
 
+	// slab holds the arrays' storage, and bufSlab, when the run may
+	// batch, the chunk buffers; both go back to the pool in release.
+	slab, bufSlab *[]float64
+
 	// batch is non-nil only in a run that may batch (see batchHierarchy):
 	// the plan of each loop that may run a chunk of iterations at a
 	// time, indexed by the loop's batch id, and bufs holds their chunk
@@ -203,29 +207,21 @@ func (cp *Compiled) Run(h Machine) (*Result, error) {
 // RunCtx is Run with cancellation and a step budget, with the same
 // semantics as the package-level RunCtx. Compiled programs are
 // stateless between runs, so one Compiled may serve many concurrent
-// RunCtx calls, each with its own context.
+// RunCtx calls, each with its own context. The run is input vector 0
+// of RunVectors, made against h: its arrays live on a pooled slab that
+// goes back to the pool when the run ends, so the Result carries
+// prints, scalars and flops but no arrays.
 func (cp *Compiled) RunCtx(ctx context.Context, h Machine, lim Limits) (*Result, error) {
 	ctx, err := startRun(ctx)
 	if err != nil {
 		return nil, err
 	}
-	env := cp.newEnv(make([]float64, cp.elems), lim)
-	if bufs := cp.attach(env, h); bufs != nil {
-		defer putSlab(bufs)
-	}
+	env := cp.vectorEnv(h, 0, lim)
+	defer env.release()
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err
 	}
-	return cp.withArrays(env), nil
-}
-
-// withArrays returns env's result carrying its final arrays.
-func (cp *Compiled) withArrays(env *cenv) *Result {
-	env.res.arrays = make(map[string][]float64, len(cp.arrayOrder))
-	for i, a := range cp.arrayOrder {
-		env.res.arrays[a.Name] = env.arrays[i].data
-	}
-	return env.res
+	return env.res, nil
 }
 
 // runOnce executes the program once in env, whose arrays and loop
@@ -264,41 +260,6 @@ func (cp *Compiled) runOnce(ctx context.Context, env *cenv, attrs ...trace.Attr)
 	env.res.Flops = env.flops
 	span.End(trace.Int("steps", env.steps), trace.Int("flops", env.flops))
 	return nil
-}
-
-// newEnv returns the state of a run with no machine, whose arrays are
-// carved out of slab and whose loops all run per iteration.
-func (cp *Compiled) newEnv(slab []float64, lim Limits) *cenv {
-	return &cenv{
-		lim:     lim,
-		arrays:  cp.layout(slab),
-		scalars: make([]float64, len(cp.prog.Scalars)),
-		ivars:   make([]int64, cp.nivars),
-	}
-}
-
-// attach sets env up to run against h, which may be nil. When the run
-// may batch (batchHierarchy) and the program has batched loops, their
-// chunk buffers come from the slab pool, and attach returns the slab,
-// which the caller puts back once the run is over; otherwise it returns
-// nil. The buffers are a slab of their own, so they never push the
-// arrays' slab into a larger size class.
-func (cp *Compiled) attach(env *cenv, h Machine) *[]float64 {
-	env.mach = h
-	hier, ok := batchHierarchy(h)
-	if !ok {
-		return nil
-	}
-	b := cp.plans()
-	if b.loops == nil {
-		return nil
-	}
-	bufs := getSlab(b.bufLen)
-	env.batch, env.bufs = b.loops, *bufs
-	if hier != nil {
-		env.hier, env.strides = hier, make([]sim.Stride, b.maxRefs)
-	}
-	return bufs
 }
 
 // batchHierarchy reports whether a run against h may batch its loops,
@@ -415,34 +376,60 @@ func (cp *Compiled) runVector(ctx context.Context, v int, lim Limits) (r vectorR
 			r = vectorRun{panic: p}
 		}
 	}()
-	slab := getSlab(cp.elems)
-	defer putSlab(slab)
-	env := cp.vectorEnv(*slab, v, lim)
-	if bufs := cp.attach(env, nil); bufs != nil {
-		defer putSlab(bufs)
-	}
+	env := cp.vectorEnv(nil, v, lim)
+	defer env.release()
 	if err := cp.runOnce(ctx, env, trace.Int("vector", int64(v))); err != nil {
 		return vectorRun{err: err}
 	}
 	return vectorRun{res: env.res}
 }
 
-// vectorEnv returns the state of input vector v's run over slab, with
-// the arrays filled for v.
-func (cp *Compiled) vectorEnv(slab []float64, v int, lim Limits) *cenv {
-	env := cp.newEnv(slab, lim)
-	env.inputSeq = int64(v) << vectorShift
+// vectorEnv returns the state of input vector v's run against h, which
+// may be nil: the arrays are carved out of a pooled slab and filled for
+// v. When the run may batch (batchHierarchy) and the program has
+// batched loops, their chunk buffers come from the pool too, as a slab
+// of their own, so they never push the arrays' slab into a larger size
+// class. The caller runs env with runOnce and then calls env.release.
+func (cp *Compiled) vectorEnv(h Machine, v int, lim Limits) *cenv {
+	env := &cenv{
+		mach:     h,
+		lim:      lim,
+		scalars:  make([]float64, len(cp.prog.Scalars)),
+		ivars:    make([]int64, cp.nivars),
+		inputSeq: int64(v) << vectorShift,
+		slab:     getSlab(cp.elems),
+	}
+	env.arrays = cp.layout(*env.slab)
 	for i, a := range cp.arrayOrder {
 		fillVector(env.arrays[i].data, a.Name, v)
+	}
+	hier, ok := batchHierarchy(h)
+	if !ok {
+		return env
+	}
+	if b := cp.plans(); b.loops != nil {
+		env.bufSlab = getSlab(b.bufLen)
+		env.batch, env.bufs = b.loops, *env.bufSlab
+		if hier != nil {
+			env.hier, env.strides = hier, make([]sim.Stride, b.maxRefs)
+		}
 	}
 	return env
 }
 
-// slabPools holds RunVectors' array storage, and every run's chunk
-// buffers, between runs: slabPools[k] holds slabs of 1<<k elements. A
-// slab's stale contents never leak into a run, because fillVector
-// overwrites every array element, and a batched loop writes each chunk
-// buffer before it reads it.
+// release puts env's slabs back in the pool once its run is over.
+func (env *cenv) release() {
+	putSlab(env.slab)
+	if env.bufSlab != nil {
+		putSlab(env.bufSlab)
+	}
+}
+
+// slabPools holds every compiled run's array storage and chunk buffers
+// between runs: slabPools[k] holds slabs of 1<<k elements. A slab's
+// stale contents never leak into a run, because fillVector overwrites
+// every array element (vector 0 clears it), and a batched loop writes
+// each chunk buffer before it reads it.
 var slabPools [bits.UintSize]sync.Pool
 
 // getSlab returns a slab of at least n elements.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -420,7 +421,11 @@ func TestRunVectorsStopsAtFailingVector(t *testing.T) {
 // TestRunVectorsPooledSlabsStartClean: a slab left holding another
 // program's vector-1 values must not leak into a later call. The second
 // program's arrays fill the same size class, and its first statement
-// reads every element before any write, so vector 0 must print zeros.
+// reads every element before any write, so vector 0, and RunCtx, which
+// runs vector 0 on the same pool with or without a hierarchy, must
+// print zeros. A guarded store makes stale values change the traffic
+// too: after each dirtying call, its level counters must equal those of
+// its first run.
 func TestRunVectorsPooledSlabsStartClean(t *testing.T) {
 	dirty, err := Compile(lang.MustParse(`
 program dirty
@@ -437,21 +442,71 @@ loop L1 { for i = 0, 39 { s = s + x[i] }
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 8; round++ {
-		if _, err := dirty.RunVectors(context.Background(), 2, Limits{}); err != nil {
-			t.Fatal(err)
-		}
-		rs, err := clean.RunVectors(context.Background(), 2, Limits{})
+	guarded, err := Compile(lang.MustParse(`
+program guarded
+array a[32]
+array b[32]
+loop L1 { for i = 0, 31 { if a[i] > 0 { b[i] = 1 } }
+  for i = 0, 31 { print b[i] } }
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Origin2000's geometry; internal/machine imports this package.
+	origin2000 := func() *sim.Hierarchy {
+		return sim.MustHierarchy(
+			sim.CacheConfig{Name: "L1", Size: 32 << 10, LineSize: 32, Assoc: 2},
+			sim.CacheConfig{Name: "L2", Size: 4 << 20, LineSize: 128, Assoc: 2},
+		)
+	}
+	ctx := context.Background()
+	zeros := func(what string, r *Result, err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, v := range rs[0].Prints {
+		for i, v := range r.Prints {
 			if v != 0 {
-				t.Fatalf("round %d: vector 0 printed a[%d] = %v, want 0", round, i, v)
+				t.Fatalf("%s printed element %d = %v, want 0", what, i, v)
 			}
 		}
+	}
+	dirtyPool := func() {
+		t.Helper()
+		if _, err := dirty.RunVectors(ctx, 2, Limits{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := origin2000()
+	r, err := guarded.RunCtx(ctx, first, Limits{})
+	zeros("guarded's first run", r, err)
+	for round := 0; round < 8; round++ {
+		dirtyPool()
+		rs, err := clean.RunVectors(ctx, 2, Limits{})
+		zeros(fmt.Sprintf("round %d: vector 0", round), rs[0], err)
 		if rs[1].Prints[0] == 0 {
 			t.Fatal("vector 1 printed an unseeded a[0]")
+		}
+
+		dirtyPool()
+		r, err := clean.RunCtx(ctx, nil, Limits{})
+		zeros(fmt.Sprintf("round %d: RunCtx", round), r, err)
+		if r.Array("a") != nil {
+			t.Fatal("a compiled run's result carries its arrays")
+		}
+
+		dirtyPool()
+		r, err = clean.RunCtx(ctx, origin2000(), Limits{})
+		zeros(fmt.Sprintf("round %d: RunCtx against a hierarchy", round), r, err)
+
+		dirtyPool()
+		h := origin2000()
+		r, err = guarded.RunCtx(ctx, h, Limits{})
+		zeros(fmt.Sprintf("round %d: guarded", round), r, err)
+		for lvl := 0; lvl < h.Levels(); lvl++ {
+			if h.LevelStats(lvl) != first.LevelStats(lvl) {
+				t.Fatalf("round %d: guarded level %d: %+v, first run %+v", round, lvl, h.LevelStats(lvl), first.LevelStats(lvl))
+			}
 		}
 	}
 }

@@ -67,7 +67,10 @@ type Limits struct {
 	MaxSteps int64
 }
 
-// Result carries the values computed by a program run.
+// Result carries the values computed by a program run. Prints, Scalars
+// and Flops come from either engine. The final arrays come only from
+// the interpreter, the test oracle: a compiled run's arrays live on a
+// pooled slab that goes back to the pool when the run ends.
 type Result struct {
 	Prints  []float64          // values printed, in order
 	Scalars map[string]float64 // final scalar values
@@ -76,6 +79,8 @@ type Result struct {
 }
 
 // Array returns the final contents of the named array (nil if absent).
+// Only an interpreter run (Run, RunCtx) has them: on a compiled run's
+// Result it returns nil.
 func (r *Result) Array(name string) []float64 { return r.arrays[name] }
 
 // Checksum folds all printed values into one number.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	_ "unsafe" // go:linkname
 
 	"repro/internal/sim"
@@ -15,16 +16,14 @@ import (
 //go:linkname ForcePartitions repro/internal/sim.forcePartitions
 func ForcePartitions(h *sim.Hierarchy, k int)
 
-// BatchedLoops runs cp once against h, which may be nil, and returns,
-// per loop that may run a chunk at a time, named "nest/var", how many
-// of its executions did. A loop missing from the map never qualified;
-// under a machine that keeps every loop per iteration, the map is
-// empty.
+// BatchedLoops runs cp once against h, which may be nil, as RunCtx
+// does, and returns, per loop that may run a chunk at a time, named
+// "nest/var", how many of its executions did. A loop missing from the
+// map never qualified; under a machine that keeps every loop per
+// iteration, the map is empty.
 func BatchedLoops(ctx context.Context, cp *Compiled, h Machine, lim Limits) (map[string]int64, error) {
-	env := cp.newEnv(make([]float64, cp.elems), lim)
-	if bufs := cp.attach(env, h); bufs != nil {
-		defer putSlab(bufs)
-	}
+	env := cp.vectorEnv(h, 0, lim)
+	defer env.release()
 	env.batched = make([]int64, len(env.batch))
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err
@@ -38,18 +37,23 @@ func BatchedLoops(ctx context.Context, cp *Compiled, h Machine, lim Limits) (map
 	return out, nil
 }
 
-// RunVector runs input vector v as RunVectors does, but alone, on fresh
-// storage, and batched or strictly per iteration. Its result carries
-// the final arrays.
-func RunVector(ctx context.Context, cp *Compiled, v int, lim Limits, batched bool) (*Result, error) {
-	env := cp.vectorEnv(make([]float64, cp.elems), v, lim)
-	if batched {
-		if bufs := cp.attach(env, nil); bufs != nil {
-			defer putSlab(bufs)
-		}
+// RunVector runs input vector v against h, which may be nil, on the
+// path RunCtx (vector 0) and RunVectors (no machine) take, batched
+// where the run may or strictly per iteration. Its result carries
+// copies of the final arrays, taken before the slab goes back to the
+// pool.
+func RunVector(ctx context.Context, cp *Compiled, h Machine, v int, lim Limits, batched bool) (*Result, error) {
+	env := cp.vectorEnv(h, v, lim)
+	defer env.release()
+	if !batched {
+		env.batch = nil
 	}
 	if err := cp.runOnce(ctx, env); err != nil {
 		return nil, err
 	}
-	return cp.withArrays(env), nil
+	env.res.arrays = make(map[string][]float64, len(cp.arrayOrder))
+	for i, a := range cp.arrayOrder {
+		env.res.arrays[a.Name] = slices.Clone(env.arrays[i].data)
+	}
+	return env.res, nil
 }

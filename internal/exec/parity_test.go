@@ -2,7 +2,6 @@ package exec_test
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -335,8 +334,9 @@ func checkParity(t *testing.T, ctx context.Context, p *ir.Program, lim exec.Limi
 }
 
 // checkParityOn runs p on both engines, each against its own hierarchy
-// from newH, and fails t unless the outcomes are the same: the same
-// prints, scalars and flops on success, the same error text on
+// from newH, the compiled engine on RunCtx's path, and fails t unless
+// the outcomes are the same (see sameOutcome): the same prints,
+// scalars, flops and final arrays on success, the same error text on
 // failure, and in both cases the same hierarchy counters and per-site
 // attribution, so the engines issued the same accesses in the same
 // order up to the end or the fault. It returns the interpreter's
@@ -350,46 +350,10 @@ func checkParityOn(t *testing.T, ctx context.Context, p *ir.Program, lim exec.Li
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rc, errc := cp.RunCtx(ctx, hc, lim)
-	switch {
-	case (erri == nil) != (errc == nil):
-		t.Fatalf("engines disagree on failure:\ninterp:   %v\ncompiled: %v", erri, errc)
-	case erri != nil:
-		if erri.Error() != errc.Error() {
-			t.Fatalf("error text diverged:\ninterp:   %v\ncompiled: %v", erri, errc)
-		}
-	case !sameValues(ri.Prints, rc.Prints):
-		t.Fatalf("prints: interp %v, compiled %v", ri.Prints, rc.Prints)
-	case !sameScalars(ri.Scalars, rc.Scalars) || ri.Flops != rc.Flops:
-		t.Fatalf("scalars/flops: interp %v %d, compiled %v %d", ri.Scalars, ri.Flops, rc.Scalars, rc.Flops)
-	}
+	rc, errc := exec.RunVector(ctx, cp, hc, 0, lim, true)
+	sameOutcome(t, p, "interp", "compiled", ri, rc, erri, errc)
 	sameHierarchy(t, hi, hc)
 	return ri, erri
-}
-
-// sameScalars is map equality that also matches NaN with NaN.
-func sameScalars(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, v := range a {
-		if w, ok := b[name]; !ok || !sameValues([]float64{v}, []float64{w}) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameValues(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-			return false
-		}
-	}
-	return true
 }
 
 // sameHierarchy requires identical counters, channel traffic and

@@ -55,7 +55,7 @@ type ProgramRequest struct {
 	Profile bool `json:"profile,omitempty"`
 	// MRC, when true, additionally records the one-pass reuse-distance
 	// sweep: exact LRU miss-ratio curves for every cache level, the
-	// capacity knee against every registered machine's balance, and the
+	// capacity knee against the measured machine's balance, and the
 	// phase timeline of the access stream (the "mrc" response block;
 	// optimize returns "mrc_before"/"mrc_after"). The recorder observes
 	// the measurement's own run; its per-access bookkeeping is what the
@@ -752,7 +752,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			body: func(ctx context.Context, eff features) (response, error) {
 				return s.optimize(ctx, req.Kernel, p, spec, transform.Config{
 					Pipeline: pipeline, Verify: eff.Verify, Tol: tol, ExecLimits: s.limits(),
-					SnapshotPasses: eff.Profile,
 				}, eff)
 			},
 		}, nil
@@ -790,12 +789,12 @@ func (s *Server) optimize(ctx context.Context, kernel string, p *ir.Program, spe
 		resp.Actions = append(resp.Actions, a.String())
 	}
 
-	// Both programs run once, plus one profiled run per intermediate
-	// snapshot. A divergence fails the request (422), so it is never
-	// cached. The cache key carries the tolerance only under
+	// Both programs run once, plus, when profiled, one run per
+	// intermediate snapshot. A divergence fails the request (422), so it
+	// is never cached. The cache key carries the tolerance only under
 	// differential verification; elsewhere the check uses the default.
 	runs := 2
-	if n := len(outcome.Snapshots); n > 1 {
+	if n := len(outcome.Snapshots); eff.Profile && n > 1 {
 		runs += n - 1
 	}
 	s.programRuns.Add(float64(runs))

@@ -8,8 +8,8 @@ import (
 
 // Reuse-distance requests: the "mrc": true flag on analyze and
 // optimize asks for the one-pass Mattson sweep (balance.Options.MRC) —
-// miss-ratio curves per cache level, the capacity knee against every
-// registered machine's balance, and the phase timeline of the access
+// miss-ratio curves per cache level, the capacity knee against the
+// measured machine's balance, and the phase timeline of the access
 // stream. The recorder rides on the request's one measurement run, but
 // its per-access order-statistic bookkeeping is the dearest observer,
 // so the degradation ladder sheds it at the same rung as profiling
@@ -21,19 +21,13 @@ import (
 // dashboard: the kernel's bwserved_ws_knee_bytes gauge for the machine
 // it ran on (only kernel-named requests have a stable identity to label
 // a metric with), and the most recent curve per kernel behind the
-// /debug/dash MRC panel. The result's other knees rate other machines'
-// balance against the measured machine's geometry, not their own, so
-// they set no gauge: a row labelled with another machine would carry
-// this one's geometry.
+// /debug/dash MRC panel.
 func (s *Server) observeMRC(kernel string, m *balance.MRCResult) {
 	if m == nil || kernel == "" {
 		return
 	}
 	for i := range m.Knees {
 		k := &m.Knees[i]
-		if k.Machine != m.Machine {
-			continue
-		}
 		v := float64(-1) // demand never meets this machine's balance
 		if k.Met {
 			v = float64(k.KneeBytes)

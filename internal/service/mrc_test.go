@@ -11,7 +11,7 @@ import (
 )
 
 // TestAnalyzeMRC: an "mrc": true analyze returns the reuse-distance
-// block — monotone per-level curves, per-machine knees, a phase
+// block — monotone per-level curves, the machine's knee, a phase
 // timeline — participates in the cache under its own key, and feeds
 // the knee gauge and the dashboard panel.
 func TestAnalyzeMRC(t *testing.T) {
@@ -192,9 +192,9 @@ func TestMRCTimeout504(t *testing.T) {
 	}
 }
 
-// TestMRCKneeGaugeOwnMachine: an Origin2000 mrc request sets the knee
-// gauge of Origin2000 only. Its other knees are read off Origin2000's
-// geometry, so a {dmxpy, SkylakeSP} row would carry the wrong machine.
+// TestMRCKneeGaugeOwnMachine: an Origin2000 mrc request rates and sets
+// the knee gauge of Origin2000 only. A knee for another machine would
+// be read off Origin2000's geometry, so the block must carry none.
 func TestMRCKneeGaugeOwnMachine(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := map[string]any{"kernel": "dmxpy", "n": 96, "mrc": true, "machine": "Origin2000"}
@@ -209,12 +209,8 @@ func TestMRCKneeGaugeOwnMachine(t *testing.T) {
 	if ar.MRC == nil || ar.MRC.Machine != "Origin2000" {
 		t.Fatalf("want an Origin2000 mrc block, got %s", b)
 	}
-	var skylake bool
-	for _, k := range ar.MRC.Knees {
-		skylake = skylake || k.Machine == "SkylakeSP"
-	}
-	if !skylake {
-		t.Fatal("the mrc block rates no SkylakeSP knee; the test proves nothing")
+	if len(ar.MRC.Knees) != 1 || ar.MRC.Knees[0].Machine != "Origin2000" {
+		t.Fatalf("want one knee, Origin2000's; got %+v", ar.MRC.Knees)
 	}
 	kneeRows(t, ts.URL, "Origin2000")
 }

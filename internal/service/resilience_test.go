@@ -576,7 +576,7 @@ func TestDegradeApply(t *testing.T) {
 		}
 		resp, err := s.optimize(context.Background(), "dmxpy", p, machine.Origin2000(), transform.Config{
 			Pipeline: transform.DefaultPipelineSpec, Verify: eff.Verify, Tol: verify.DefaultTol,
-			ExecLimits: lim, SnapshotPasses: eff.Profile,
+			ExecLimits: lim,
 		}, eff)
 		if err != nil {
 			t.Fatalf("%v: optimize: %v", l, err)

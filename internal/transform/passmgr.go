@@ -57,12 +57,6 @@ type Config struct {
 	// once per input vector, each run under its own budget. The zero
 	// value imposes no limit.
 	ExecLimits exec.Limits
-	// SnapshotPasses records a clone of the program after every pass
-	// that committed at least one checkpoint (Outcome.Snapshots). The
-	// attribution profiler replays the snapshots to say what each pass
-	// bought, array by array; off by default because the clones cost
-	// memory proportional to pipeline length.
-	SnapshotPasses bool
 }
 
 func (c Config) withDefaults() Config {
@@ -144,9 +138,9 @@ type Outcome struct {
 	// for the run.
 	Analysis AnalysisStats
 	// Snapshots holds the program after every pass that committed a
-	// checkpoint, in pipeline order. Populated only when
-	// Config.SnapshotPasses is set; balance.MeasurePair consumes it for
-	// per-pass traffic attribution.
+	// checkpoint, in pipeline order; the last is the returned program.
+	// balance.MeasurePair consumes them for per-pass traffic
+	// attribution.
 	Snapshots []PassSnapshot
 }
 
@@ -195,7 +189,10 @@ func (s AnalysisStats) Total() AnalysisTotal {
 }
 
 // PassSnapshot is the program as it stood after one committed pass.
-// Program is a private clone: callers may run or mutate it freely.
+// Program is the pipeline's own checkpoint, not a copy, and is
+// read-only: every pass builds its result on a clone, so no later pass
+// mutates it, and a caller that must mutate it (ir.AssignSites) clones
+// it first, as balance.Measure does.
 type PassSnapshot struct {
 	// Pass is the pipeline spec element when it differs from the pass
 	// name (e.g. "interchange:n1:i"), otherwise the registry name.
@@ -389,8 +386,8 @@ func (m *manager) runPass(st pipelineStep) {
 	}
 	span.End(trace.Int("checkpoints", int64(ps.Checkpoints)), trace.Int("skipped", int64(ps.Skipped)))
 	m.out.Passes = append(m.out.Passes, ps)
-	if m.cfg.SnapshotPasses && ps.Checkpoints > 0 {
-		m.out.Snapshots = append(m.out.Snapshots, PassSnapshot{Pass: st.spec, Program: m.cur.Clone()})
+	if ps.Checkpoints > 0 {
+		m.out.Snapshots = append(m.out.Snapshots, PassSnapshot{Pass: st.spec, Program: m.cur})
 	}
 }
 
